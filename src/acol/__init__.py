@@ -6,134 +6,4 @@ the rectified pre-softmax activities pushes the duplicates to specialize, so
 the argmax node becomes a latent sub-class annotation.
 """
 
-from .config import ExperimentConfig, load_config, parse_config, save_config, serialize_config
-from .datasets import (
-    IdxFormatError,
-    LabeledDataset,
-    ParentPartition,
-    RawDigits,
-    apply_partition,
-    images_to_features,
-    interparent_partition,
-    load_idx,
-    load_idx_images,
-    load_idx_labels,
-    random_partition,
-    split_validation,
-    synthetic_blobs,
-    threshold_partition,
-    write_idx_images,
-    write_idx_labels,
-)
-from .evaluation import (
-    ClusterMapping,
-    clustering_accuracy,
-    export_embeddings,
-    export_graph,
-    kmeans,
-    kmeans_per_parent,
-    kmeans_within_cluster_ss,
-    parent_accuracy,
-)
-from .head import (
-    AcolHead,
-    Annotation,
-    assign_annotations,
-    build_pooling,
-    head_forward,
-    node_to_parent_sub,
-    supervised_grad,
-)
-from .network import (
-    DenseLayer,
-    EpochRecord,
-    Model,
-    TrainConfig,
-    TrainReport,
-    backward,
-    combined_loss,
-    combined_step,
-    forward,
-    init_model,
-    load_checkpoint,
-    parent_accuracy_of,
-    save_checkpoint,
-    train,
-)
-from .regularizers import (
-    GarCoefficients,
-    GarTerms,
-    adjacency,
-    affinity,
-    balance,
-    coactivation,
-    gar_grad,
-    gar_loss,
-    gar_terms,
-    is_degenerate,
-)
-
-__all__ = [
-    "AcolHead",
-    "Annotation",
-    "ClusterMapping",
-    "DenseLayer",
-    "EpochRecord",
-    "ExperimentConfig",
-    "GarCoefficients",
-    "GarTerms",
-    "IdxFormatError",
-    "LabeledDataset",
-    "Model",
-    "ParentPartition",
-    "RawDigits",
-    "TrainConfig",
-    "TrainReport",
-    "adjacency",
-    "affinity",
-    "apply_partition",
-    "assign_annotations",
-    "backward",
-    "balance",
-    "build_pooling",
-    "clustering_accuracy",
-    "coactivation",
-    "combined_loss",
-    "combined_step",
-    "export_embeddings",
-    "export_graph",
-    "forward",
-    "gar_grad",
-    "gar_loss",
-    "gar_terms",
-    "head_forward",
-    "images_to_features",
-    "init_model",
-    "interparent_partition",
-    "is_degenerate",
-    "kmeans",
-    "kmeans_per_parent",
-    "kmeans_within_cluster_ss",
-    "load_checkpoint",
-    "load_config",
-    "load_idx",
-    "load_idx_images",
-    "load_idx_labels",
-    "node_to_parent_sub",
-    "parent_accuracy",
-    "parent_accuracy_of",
-    "parse_config",
-    "random_partition",
-    "save_checkpoint",
-    "save_config",
-    "serialize_config",
-    "split_validation",
-    "supervised_grad",
-    "synthetic_blobs",
-    "threshold_partition",
-    "train",
-    "write_idx_images",
-    "write_idx_labels",
-]
-
 __version__ = "0.1.0"

@@ -14,28 +14,22 @@ machine-parsable ``key=value`` summary to stdout unless ``--quiet``.
 """
 
 import argparse
+import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets, evaluation, network
 from .config import ExperimentConfig, load_config, save_config
-from .head import AcolHead, assign_annotations, head_forward
+from .datasets import FinePool, pool_to_dataset
+from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
 from .regularizers import GarCoefficients
 
 # Test-noise stream for synthetic data; keeps test blobs disjoint from
 # training blobs while sharing the same (deterministic) centers.
 TEST_SEED_OFFSET = 1009
-
-
-@dataclass
-class FinePool:
-    """Features plus fine labels, before any parent assignment."""
-
-    X: np.ndarray
-    fine: np.ndarray
 
 
 def _synthetic_pool(cfg: ExperimentConfig, per_cluster: int, seed: int) -> FinePool:
@@ -74,28 +68,23 @@ def load_pools(cfg: ExperimentConfig):
 def default_partition(cfg: ExperimentConfig) -> datasets.ParentPartition:
     """Partition for single-mode runs on fine-labeled pools."""
     if cfg.dataset_type == "synthetic":
-        count = cfg.n_parents * cfg.k
-        return datasets.ParentPartition(
-            mapping={c: (c - 1) % cfg.n_parents + 1 for c in range(1, count + 1)}
-        )
+        clusters = np.arange(1, cfg.n_parents * cfg.k + 1)
+        parents, _ = node_to_parent_sub(clusters, cfg.n_parents)
+        return datasets.ParentPartition(mapping=dict(zip(clusters.tolist(), parents.tolist())))
     if cfg.partition_type == "threshold":
         return datasets.threshold_partition(cfg.partition_threshold)
     return datasets.random_partition(cfg.seed, n_parents=cfg.n_parents)
 
 
-def pool_to_dataset(pool: FinePool, partition: datasets.ParentPartition, meta: str = "") -> datasets.LabeledDataset:
-    keep = np.array([int(f) not in partition.exclude for f in pool.fine], dtype=bool)
-    fine = pool.fine[keep]
-    for value in np.unique(fine):
-        if int(value) not in partition.mapping:
-            raise ValueError(f"fine label {int(value)} has no parent in the partition")
-    t = np.array([partition.mapping[int(f)] for f in fine], dtype=np.int64)
-    return datasets.LabeledDataset(X=pool.X[keep], t=t, t_star=fine.copy(), meta=meta)
+def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
+    """Train a fresh model on ``data`` with the config's head, layers and SGD
+    settings; returns ``network.train``'s ``(model, report)``.
 
-
-def _fit(cfg: ExperimentConfig, train_data: datasets.LabeledDataset, seed: int):
+    ``seed`` drives the initialization, the validation split and the batch
+    order.
+    """
     head = AcolHead(cfg.n_parents, cfg.k)
-    sizes = [train_data.X.shape[1], *cfg.resolved_hidden(), head.n]
+    sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
     model = network.init_model(sizes, head, seed)
     tcfg = network.TrainConfig(
         epochs=cfg.epochs,
@@ -106,14 +95,14 @@ def _fit(cfg: ExperimentConfig, train_data: datasets.LabeledDataset, seed: int):
         seed=seed,
         validation_size=cfg.validation_size,
     )
-    return network.train(model, train_data, tcfg)
+    return network.train(model, data, tcfg)
 
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     """Annotations plus metrics of a frozen model on one dataset."""
     _, z = network.forward(model, data.X)
     annotations = assign_annotations(z, model.head)
-    nodes = np.array([a.node for a in annotations])
+    nodes = annotations[0]
     _, _, parent_probs = head_forward(z, model.head)
     result = {
         "m": len(data),
@@ -170,7 +159,7 @@ def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
         pool_to_dataset(test_pool, partition, meta="test") if test_pool is not None else train_data
     )
 
-    model, report = _fit(cfg, train_data, cfg.seed)
+    model, report = fit(cfg, train_data, cfg.seed)
     network.save_checkpoint(model, out / "model.ckpt", epoch=report.selected_epoch)
     write_metrics_csv(report, out / "metrics.csv")
 
@@ -196,18 +185,30 @@ def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     return summary
 
 
+def _eval_inputs(cfg: ExperimentConfig, checkpoint_path, meta: str):
+    """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
+
+    The checkpoint is loaded when a path is given (model and epoch are None
+    otherwise) and must match the configured head. ``data`` is the test pool,
+    or the train pool when no test pool is configured, under
+    ``default_partition``.
+    """
+    model = epoch = None
+    if checkpoint_path is not None:
+        model, epoch = network.load_checkpoint(checkpoint_path)
+        if (model.head.n_parents, model.head.k) != (cfg.n_parents, cfg.k):
+            raise ValueError(
+                f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
+                f"config (n_p={cfg.n_parents}, k={cfg.k})"
+            )
+    train_pool, test_pool = load_pools(cfg)
+    pool = test_pool if test_pool is not None else train_pool
+    return model, epoch, pool_to_dataset(pool, default_partition(cfg), meta=meta)
+
+
 def run_eval(cfg: ExperimentConfig, checkpoint_path, out_dir=None, quiet: bool = False) -> dict:
     """Score a saved checkpoint on the configured dataset."""
-    model, epoch = network.load_checkpoint(checkpoint_path)
-    if (model.head.n_parents, model.head.k) != (cfg.n_parents, cfg.k):
-        raise ValueError(
-            f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
-            f"config (n_p={cfg.n_parents}, k={cfg.k})"
-        )
-    train_pool, test_pool = load_pools(cfg)
-    partition = default_partition(cfg)
-    pool = test_pool if test_pool is not None else train_pool
-    data = pool_to_dataset(pool, partition, meta="eval")
+    model, epoch, data = _eval_inputs(cfg, checkpoint_path, "eval")
     result = score(model, data)
     summary = {"checkpoint_epoch": epoch, "m": result["m"], "parent_acc": result["parent_acc"]}
     if "acc" in result:
@@ -249,7 +250,7 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
         seed = cfg.seed + index
         train_data = pool_to_dataset(train_pool, partition, meta=f"scenario {index}")
         eval_data = pool_to_dataset(eval_pool, partition, meta=f"scenario {index} eval")
-        model, _ = _fit(cfg, train_data, seed)
+        model, _ = fit(cfg, train_data, seed)
         result = score(model, eval_data)
         baseline_nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, seed=seed)
         kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star).accuracy
@@ -280,15 +281,13 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
         "scenario", "description", "m_train", "m_eval",
         "parent_acc", "acc", "first_parent_acc", "kmeans_acc",
     ]
-    with open(out / "scenarios.csv", "w") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(
-                f"{row['scenario']},{row['description']},{row['m_train']},{row['m_eval']},"
-                f"{row['parent_acc']!r},{row['acc']!r},{row['first_parent_acc']!r},{row['kmeans_acc']!r}\n"
-            )
+    # csv quotes the description, which holds commas; floats are written via repr
+    with open(out / "scenarios.csv", "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
         for name, (acc, kacc) in aggregate.items():
-            f.write(f"{name},aggregate,,,,{acc!r},,{kacc!r}\n")
+            writer.writerow([name, "aggregate", "", "", "", acc, "", kacc])
 
     if not quiet:
         print(
@@ -307,10 +306,7 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
 
 def run_baseline(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
-    train_pool, test_pool = load_pools(cfg)
-    partition = default_partition(cfg)
-    pool = test_pool if test_pool is not None else train_pool
-    data = pool_to_dataset(pool, partition, meta="baseline")
+    _, _, data = _eval_inputs(cfg, None, "baseline")
     nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
     summary = {"m": len(data), "k": cfg.k, "acc": acc}
@@ -329,16 +325,7 @@ def run_export_graph(
     quiet: bool = False,
 ) -> dict:
     """Edge list of the similarity graph on the first ``limit`` eval rows."""
-    model, _ = network.load_checkpoint(checkpoint_path)
-    if (model.head.n_parents, model.head.k) != (cfg.n_parents, cfg.k):
-        raise ValueError(
-            f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
-            f"config (n_p={cfg.n_parents}, k={cfg.k})"
-        )
-    train_pool, test_pool = load_pools(cfg)
-    partition = default_partition(cfg)
-    pool = test_pool if test_pool is not None else train_pool
-    data = pool_to_dataset(pool, partition, meta="graph export")
+    model, _, data = _eval_inputs(cfg, checkpoint_path, "graph export")
     take = min(limit, len(data))
     _, z = network.forward(model, data.X[:take])
     activities, _, parent_probs = head_forward(z, model.head)

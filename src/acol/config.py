@@ -32,7 +32,7 @@ Keys (defaults in parentheses):
     scenario.exclusions (none;9;8,9)  inter-parent: ;-separated drop groups
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 _INT, _FLOAT, _STR, _INTS = "int", "float", "str", "ints"
 
@@ -209,6 +209,3 @@ def save_config(cfg: ExperimentConfig, path) -> None:
     with open(str(path), "w") as f:
         f.write(serialize_config(cfg))
 
-
-def config_fields() -> list[str]:
-    return [f.name for f in fields(ExperimentConfig)]

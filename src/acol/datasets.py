@@ -15,6 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .head import node_to_parent_sub
+
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
@@ -47,6 +49,14 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.X.shape[0]
+
+
+@dataclass
+class FinePool:
+    """Features plus fine labels, before any parent assignment."""
+
+    X: np.ndarray     # float64, (m, d)
+    fine: np.ndarray  # int64, (m,)
 
 
 @dataclass(frozen=True)
@@ -181,25 +191,19 @@ def interparent_partition(dropped=()) -> ParentPartition:
     )
 
 
-def apply_partition(raw: RawDigits, partition: ParentPartition) -> LabeledDataset:
-    """Build a LabeledDataset from raw digits under a parent partition.
+def pool_to_dataset(pool: FinePool, partition: ParentPartition, meta: str = "") -> LabeledDataset:
+    """Label a fine-labeled pool with parents under ``partition``.
 
     Excluded fine labels are dropped; any other unmapped fine label is an
-    error. The original fine labels are preserved as ``t_star`` for
-    evaluation only.
+    error. The fine labels are kept as ``t_star`` for evaluation only.
     """
-    keep = np.array([int(l) not in partition.exclude for l in raw.labels], dtype=bool)
-    labels = raw.labels[keep]
-    for value in np.unique(labels):
+    keep = np.array([int(f) not in partition.exclude for f in pool.fine], dtype=bool)
+    fine = pool.fine[keep]
+    for value in np.unique(fine):
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
-    t = np.array([partition.mapping[int(l)] for l in labels], dtype=np.int64)
-    return LabeledDataset(
-        X=images_to_features(raw.pixels[keep]),
-        t=t,
-        t_star=labels.copy(),
-        meta=f"idx digits, partition {partition.describe()}",
-    )
+    t = np.array([partition.mapping[int(f)] for f in fine], dtype=np.int64)
+    return LabeledDataset(X=pool.X[keep], t=t, t_star=fine.copy(), meta=meta)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:
@@ -245,8 +249,8 @@ def synthetic_blobs(
     dimension allows (all pairs exactly ``separation`` apart), a lattice
     otherwise. Centers are fixed; only the noise depends on the seed.
     ``t_star`` is the 1-based cluster id; the parent label interleaves
-    clusters over parents (cluster c -> parent ``(c-1) % n_parents + 1``),
-    matching the head's node-to-parent rule.
+    clusters over parents by the head's node-to-parent rule (cluster c ->
+    parent ``(c-1) % n_parents + 1``, see ``node_to_parent_sub``).
     """
     if separation <= 0:
         raise ValueError("separation must be positive")
@@ -255,16 +259,12 @@ def synthetic_blobs(
         centers = _simplex_centers(count, dim, separation)
     else:
         centers = _lattice_centers(count, dim, separation)
-    rng = np.random.default_rng(seed)
-    xs, t, t_star = [], [], []
-    for c in range(1, count + 1):
-        xs.append(centers[c - 1] + rng.standard_normal((per_cluster, dim)))
-        t_star.extend([c] * per_cluster)
-        t.extend([(c - 1) % n_parents + 1] * per_cluster)
+    t_star = np.repeat(np.arange(1, count + 1, dtype=np.int64), per_cluster)
+    noise = np.random.default_rng(seed).standard_normal((count * per_cluster, dim))
     return LabeledDataset(
-        X=np.vstack(xs),
-        t=np.array(t, dtype=np.int64),
-        t_star=np.array(t_star, dtype=np.int64),
+        X=centers[t_star - 1] + noise,
+        t=node_to_parent_sub(t_star, n_parents)[0],
+        t_star=t_star,
         meta=f"synthetic blobs {n_parents}x{k}, dim {dim}, separation {separation}, seed {seed}",
     )
 
@@ -287,13 +287,3 @@ def split_validation(data: LabeledDataset, size: int, seed: int):
 
     return take(train_idx), take(val_idx)
 
-
-def export_csv(data: LabeledDataset, path) -> None:
-    """Dump a dataset to CSV for inspection: features, parent, fine label."""
-    d = data.X.shape[1]
-    with open(str(path), "w") as f:
-        f.write(",".join([f"x{j}" for j in range(d)] + ["t", "t_star"]) + "\n")
-        for i in range(len(data)):
-            fine = "" if data.t_star is None else str(int(data.t_star[i]))
-            values = [f"{v:.12g}" for v in data.X[i]]
-            f.write(",".join(values + [str(int(data.t[i])), fine]) + "\n")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .head import Annotation
 from .regularizers import check_activities
 
 
@@ -117,17 +116,6 @@ def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int
     return best_labels + 1
 
 
-def kmeans_within_cluster_ss(x, assignments) -> float:
-    """Within-cluster sum of squares for given assignments."""
-    x = np.asarray(x, dtype=np.float64)
-    assignments = np.asarray(assignments)
-    wss = 0.0
-    for c in np.unique(assignments):
-        pts = x[assignments == c]
-        wss += float(np.sum((pts - pts.mean(axis=0)) ** 2))
-    return wss
-
-
 def kmeans_per_parent(x, t, k: int, seed: int = 0, **kwargs):
     """Baseline matching the comparison protocol: cluster within each parent.
 
@@ -170,24 +158,27 @@ def export_graph(rows, threshold: float, path, truth=None) -> None:
                     f.write(f"{i + 1} {j + 1} {sim[i, j]:.6g}\n")
 
 
-def export_embeddings(z, annotations: list[Annotation], truth, path) -> None:
+def export_embeddings(z, annotations, truth, path) -> None:
     """Write one CSV row per example: n Z-values, node, parent, sub, truth.
 
-    Values carry 12 significant digits so a round-trip parse reproduces
-    them. ``truth`` may be None, in which case the column holds -1.
+    ``annotations`` is the ``(node, parent, sub)`` array triple of
+    ``assign_annotations``. Values carry 12 significant digits so a
+    round-trip parse reproduces them. ``truth`` may be None, in which case
+    the column holds -1.
     """
     z = np.asarray(z, dtype=np.float64)
     m, n = z.shape
-    if len(annotations) != m:
-        raise ValueError(f"{len(annotations)} annotations for {m} rows")
+    node, parent, sub = annotations
+    if len(node) != m:
+        raise ValueError(f"{len(node)} annotations for {m} rows")
     if truth is None:
         truth = np.full(m, -1, dtype=np.int64)
     else:
         truth = np.asarray(truth)
         if truth.shape[0] != m:
             raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
+    labels = np.column_stack([node, parent, sub, truth]).astype(np.int64).tolist()
     with open(str(path), "w") as f:
         f.write(",".join([f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]) + "\n")
-        for i, a in enumerate(annotations):
-            values = [f"{v:.12g}" for v in z[i]]
-            f.write(",".join(values + [str(a.node), str(a.parent), str(a.sub), str(int(truth[i]))]) + "\n")
+        for values, ids in zip(z, labels):
+            f.write(",".join([f"{v:.12g}" for v in values] + [str(i) for i in ids]) + "\n")

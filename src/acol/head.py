@@ -53,17 +53,12 @@ class AcolHead:
         return build_pooling(self.n_parents, self.k)
 
 
-@dataclass(frozen=True)
-class Annotation:
-    """Assignment of one example to a node of the truncated network."""
+def node_to_parent_sub(node, n_parents: int):
+    """Decompose 1-based node indices (an int or an int array) into (parent, sub).
 
-    node: int    # 1-based index into the augmented softmax layer
-    parent: int  # 1-based parent class
-    sub: int     # 1-based duplicate index within the parent
-
-
-def node_to_parent_sub(node: int, n_parents: int) -> tuple[int, int]:
-    """Decompose a 1-based node index into (parent, sub)."""
+    Node j belongs to parent ``(j-1) % n_parents + 1``; the same interleave
+    assigns synthetic clusters to parents.
+    """
     return (node - 1) % n_parents + 1, (node - 1) // n_parents + 1
 
 
@@ -118,14 +113,11 @@ def supervised_grad(z, t, head: AcolHead):
     return loss, d_z
 
 
-def assign_annotations(z, head: AcolHead) -> list[Annotation]:
-    """Annotation per example: argmax node of Z, ties to the lowest index."""
+def assign_annotations(z, head: AcolHead):
+    """Per-example ``(node, parent, sub)`` int arrays: argmax node of Z, ties
+    to the lowest index."""
     z = as_matrix(z, "Z")
     if z.shape[1] != head.n:
         raise ValueError(f"Z has {z.shape[1]} columns, head expects n = {head.n}")
-    nodes = np.argmax(z, axis=1) + 1  # argmax takes the first maximum
-    out = []
-    for node in nodes:
-        parent, sub = node_to_parent_sub(int(node), head.n_parents)
-        out.append(Annotation(node=int(node), parent=parent, sub=sub))
-    return out
+    node = np.argmax(z, axis=1) + 1  # argmax takes the first maximum
+    return (node, *node_to_parent_sub(node, head.n_parents))

@@ -11,15 +11,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def relu(z) -> np.ndarray:
     """Entry-wise max(0, z)."""
     return np.maximum(0.0, as_matrix(z))

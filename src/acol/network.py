@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datasets
+from . import datasets, evaluation
 from .head import AcolHead, head_forward, supervised_grad
 from .linalg import as_matrix, relu, require_finite
-from .regularizers import GarCoefficients, GarTerms, gar_grad, gar_terms
+from .regularizers import GarCoefficients, gar_value_and_grad
 
 CHECKPOINT_TAG = "acol checkpoint v1"
+ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass
@@ -164,7 +165,7 @@ def combined_loss(model: Model, x, t, coeffs: GarCoefficients) -> float:
     """Supervised log loss plus the regularization loss on this batch."""
     _, z = forward(model, x)
     loss, _ = supervised_grad(z, t, model.head)
-    return loss + gar_terms(relu(z), coeffs).loss
+    return loss + gar_value_and_grad(relu(z), coeffs)[0].loss
 
 
 def combined_step(model: Model, x, t, coeffs: GarCoefficients):
@@ -176,9 +177,8 @@ def combined_step(model: Model, x, t, coeffs: GarCoefficients):
     """
     caches, z = forward(model, x)
     sup_loss, d_z = supervised_grad(z, t, model.head)
-    activities = relu(z)
-    terms = gar_terms(activities, coeffs)
-    d_z = d_z + gar_grad(activities, coeffs) * (z > 0)
+    terms, gar_d_z = gar_value_and_grad(relu(z), coeffs)
+    d_z = d_z + gar_d_z * (z > 0)
     grads = backward(model, caches, d_z)
     return sup_loss + terms.loss, grads, sup_loss, terms
 
@@ -187,8 +187,7 @@ def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
     """Fraction of examples whose pooled argmax parent matches t."""
     _, z = forward(model, data.X)
     _, _, parent_probs = head_forward(z, model.head)
-    predicted = np.argmax(parent_probs, axis=1) + 1
-    return float(np.mean(predicted == data.t))
+    return evaluation.parent_accuracy(parent_probs, data.t)
 
 
 def _snapshot(model: Model) -> list[DenseLayer]:
@@ -294,8 +293,8 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
-    Validates the tag, the header fields, the payload length, and parameter
-    finiteness.
+    Validates the tag, the header fields (activation names against
+    ``ACTIVATIONS``), the payload length, and parameter finiteness.
     """
     with open(str(path), "rb") as f:
         blob = f.read()
@@ -321,6 +320,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: header mismatch, last layer {sizes[-1]} vs head n {head.n}")
     if len(activations) != len(sizes) - 1:
         raise ValueError(f"{path}: header mismatch between layer_sizes and activations")
+    for act in activations:
+        if act not in ACTIVATIONS:
+            raise ValueError(
+                f"{path}: header field 'activations' has unknown value '{act}' "
+                f"(allowed: {', '.join(ACTIVATIONS)})"
+            )
 
     payload = blob[sep + 2 :]
     expected = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:])) * 8

@@ -12,8 +12,11 @@ one column per output node), through its column co-activation matrix
   ratio denominators from collapsing toward zero.
 
 The combined loss is ``c_alpha * affinity + c_beta * (1 - balance)
-+ c_f * frobenius_sq``. Gradients are hand-derived (quotient rule on both
-ratios); the test suite pins them against central finite differences.
++ c_f * frobenius_sq``. ``gar_value_and_grad`` evaluates every term, the
+loss and its hand-derived gradient (quotient rule on both ratios) in one
+pass; ``affinity`` and ``balance`` are the definitional references it is
+tested against, and the test suite pins the gradient against central
+finite differences.
 """
 
 from dataclasses import dataclass
@@ -60,34 +63,6 @@ def check_activities(b) -> np.ndarray:
     return b
 
 
-def coactivation(b) -> np.ndarray:
-    """Column co-activation matrix B^T B (n x n, symmetric PSD)."""
-    b = check_activities(b)
-    return b.T @ b
-
-
-def adjacency(b) -> np.ndarray:
-    """Example-similarity matrix B B^T.
-
-    m x m grows quadratically with the batch; intended for export on
-    small subsets, not for training-time use.
-    """
-    b = check_activities(b)
-    return b @ b.T
-
-
-def frobenius_sq(b) -> float:
-    """Sum of squared entries of B; inf when the true value exceeds float64."""
-    b = check_activities(b)
-    with np.errstate(over="ignore"):
-        return float(np.sum(b * b))
-
-
-def is_degenerate(b) -> bool:
-    """True when B is entirely zero (trace of B^T B vanishes)."""
-    return not np.any(np.asarray(b))
-
-
 def affinity(b) -> float:
     """Off-diagonal mass of N = B^T B over (n-1) times its trace.
 
@@ -126,63 +101,58 @@ def balance(b) -> float:
     return off / ((n - 1) * diag)
 
 
-def gar_terms(b, coeffs: GarCoefficients) -> GarTerms:
-    """Evaluate all three terms and the combined loss in one pass."""
+def gar_value_and_grad(b, coeffs: GarCoefficients):
+    """All three terms, the combined loss, and its gradient in one pass.
+
+    Returns ``(terms, grad)`` where ``grad`` is the analytic gradient of
+    ``terms.loss`` with respect to every entry of B. Both ratios are scale
+    invariant, so they are evaluated on B / max(B), which keeps the squared
+    sums representable for any activity scale; the gradient carries the
+    1/max(B) chain factor back. The column co-activation matrix B^T B is
+    formed once and serves both the value and the gradient.
+
+    Gradient: d/dB [sum_{i!=j} N_ij] = 2 B (11^T - I), d/dB [trace N] = 2B,
+    the chain rule through v_j = sum_i B_ij^2 for the balance ratio, and the
+    quotient rule for both ratios. A degenerate (all-zero) B has affinity
+    and balance 0 and a zero gradient.
+    """
     b = check_activities(b)
-    alpha = affinity(b)
-    beta = balance(b)
-    fro = frobenius_sq(b)
+    n = b.shape[1]
+    with np.errstate(over="ignore"):  # inf when the true value exceeds float64
+        fro = float(np.sum(b * b))
+    peak = float(b.max())
+    degenerate = peak == 0.0
+    if degenerate:
+        alpha = beta = 0.0
+        grad = np.zeros_like(b)
+    else:
+        sb = b / peak
+        sq = sb * sb
+        coact = sb.T @ sb
+        trace = float(np.trace(coact))
+        s_off = float(coact.sum()) - trace
+        alpha = s_off / ((n - 1) * trace)
+        v = np.sum(sq, axis=0)
+        v_total = float(v.sum())
+        t_diag = float(np.sum(v * v))
+        t_off = v_total * v_total - t_diag
+        beta = t_off / ((n - 1) * t_diag)
+
+        # affinity gradient with s_diag = ||B||_F^2 (scaled), which equals the
+        # trace in exact arithmetic; the value above keeps the trace, as
+        # affinity() does, so it matches that reference bit for bit
+        s_diag = float(np.sum(sq))
+        d_off = 2.0 * (sb.sum(axis=1, keepdims=True) - sb)  # 2 B (11^T - I)
+        d_diag = 2.0 * sb
+        d_affinity = (d_off * s_diag - s_off * d_diag) / ((n - 1) * s_diag * s_diag * peak)
+        # balance through v = diag(B^T B); the 1/peak chain factor cancels
+        # against the relative v scaling except for one net 1/peak
+        dbeta_dv = ((2.0 * v_total - 2.0 * v) * t_diag - t_off * 2.0 * v) / ((n - 1) * t_diag * t_diag)
+        d_balance = dbeta_dv[None, :] * (2.0 * sb) / peak
+        grad = coeffs.c_alpha * d_affinity - coeffs.c_beta * d_balance + 2.0 * coeffs.c_f * b
+
     loss = coeffs.c_alpha * alpha + coeffs.c_beta * (1.0 - beta)
     if coeffs.c_f != 0.0:  # avoid 0 * inf when the Frobenius term overflows
         loss += coeffs.c_f * fro
-    return GarTerms(
-        affinity=alpha,
-        balance=beta,
-        frobenius_sq=fro,
-        loss=float(loss),
-        degenerate=is_degenerate(b),
-    )
-
-
-def gar_loss(b, coeffs: GarCoefficients) -> float:
-    """Combined loss c_alpha*affinity + c_beta*(1-balance) + c_f*frobenius_sq."""
-    return gar_terms(b, coeffs).loss
-
-
-def gar_grad(b, coeffs: GarCoefficients) -> np.ndarray:
-    """Analytic gradient of ``gar_loss`` with respect to every entry of B.
-
-    Uses d/dB [sum_{i!=j} N_ij] = 2 B (11^T - I), d/dB [trace N] = 2B, the
-    chain rule through v_j = sum_i B_ij^2 for the balance ratio, and the
-    quotient rule for both ratios. Returns zeros for a degenerate
-    (all-zero) B.
-    """
-    b = check_activities(b)
-    if is_degenerate(b):
-        return np.zeros_like(b)
-    n = b.shape[1]
-
-    # affinity = s_off / ((n-1) * s_diag), s_diag = trace(B^T B) = ||B||_F^2.
-    # The ratio is scale invariant: evaluate on B / max(B) and divide the
-    # gradient by the same factor (chain rule), keeping the squared sums
-    # representable for any activity scale.
-    peak = float(b.max())
-    sb = b / peak
-    s_diag = float(np.sum(sb * sb))
-    coact = sb.T @ sb
-    s_off = float(coact.sum()) - float(np.trace(coact))
-    d_off = 2.0 * (sb.sum(axis=1, keepdims=True) - sb)  # 2 B (11^T - I)
-    d_diag = 2.0 * sb
-    d_affinity = (d_off * s_diag - s_off * d_diag) / ((n - 1) * s_diag * s_diag * peak)
-
-    # balance = t_off / ((n-1) * t_diag) through v = diag(B^T B), evaluated
-    # on the same scaled matrix; the 1/peak chain factor cancels against the
-    # relative v scaling except for one net 1/peak on the final gradient
-    v = np.sum(sb * sb, axis=0)
-    v_total = float(v.sum())
-    t_diag = float(np.sum(v * v))
-    t_off = v_total * v_total - t_diag
-    dbeta_dv = ((2.0 * v_total - 2.0 * v) * t_diag - t_off * 2.0 * v) / ((n - 1) * t_diag * t_diag)
-    d_balance = dbeta_dv[None, :] * (2.0 * sb) / peak
-
-    return coeffs.c_alpha * d_affinity - coeffs.c_beta * d_balance + 2.0 * coeffs.c_f * b
+    terms = GarTerms(affinity=alpha, balance=beta, frobenius_sq=fro, loss=float(loss), degenerate=degenerate)
+    return terms, grad

@@ -22,12 +22,13 @@ from acol.datasets import (
     interparent_partition,
     load_idx,
     load_idx_images,
+    pool_to_dataset,
     write_idx_images,
     write_idx_labels,
 )
 from acol.evaluation import clustering_accuracy, kmeans_per_parent
-from acol.head import AcolHead
-from acol.network import TrainConfig, combined_loss, combined_step, init_model
+from acol.head import AcolHead, node_to_parent_sub
+from acol.network import combined_loss, combined_step, init_model
 from acol.regularizers import GarCoefficients, affinity, balance
 
 
@@ -165,33 +166,28 @@ def test_acceptance_matching_accuracy_equals_exhaustive():
 # --- 4: synthetic end-to-end sub-class recovery ------------------------------
 
 
+def _fit_and_score(cfg: ExperimentConfig, partition, seed: int):
+    """Train with ``cli.fit`` on the train pool; score on the test pool."""
+    train_pool, test_pool = cli.load_pools(cfg)
+    train_data = pool_to_dataset(train_pool, partition, meta="train")
+    test_data = pool_to_dataset(test_pool, partition, meta="test")
+    model, _ = cli.fit(cfg, train_data, seed)
+    return cli.score(model, test_data), test_data
+
+
 def _run_default_synthetic(seed: int):
     """One default-config run; returns (accuracy, per-node shares, seconds)."""
     t0 = time.time()
     cfg = ExperimentConfig(seed=seed)
     cfg.validate()
-    train_pool, test_pool = cli.load_pools(cfg)
-    partition = cli.default_partition(cfg)
-    train_data = cli.pool_to_dataset(train_pool, partition, meta="train")
-    test_data = cli.pool_to_dataset(test_pool, partition, meta="test")
-    head = AcolHead(cfg.n_parents, cfg.k)
-    model = init_model([train_data.X.shape[1], *cfg.resolved_hidden(), head.n], head, seed)
-    tcfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        gar=GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f),
-        seed=seed,
-        validation_size=cfg.validation_size,
-    )
-    model, _ = network.train(model, train_data, tcfg)
-    result = cli.score(model, test_data)
+    result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), seed)
     nodes = result["nodes"]
-    shares = []
-    for node in range(1, head.n + 1):
-        parent = (node - 1) % cfg.n_parents + 1
-        shares.append(float(np.mean(nodes[test_data.t == parent] == node)))
+    all_nodes = np.arange(1, cfg.n_parents * cfg.k + 1)
+    parents, _ = node_to_parent_sub(all_nodes, cfg.n_parents)
+    shares = [
+        float(np.mean(nodes[test_data.t == parent] == node))
+        for node, parent in zip(all_nodes, parents)
+    ]
     return result["acc"], shares, time.time() - t0
 
 
@@ -244,25 +240,6 @@ def _mnist_config(**overrides) -> ExperimentConfig:
     )
     cfg.validate()
     return cfg
-
-
-def _fit_and_score(cfg: ExperimentConfig, partition, seed: int):
-    train_pool, test_pool = cli.load_pools(cfg)
-    train_data = cli.pool_to_dataset(train_pool, partition, meta="train")
-    test_data = cli.pool_to_dataset(test_pool, partition, meta="test")
-    head = AcolHead(cfg.n_parents, cfg.k)
-    model = init_model([train_data.X.shape[1], *cfg.resolved_hidden(), head.n], head, seed)
-    tcfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        gar=GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f),
-        seed=seed,
-        validation_size=cfg.validation_size,
-    )
-    model, _ = network.train(model, train_data, tcfg)
-    return cli.score(model, test_data), test_data
 
 
 def test_acceptance_digit_subclasses_beat_kmeans():

@@ -1,5 +1,7 @@
 """Config format round-trips and the command-line entry points."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,26 @@ def test_cli_scenarios_random_partitions(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.count("scenario ") == 2
     assert "scenarios mode=random-partitions count=2" in stdout
+
+
+def test_cli_scenarios_csv_reads_back_with_csv_module(tmp_path):
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(
+        FAST_SYNTH
+        + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n"
+    )
+    out = tmp_path / "sweep"
+    assert cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    with open(out / "scenarios.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert len(reader.fieldnames) == 8
+    assert len(rows) == 2 + 4
+    for row in rows:
+        assert None not in row and len(row) == 8  # no overflow columns
+    assert all(" vs " in row["description"] for row in rows[:2])
+    assert [row["description"] for row in rows[2:]] == ["aggregate"] * 4
+    assert 0.0 <= float(rows[0]["acc"]) <= 1.0  # a number, not a split fragment
 
 
 def test_cli_export_graph(tmp_path, fast_cfg, capsys):

@@ -11,13 +11,13 @@ from acol.datasets import (
     IdxFormatError,
     LabeledDataset,
     ParentPartition,
-    RawDigits,
-    apply_partition,
+    FinePool,
     images_to_features,
     interparent_partition,
     load_idx,
     load_idx_images,
     load_idx_labels,
+    pool_to_dataset,
     random_partition,
     split_validation,
     synthetic_blobs,
@@ -166,24 +166,25 @@ def test_partition_requires_two_parents():
         ParentPartition(mapping={0: 1, 1: 1})
 
 
-def test_apply_partition_maps_and_excludes():
-    pixels = np.zeros((6, 2, 2), dtype=np.uint8)
+def test_pool_to_dataset_maps_and_excludes():
+    pixels = np.arange(24, dtype=np.uint8).reshape(6, 2, 2)
     labels = np.array([0, 5, 9, 3, 9, 7], dtype=np.int64)
-    raw = RawDigits(pixels=pixels, labels=labels)
-    data = apply_partition(raw, interparent_partition({9}))
+    pool = FinePool(X=images_to_features(pixels), fine=labels)
+    data = pool_to_dataset(pool, interparent_partition({9}))
     assert len(data) == 4
     assert np.array_equal(data.t, np.array([1, 2, 1, 2]))
     assert np.array_equal(data.t_star, np.array([0, 5, 3, 7]))
+    assert np.array_equal(data.X, pool.X[[0, 1, 3, 5]])
     with pytest.raises(ValueError, match="no parent"):
-        apply_partition(raw, ParentPartition(mapping={0: 1, 5: 2}))
+        pool_to_dataset(pool, ParentPartition(mapping={0: 1, 5: 2}))
 
 
-def test_apply_partition_identity_on_fine_labels():
+def test_pool_to_dataset_identity_on_fine_labels():
     # with a mapping that sends each fine label to itself, t equals t_star
     pixels = np.zeros((4, 1, 1), dtype=np.uint8)
     labels = np.array([1, 2, 1, 2], dtype=np.int64)
-    raw = RawDigits(pixels=pixels, labels=labels)
-    data = apply_partition(raw, ParentPartition(mapping={1: 1, 2: 2}))
+    pool = FinePool(X=images_to_features(pixels), fine=labels)
+    data = pool_to_dataset(pool, ParentPartition(mapping={1: 1, 2: 2}))
     assert np.array_equal(data.t, data.t_star)
 
 
@@ -199,6 +200,14 @@ def test_synthetic_blobs_contract():
     assert np.array_equal(data.t, (data.t_star - 1) % 2 + 1)
     # each cluster has exactly per_cluster examples
     assert all(np.sum(data.t_star == c) == 50 for c in range(1, 7))
+    # noise comes from one seeded stream drawn cluster after cluster: taking
+    # it away leaves each cluster's fixed center on every one of its rows
+    rng = np.random.default_rng(0)
+    noise = np.vstack([rng.standard_normal((50, 8)) for _ in range(6)])
+    centers = data.X - noise
+    for c in range(1, 7):
+        rows = centers[data.t_star == c]
+        assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-12)
 
 
 def test_synthetic_blobs_center_separation_and_purity():

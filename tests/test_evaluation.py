@@ -12,7 +12,6 @@ from acol.evaluation import (
     export_graph,
     kmeans,
     kmeans_per_parent,
-    kmeans_within_cluster_ss,
     parent_accuracy,
 )
 from acol.head import AcolHead, assign_annotations
@@ -112,6 +111,14 @@ def test_parent_accuracy_argmax_rule():
 # --- k-means ----------------------------------------------------------------
 
 
+def within_cluster_ss(x, assignments):
+    """Within-cluster sum of squares of the given assignments."""
+    return sum(
+        float(np.sum((x[assignments == c] - x[assignments == c].mean(axis=0)) ** 2))
+        for c in np.unique(assignments)
+    )
+
+
 def test_kmeans_recovers_separated_blobs():
     data = synthetic_blobs(n_parents=2, k=3, per_cluster=60, dim=5, separation=10.0, seed=31)
     labels = kmeans(data.X, 6, seed=0)
@@ -124,7 +131,7 @@ def test_kmeans_each_point_its_own_cluster():
     x = rng.normal(size=(5, 3)) * 10.0
     labels = kmeans(x, 5, seed=1)
     assert sorted(labels) == [1, 2, 3, 4, 5]
-    assert kmeans_within_cluster_ss(x, labels) == pytest.approx(0.0, abs=1e-18)
+    assert within_cluster_ss(x, labels) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_kmeans_deterministic_and_seed_sensitive():
@@ -144,17 +151,17 @@ def test_kmeans_wss_no_worse_than_random_assignment():
     rng = np.random.default_rng(34)
     x = rng.normal(size=(90, 3))
     labels = kmeans(x, 5, seed=2)
-    wss = kmeans_within_cluster_ss(x, labels)
+    wss = within_cluster_ss(x, labels)
     for trial in range(10):
         random_labels = rng.integers(1, 6, size=90)
-        assert wss <= kmeans_within_cluster_ss(x, random_labels) + 1e-9
+        assert wss <= within_cluster_ss(x, random_labels) + 1e-9
 
 
 def test_kmeans_restarts_never_hurt():
     rng = np.random.default_rng(35)
     x = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 4.0])
-    one = kmeans_within_cluster_ss(x, kmeans(x, 3, seed=4, restarts=1))
-    ten = kmeans_within_cluster_ss(x, kmeans(x, 3, seed=4, restarts=10))
+    one = within_cluster_ss(x, kmeans(x, 3, seed=4, restarts=1))
+    ten = within_cluster_ss(x, kmeans(x, 3, seed=4, restarts=10))
     assert ten <= one + 1e-9
 
 
@@ -223,10 +230,10 @@ def test_export_embeddings_round_trip(tmp_path):
     head = AcolHead(2, 2)
     rng = np.random.default_rng(42)
     z = rng.normal(size=(9, head.n))
-    anns = assign_annotations(z, head)
+    node, parent, sub = assign_annotations(z, head)
     truth = rng.integers(1, 5, size=9)
     path = tmp_path / "e.csv"
-    export_embeddings(z, anns, truth, path)
+    export_embeddings(z, (node, parent, sub), truth, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "z0,z1,z2,z3,node,parent,sub,truth"
     assert len(lines) == 10
@@ -234,12 +241,7 @@ def test_export_embeddings_round_trip(tmp_path):
         cells = line.split(",")
         back = np.array([float(v) for v in cells[: head.n]])
         assert np.allclose(back, z[i], rtol=1e-11)
-        assert [int(c) for c in cells[head.n :]] == [
-            anns[i].node,
-            anns[i].parent,
-            anns[i].sub,
-            int(truth[i]),
-        ]
+        assert [int(c) for c in cells[head.n :]] == [node[i], parent[i], sub[i], truth[i]]
 
 
 def test_export_embeddings_without_truth(tmp_path):
@@ -249,4 +251,4 @@ def test_export_embeddings_without_truth(tmp_path):
     export_embeddings(z, assign_annotations(z, head), None, path)
     assert path.read_text().splitlines()[1].endswith(",-1")
     with pytest.raises(ValueError, match="annotations"):
-        export_embeddings(z, [], None, path)
+        export_embeddings(z, (np.array([], dtype=np.int64),) * 3, None, path)

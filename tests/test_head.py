@@ -58,6 +58,10 @@ def test_node_decomposition():
         for node in range(1, n_p * 4 + 1):
             parent, sub = node_to_parent_sub(node, n_p)
             assert (sub - 1) * n_p + parent == node
+        # the array form agrees with the scalar form entry by entry
+        nodes = np.arange(1, n_p * 4 + 1)
+        parents, subs = node_to_parent_sub(nodes, n_p)
+        assert list(zip(parents, subs)) == [node_to_parent_sub(int(j), n_p) for j in nodes]
 
 
 def test_head_forward_shapes_and_pooled_sum():
@@ -155,19 +159,21 @@ def test_assign_annotations_mapping_and_ties():
             [5.0, 5.0, 0, 0, 0, 0],  # tie -> lowest index, node 1
         ]
     )
-    anns = assign_annotations(z, head)
-    assert [(a.node, a.parent, a.sub) for a in anns] == [
+    node, parent, sub = assign_annotations(z, head)
+    assert list(zip(node, parent, sub)) == [
         (1, 1, 1),
         (4, 2, 2),
         (6, 2, 3),
         (1, 1, 1),
     ]
+    assert all(a.dtype.kind == "i" for a in (node, parent, sub))
 
 
 def test_assign_annotations_consistent_with_decomposition():
     head = AcolHead(3, 4)
     rng = np.random.default_rng(7)
     z = rng.normal(size=(40, head.n))
-    for a in assign_annotations(z, head):
-        assert (a.parent, a.sub) == node_to_parent_sub(a.node, head.n_parents)
-        assert 1 <= a.parent <= 3 and 1 <= a.sub <= 4
+    node, parent, sub = assign_annotations(z, head)
+    for j, p, s in zip(node, parent, sub):
+        assert (p, s) == node_to_parent_sub(int(j), head.n_parents)
+        assert 1 <= p <= 3 and 1 <= s <= 4

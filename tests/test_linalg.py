@@ -1,37 +1,9 @@
-"""Numeric kernels against a triple-loop matmul oracle and closed forms."""
+"""Numeric kernels against closed forms."""
 
 import numpy as np
 import pytest
 
-from acol.linalg import as_matrix, matmul, relu, require_finite, softmax_rows
-
-
-def matmul_oracle(a, b):
-    """Independent triple-loop product, no vectorization shortcuts."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for t in range(a.shape[1]):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        m, k, n = rng.integers(1, 9, size=3)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), rtol=1e-12, atol=1e-12)
-
-
-def test_matmul_shape_mismatch_names_both_shapes():
-    with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\)"):
-        matmul(np.ones((2, 3)), np.ones((2, 3)))
+from acol.linalg import as_matrix, relu, require_finite, softmax_rows
 
 
 def test_as_matrix_rejects_other_ranks():

@@ -172,9 +172,9 @@ def test_regularizer_gradient_respects_relu_mask():
     # the weight gradient difference are x^T @ (masked gar grad); entries of
     # the gar grad at z <= 0 contribute nothing
     from acol.linalg import relu
-    from acol.regularizers import gar_grad
+    from acol.regularizers import gar_value_and_grad
 
-    masked = gar_grad(relu(z), coeffs) * (z > 0)
+    masked = gar_value_and_grad(relu(z), coeffs)[1] * (z > 0)
     assert np.allclose(
         grads_full[0].weights - grads_sup[0].weights, x.T @ masked, atol=1e-10
     )
@@ -354,3 +354,15 @@ def test_checkpoint_rejects_nonfinite_parameters(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_unknown_activation(tmp_path):
+    model = small_model(seed=0)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    blob = path.read_bytes()
+    assert b"activations: relu,linear\n" in blob
+    bad = tmp_path / "lineax.ckpt"
+    bad.write_bytes(blob.replace(b"activations: relu,linear\n", b"activations: relu,lineax\n", 1))
+    with pytest.raises(ValueError, match=r"lineax\.ckpt: .*'activations'.*'lineax'"):
+        load_checkpoint(bad)

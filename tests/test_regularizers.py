@@ -5,30 +5,32 @@ import pytest
 
 from acol.regularizers import (
     GarCoefficients,
-    adjacency,
     affinity,
     balance,
     check_activities,
-    coactivation,
-    frobenius_sq,
-    gar_grad,
-    gar_loss,
-    gar_terms,
-    is_degenerate,
+    gar_value_and_grad,
 )
 
 HAND_B = np.array([[1.0, 1.0], [0.0, 2.0]])
 
 
+def terms_of(b, coeffs):
+    return gar_value_and_grad(b, coeffs)[0]
+
+
+def grad_of(b, coeffs):
+    return gar_value_and_grad(b, coeffs)[1]
+
+
 def fd_grad(b, coeffs, eps=1e-6):
-    """Finite differences of gar_loss, entry by entry.
+    """Finite differences of the combined loss, entry by entry.
 
     Central where the entry can move both ways; second-order forward at
     entries too close to the nonnegativity boundary.
     """
 
     def at(mat):
-        return gar_loss(mat, coeffs)
+        return terms_of(mat, coeffs).loss
 
     out = np.zeros_like(b)
     for i in range(b.shape[0]):
@@ -66,18 +68,12 @@ def test_combined_loss_hand_value():
     coeffs = GarCoefficients(0.1, 0.1, 0.0003)
     # 0.1/3 + 0.1*(8/13) + 0.0003*6
     expect = 0.1 / 3.0 + 0.1 * (8.0 / 13.0) + 0.0003 * 6.0
-    assert gar_loss(HAND_B, coeffs) == pytest.approx(expect, abs=1e-12)
-    terms = gar_terms(HAND_B, coeffs)
+    terms = terms_of(HAND_B, coeffs)
+    assert terms.loss == pytest.approx(expect, abs=1e-12)
+    assert terms.affinity == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert terms.balance == pytest.approx(5.0 / 13.0, abs=1e-12)
     assert terms.frobenius_sq == pytest.approx(6.0, abs=1e-12)
     assert not terms.degenerate
-
-
-def test_coactivation_and_adjacency_shapes():
-    n = coactivation(HAND_B)
-    assert np.array_equal(n, np.array([[1.0, 1.0], [1.0, 5.0]]))
-    m = adjacency(HAND_B)
-    assert np.array_equal(m, HAND_B @ HAND_B.T)
-    assert np.allclose(n, n.T) and np.allclose(m, m.T)
 
 
 # --- bounds and invariances on random matrices ----------------------------
@@ -103,7 +99,10 @@ def test_scaling_invariance_of_ratio_terms():
             assert affinity(scale * b) == pytest.approx(affinity(b), rel=1e-10)
             assert balance(scale * b) == pytest.approx(balance(b), rel=1e-10)
         # Frobenius term is NOT scale invariant; it anchors the magnitude
-        assert frobenius_sq(2.0 * b) == pytest.approx(4.0 * frobenius_sq(b), rel=1e-12)
+        coeffs = GarCoefficients()
+        assert terms_of(2.0 * b, coeffs).frobenius_sq == pytest.approx(
+            4.0 * terms_of(b, coeffs).frobenius_sq, rel=1e-12
+        )
 
 
 def test_affinity_zero_for_disjoint_columns_one_for_identical():
@@ -126,14 +125,13 @@ def test_balance_one_for_equal_activity_columns():
 
 def test_degenerate_zero_matrix_flags_and_zero_grad():
     b = np.zeros((4, 3))
-    assert is_degenerate(b)
     assert affinity(b) == 0.0
     assert balance(b) == 0.0
     coeffs = GarCoefficients()
-    terms = gar_terms(b, coeffs)
+    terms, g = gar_value_and_grad(b, coeffs)
     assert terms.degenerate
+    assert terms.affinity == 0.0 and terms.balance == 0.0 and terms.frobenius_sq == 0.0
     assert terms.loss == pytest.approx(coeffs.c_beta, abs=1e-15)  # only the (1 - 0) term
-    g = gar_grad(b, coeffs)
     assert np.array_equal(g, np.zeros((4, 3)))
     assert np.all(np.isfinite(g))
 
@@ -141,9 +139,24 @@ def test_degenerate_zero_matrix_flags_and_zero_grad():
 def test_single_active_entry_not_degenerate():
     b = np.zeros((3, 3))
     b[1, 2] = 0.5
-    assert not is_degenerate(b)
+    terms = terms_of(b, GarCoefficients())
+    assert not terms.degenerate
     assert affinity(b) == 0.0  # one column alone has no off-diagonal mass
     assert balance(b) == 0.0  # v has a single nonzero entry
+    assert terms.affinity == 0.0 and terms.balance == 0.0
+
+
+def test_fused_ratios_equal_definitional_references():
+    rng = np.random.default_rng(15)
+    coeffs = GarCoefficients()
+    for _ in range(500):
+        m = int(rng.integers(1, 20))
+        n = int(rng.integers(2, 10))
+        b = rng.uniform(0.0, 3.0, size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.1, 1.0))
+        b *= 10.0 ** rng.integers(-200, 200)
+        terms = terms_of(b, coeffs)
+        assert terms.affinity == affinity(b)
+        assert terms.balance == balance(b)
 
 
 # --- analytic gradient vs central finite differences -----------------------
@@ -156,14 +169,14 @@ def test_gar_grad_matches_finite_differences():
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 7))
         b = rng.uniform(0.05, 2.0, size=(m, n))
-        g = gar_grad(b, coeffs)
+        g = grad_of(b, coeffs)
         fd = fd_grad(b, coeffs)
         assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_gar_grad_default_coefficients():
     coeffs = GarCoefficients(0.1, 0.1, 0.0003)
-    g = gar_grad(HAND_B, coeffs)
+    g = grad_of(HAND_B, coeffs)
     fd = fd_grad(HAND_B, coeffs)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
 
@@ -176,9 +189,9 @@ def test_gar_grad_each_term_in_isolation():
         GarCoefficients(0.0, 1.0, 0.0),
         GarCoefficients(0.0, 0.0, 1.0),
     ):
-        assert np.allclose(gar_grad(b, coeffs), fd_grad(b, coeffs), rtol=1e-5, atol=1e-8)
+        assert np.allclose(grad_of(b, coeffs), fd_grad(b, coeffs), rtol=1e-5, atol=1e-8)
     # pure Frobenius gradient has the closed form 2B
-    assert np.allclose(gar_grad(b, GarCoefficients(0.0, 0.0, 1.0)), 2.0 * b, atol=1e-12)
+    assert np.allclose(grad_of(b, GarCoefficients(0.0, 0.0, 1.0)), 2.0 * b, atol=1e-12)
 
 
 # --- input validation -------------------------------------------------------
