@@ -100,7 +100,7 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     """Annotations plus metrics of a frozen model on one dataset."""
-    _, z = network.forward(model, data.X)
+    z = network.infer(model, data.X)
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]
     _, _, parent_probs = head_forward(z, model.head)
@@ -327,8 +327,7 @@ def run_export_graph(
     """Edge list of the similarity graph on the first ``limit`` eval rows."""
     model, _, data = _eval_inputs(cfg, checkpoint_path, "graph export")
     take = min(limit, len(data))
-    _, z = network.forward(model, data.X[:take])
-    activities, _, parent_probs = head_forward(z, model.head)
+    activities, _, parent_probs = head_forward(network.infer(model, data.X[:take]), model.head)
     rows = activities if source == "activities" else parent_probs
     truth = data.t_star[:take] if data.t_star is not None else data.t[:take]
     out = Path(out_dir)

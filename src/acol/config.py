@@ -69,6 +69,18 @@ _KEYS = [
     ("scenario.exclusions", "scenario_exclusions", _STR),
 ]
 
+# Lower bounds of integer keys: (file key, minimum)
+_MINIMUMS = [
+    ("dataset.train_limit", 0),
+    ("dataset.per_cluster", 1),
+    ("dataset.test_per_cluster", 1),
+    ("dataset.dim", 1),
+    ("head.n_p", 2),
+    ("head.k", 1),
+    ("train.epochs", 0),
+    ("scenario.count", 1),
+]
+
 
 @dataclass
 class ExperimentConfig:
@@ -115,8 +127,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario.mode '{self.scenario_mode}'")
         if self.feature_scale < 0:
             raise ValueError("dataset.feature_scale must be >= 0 (0 means auto)")
-        if self.n_parents < 2 or self.k < 1:
-            raise ValueError("head.n_p must be >= 2 and head.k >= 1")
+        attrs = {key: attr for key, attr, _ in _KEYS}
+        for key, minimum in _MINIMUMS:
+            value = getattr(self, attrs[key])
+            if value < minimum:
+                raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        if any(width < 1 for width in self.hidden):
+            raise ValueError(
+                f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
+            )
 
     def resolved_hidden(self) -> tuple:
         """Hidden widths, with the empty tuple meaning the per-dataset default.

@@ -10,7 +10,6 @@ contribute nothing.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .regularizers import check_activities
 
@@ -43,11 +42,58 @@ def clustering_accuracy(assignments, truth) -> ClusterMapping:
     labels, t_idx = np.unique(truth, return_inverse=True)
     table = np.zeros((len(clusters), len(labels)), dtype=np.int64)
     np.add.at(table, (a_idx, t_idx), 1)
-    rows, cols = linear_sum_assignment(table, maximize=True)
+    rows, cols = _max_weight_matching(table)
     mapping = {int(clusters[r]): int(labels[c]) for r, c in zip(rows, cols)}
     unmatched = [int(c) for c in clusters if int(c) not in mapping]
     accuracy = float(table[rows, cols].sum()) / m
     return ClusterMapping(mapping=mapping, unmatched=unmatched, accuracy=accuracy)
+
+
+def _max_weight_matching(table: np.ndarray):
+    """Maximum-weight one-to-one matching of a table's rows and columns.
+
+    Hungarian method by shortest augmenting paths with row/column
+    potentials, on the negated table so that the minimum-cost matching is
+    the maximum-weight one. A tall table is solved transposed, so every row
+    of the solved table is matched. Returns ``(rows, cols)`` index arrays
+    sorted by row. Small integer tables stay exact in float64.
+    """
+    transposed = table.shape[0] > table.shape[1]
+    cost = -np.asarray(table.T if transposed else table, dtype=np.float64)
+    n, m = cost.shape
+    # 1-based: column 0 is the virtual start of each search; row 0 means free
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=np.int64)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = ~used[1:] & (reduced < minv[1:])
+            minv[1:][closer] = reduced[closer]
+            way[1:][closer] = j0
+            j1 = 1 + int(np.argmin(np.where(used[1:], np.inf, minv[1:])))
+            delta = minv[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            minv[~used] -= delta
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    cols = np.nonzero(row_of[1:])[0]
+    rows = row_of[1:][cols] - 1
+    if transposed:
+        rows, cols = cols, rows
+    order = np.argsort(rows)
+    return rows[order], cols[order]
 
 
 def parent_accuracy(parent_probs, t) -> float:

@@ -119,17 +119,23 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     return Model(layers=layers, head=head, rng_seed=seed)
 
 
+def _model_input(model: Model, x) -> np.ndarray:
+    """x as a float64 matrix whose width is the first layer's fan-in."""
+    a = as_matrix(x, "X")
+    if a.shape[1] != model.layers[0].weights.shape[0]:
+        raise ValueError(
+            f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
+        )
+    return a
+
+
 def forward(model: Model, x):
     """Run the layer chain; returns per-layer caches and the final Z.
 
     Each cache entry holds the layer's input and pre-activation, which is
     everything backward() needs.
     """
-    a = as_matrix(x, "X")
-    if a.shape[1] != model.layers[0].weights.shape[0]:
-        raise ValueError(
-            f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
-        )
+    a = _model_input(model, x)
     caches = []
     for layer in model.layers:
         pre = a @ layer.weights + layer.bias
@@ -138,11 +144,28 @@ def forward(model: Model, x):
     return caches, a
 
 
+def infer(model: Model, x) -> np.ndarray:
+    """Z of the layer chain without caches, for evaluation only.
+
+    Each layer's output is computed in one buffer: the bias is added and
+    relu applied in place, in the same operand order as ``forward``, so Z
+    is bit-identical to ``forward(model, x)[1]``.
+    """
+    a = _model_input(model, x)
+    for layer in model.layers:
+        a = a @ layer.weights
+        a += layer.bias
+        if layer.activation == "relu":
+            np.maximum(0.0, a, out=a)
+    return a
+
+
 def backward(model: Model, caches, d_z) -> list[LayerGrads]:
     """Backpropagate d_z (gradient at Z) through the cached layer chain.
 
     Gradients are unnormalized: any 1/batch factors must already be inside
-    d_z.
+    d_z. The gradient at the model input is not formed, since nothing reads
+    it.
     """
     if len(caches) != len(model.layers):
         raise ValueError(f"cache holds {len(caches)} layers, model has {len(model.layers)}")
@@ -157,7 +180,8 @@ def backward(model: Model, caches, d_z) -> list[LayerGrads]:
             )
         d_pre = d_out * (pre > 0) if layer.activation == "relu" else d_out
         grads[i] = LayerGrads(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
-        d_out = d_pre @ layer.weights.T
+        if i > 0:
+            d_out = d_pre @ layer.weights.T
     return grads
 
 
@@ -185,8 +209,7 @@ def combined_step(model: Model, x, t, coeffs: GarCoefficients):
 
 def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
     """Fraction of examples whose pooled argmax parent matches t."""
-    _, z = forward(model, data.X)
-    _, _, parent_probs = head_forward(z, model.head)
+    _, _, parent_probs = head_forward(infer(model, data.X), model.head)
     return evaluation.parent_accuracy(parent_probs, data.t)
 
 
@@ -239,10 +262,15 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
             rows = len(idx)
             scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
             _, grads, sup_loss, terms = combined_step(model, x_b, t_b, scaled)
+            # in place, with the rounding of v = momentum * v - lr * g
             for layer, vel, g in zip(model.layers, velocity, grads):
-                vel.weights = cfg.momentum * vel.weights - cfg.learning_rate * g.weights
-                vel.bias = cfg.momentum * vel.bias - cfg.learning_rate * g.bias
+                vel.weights *= cfg.momentum
+                g.weights *= cfg.learning_rate
+                vel.weights -= g.weights
                 layer.weights += vel.weights
+                vel.bias *= cfg.momentum
+                g.bias *= cfg.learning_rate
+                vel.bias -= g.bias
                 layer.bias += vel.bias
             sup_sum += sup_loss * rows
             aff_sum += terms.affinity * rows

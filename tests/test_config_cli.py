@@ -1,6 +1,10 @@
 """Config format round-trips and the command-line entry points."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,6 +106,24 @@ def test_validate_rules():
     # synthetic datasets may use any n_p regardless of partition.type
     cfg = parse_config("dataset.type = synthetic\nhead.n_p = 3\n")
     assert cfg.n_parents == 3
+    # range rules name the key and the bound
+    for line, message in [
+        ("train.epochs = -3", "train.epochs must be >= 0, got -3"),
+        ("train.hidden = 16,0", "train.hidden widths must each be >= 1, got 16,0"),
+        ("dataset.per_cluster = 0", "dataset.per_cluster must be >= 1, got 0"),
+        ("dataset.test_per_cluster = 0", "dataset.test_per_cluster must be >= 1, got 0"),
+        ("dataset.dim = 0", "dataset.dim must be >= 1, got 0"),
+        ("dataset.train_limit = -1", "dataset.train_limit must be >= 0, got -1"),
+        ("scenario.count = 0", "scenario.count must be >= 1, got 0"),
+        ("head.n_p = 1", "head.n_p must be >= 2, got 1"),
+        ("head.k = 0", "head.k must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_config(line + "\n")
+        assert str(err.value) == message
+    # the bounds themselves are accepted
+    cfg = parse_config("train.epochs = 0\ndataset.train_limit = 0\nscenario.count = 1\n")
+    assert (cfg.epochs, cfg.train_limit, cfg.scenario_count) == (0, 0, 1)
 
 
 def test_exclusion_groups_parsing():
@@ -243,6 +265,27 @@ def test_cli_export_graph(tmp_path, fast_cfg, capsys):
             i, j, w = l.split()
             assert int(i) < int(j) and float(w) > 0.1
     assert "export-graph rows=30" in capsys.readouterr().out
+
+
+def test_cli_train_imports_no_scipy(tmp_path, fast_cfg):
+    """A fresh process trains and scores without loading scipy, whose import
+    alone costs more than a small run."""
+    script = (
+        "import sys\n"
+        "import acol.cli\n"
+        f"rc = acol.cli.main(['train', '--config', {str(fast_cfg)!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "assert rc == 0, rc\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+    assert (tmp_path / "out" / "model.ckpt").exists()
 
 
 def test_cli_missing_config_reports_error(tmp_path, capsys):

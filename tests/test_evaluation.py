@@ -7,6 +7,7 @@ import pytest
 
 from acol.datasets import synthetic_blobs
 from acol.evaluation import (
+    _max_weight_matching,
     clustering_accuracy,
     export_embeddings,
     export_graph,
@@ -97,6 +98,58 @@ def test_accuracy_more_clusters_than_labels():
 def test_accuracy_input_validation():
     with pytest.raises(ValueError, match="equal-length"):
         clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
+
+
+def _tables():
+    """Square, wide (more clusters than labels) and tall contingency tables,
+    random ones plus all-tie and all-zero ones."""
+    rng = np.random.default_rng(24)
+    for shape in [(1, 1), (3, 3), (5, 5), (2, 5), (3, 6), (5, 2), (6, 3), (1, 4), (4, 1)]:
+        for high in (1, 3, 50):
+            yield rng.integers(0, high + 1, size=shape)
+        yield np.full(shape, 7)
+        yield np.zeros(shape, dtype=np.int64)
+
+
+def test_matching_is_one_to_one_and_sorted_by_row():
+    for table in _tables():
+        rows, cols = _max_weight_matching(table)
+        assert len(rows) == min(table.shape)
+        assert len(set(rows.tolist())) == len(rows)
+        assert len(set(cols.tolist())) == len(cols)
+        assert np.all(np.diff(rows) > 0)
+        assert rows.min() >= 0 and rows.max() < table.shape[0]
+        assert cols.min() >= 0 and cols.max() < table.shape[1]
+
+
+def test_matching_weight_equals_exhaustive_optimum():
+    for table in _tables():
+        rows, cols = _max_weight_matching(table)
+        weight = int(table[rows, cols].sum())
+        if not table.any():
+            assert weight == 0
+            continue
+        # examples whose contingency table is ``table``; all-zero rows and
+        # columns drop out, which leaves the optimum unchanged
+        r, c = np.nonzero(table)
+        assignments = np.repeat(r + 1, table[r, c])
+        truth = np.repeat(c, table[r, c])
+        exhaustive = exhaustive_accuracy(assignments, truth)
+        assert weight / len(truth) == exhaustive
+        assert clustering_accuracy(assignments, truth).accuracy == exhaustive
+
+
+def test_matching_agrees_with_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(25)
+    tables = list(_tables()) + [
+        rng.integers(0, 200, size=(int(rng.integers(1, 11)), int(rng.integers(1, 11))))
+        for _ in range(300)
+    ]
+    for table in tables:
+        rows, cols = _max_weight_matching(table)
+        ref_rows, ref_cols = optimize.linear_sum_assignment(table, maximize=True)
+        assert table[rows, cols].sum() == table[ref_rows, ref_cols].sum()
 
 
 def test_parent_accuracy_argmax_rule():

@@ -16,6 +16,7 @@ from acol.network import (
     combined_loss,
     combined_step,
     forward,
+    infer,
     init_model,
     load_checkpoint,
     parent_accuracy_of,
@@ -99,6 +100,34 @@ def test_forward_rejects_wrong_feature_count():
     model = small_model()
     with pytest.raises(ValueError, match="features"):
         forward(model, np.zeros((2, 7)))
+
+
+def test_infer_equals_forward_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for seed, sizes in enumerate([(3, 5, 4), (6, 9, 7, 4), (2, 4), (5, 16, 6)]):
+        head = AcolHead(2, sizes[-1] // 2)
+        model = init_model(list(sizes), head, seed)
+        for layer in model.layers:
+            layer.bias = rng.normal(size=layer.bias.shape)
+        x = rng.normal(size=(40, sizes[0]))
+        x[::3] = 0.0  # whole rows of exact zeros
+        x[1::4, 0] = 0.0
+        x[2::5] *= -1.0
+        x_before = x.copy()
+        expected = forward(model, x)[1]
+        got = infer(model, x)
+        assert np.array_equal(x, x_before)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def test_infer_rejects_wrong_feature_count_like_forward():
+    model = small_model()
+    with pytest.raises(ValueError) as from_forward:
+        forward(model, np.zeros((2, 7)))
+    with pytest.raises(ValueError) as from_infer:
+        infer(model, np.zeros((2, 7)))
+    assert str(from_infer.value) == str(from_forward.value)
 
 
 # --- backward ---------------------------------------------------------------
@@ -228,6 +257,28 @@ def test_train_is_deterministic():
     assert [rec.sup_loss for rec in r1.records] == [rec.sup_loss for rec in r2.records]
 
 
+def _out_of_place_momentum_replay(model, data, cfg):
+    """train()'s batch walk with the velocity formed out of place,
+    v = momentum * v - lr * g; returns the replayed copy."""
+    replay = copy.deepcopy(model)
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in replay.layers]
+    rng = np.random.default_rng(cfg.seed)
+    m = len(data)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(m)
+        for start in range(0, m, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / len(idx))
+            _, grads, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            for i, (layer, g) in enumerate(zip(replay.layers, grads)):
+                v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
+                v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
+                velocity[i] = (v_w, v_b)
+                layer.weights += v_w
+                layer.bias += v_b
+    return replay
+
+
 def test_train_momentum_zero_equals_plain_sgd():
     """Independent plain-SGD replay must match train() exactly at momentum 0."""
     data = toy_data(seed=3)
@@ -236,6 +287,7 @@ def test_train_momentum_zero_equals_plain_sgd():
                       seed=7, validation_size=0)
     model = init_model([4, 8, head.n], head, seed=7)
     replay = copy.deepcopy(model)
+    with_velocity = _out_of_place_momentum_replay(model, data, cfg)
 
     model, _ = train(model, data, cfg)
 
@@ -251,6 +303,24 @@ def test_train_momentum_zero_equals_plain_sgd():
             for layer, g in zip(replay.layers, grads):
                 layer.weights += -cfg.learning_rate * g.weights
                 layer.bias += -cfg.learning_rate * g.bias
+
+    for la, lb, lc in zip(model.layers, replay.layers, with_velocity.layers):
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+        assert np.array_equal(la.weights, lc.weights)
+        assert np.array_equal(la.bias, lc.bias)
+
+
+def test_train_momentum_update_equals_out_of_place_reference():
+    """The in-place momentum update rounds exactly like v = mu*v - lr*g."""
+    data = toy_data(seed=6)
+    head = AcolHead(2, 2)
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                      seed=8, validation_size=0)
+    model = init_model([4, 8, head.n], head, seed=8)
+    replay = _out_of_place_momentum_replay(model, data, cfg)
+
+    model, _ = train(model, data, cfg)
 
     for la, lb in zip(model.layers, replay.layers):
         assert np.array_equal(la.weights, lb.weights)
