@@ -77,7 +77,9 @@ _MINIMUMS = [
     ("dataset.dim", 1),
     ("head.n_p", 2),
     ("head.k", 1),
+    ("train.batch_size", 2),
     ("train.epochs", 0),
+    ("train.validation_size", 0),
     ("scenario.count", 1),
 ]
 
@@ -136,6 +138,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
             )
+        if not self.learning_rate > 0:
+            raise ValueError(f"train.lr must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
 
     def resolved_hidden(self) -> tuple:
         """Hidden widths, with the empty tuple meaning the per-dataset default.

@@ -197,13 +197,14 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition, meta: str = "") 
     Excluded fine labels are dropped; any other unmapped fine label is an
     error. The fine labels are kept as ``t_star`` for evaluation only.
     """
-    keep = np.array([int(f) not in partition.exclude for f in pool.fine], dtype=bool)
-    fine = pool.fine[keep]
-    for value in np.unique(fine):
+    keep = ~np.isin(pool.fine, list(partition.exclude))
+    fine = pool.fine[keep]  # boolean indexing copies: t_star never aliases the pool
+    values, inverse = np.unique(fine, return_inverse=True)
+    for value in values:
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
-    t = np.array([partition.mapping[int(f)] for f in fine], dtype=np.int64)
-    return LabeledDataset(X=pool.X[keep], t=t, t_star=fine.copy(), meta=meta)
+    parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
+    return LabeledDataset(X=pool.X[keep], t=parents[inverse], t_star=fine, meta=meta)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:

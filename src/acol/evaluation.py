@@ -108,39 +108,65 @@ def parent_accuracy(parent_probs, t) -> float:
     return float(np.mean(predicted == t))
 
 
-def _plus_plus_centers(x: np.ndarray, n_clusters: int, rng) -> np.ndarray:
-    """k-means++ seeding: D^2-weighted draws after a uniform first center."""
+def _sq_dist_to(x: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Row-wise squared distance of ``x`` to one center, computed in ``buf``."""
+    np.subtract(x, center, out=buf)
+    np.square(buf, out=buf)
+    return np.sum(buf, axis=1)
+
+
+def _within_ss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray, buf: np.ndarray) -> float:
+    """Sum of squared distances of ``x`` to its assigned centers, in ``buf``."""
+    # labels index centers by construction; "clip" skips the copy that the
+    # default mode makes of ``out`` to keep it intact on a bad index
+    np.take(centers, labels, axis=0, out=buf, mode="clip")
+    np.subtract(x, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(np.sum(buf))
+
+
+def _plus_plus_centers(x: np.ndarray, n_clusters: int, rng, buf: np.ndarray) -> np.ndarray:
+    """k-means++ seeding: D^2-weighted draws after a uniform first center.
+
+    ``buf`` is scratch space shaped like ``x``.
+    """
     m = x.shape[0]
     centers = np.empty((n_clusters, x.shape[1]))
     centers[0] = x[rng.integers(m)]
-    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    dist_sq = _sq_dist_to(x, centers[0], buf)
     for i in range(1, n_clusters):
         total = dist_sq.sum()
         if total == 0.0:
             centers[i] = x[rng.integers(m)]
             continue
         centers[i] = x[rng.choice(m, p=dist_sq / total)]
-        dist_sq = np.minimum(dist_sq, np.sum((x - centers[i]) ** 2, axis=1))
+        dist_sq = np.minimum(dist_sq, _sq_dist_to(x, centers[i], buf))
     return centers
 
 
 def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int = 10):
     """Lloyd's algorithm with k-means++ seeding; best of ``restarts`` by WSS.
 
-    Deterministic for a fixed seed. Returns 1-based assignments.
+    Deterministic for a fixed seed, whatever the memory layout of ``x``.
+    Returns 1-based assignments.
     """
-    x = np.asarray(x, dtype=np.float64)
+    # C order fixes the reduction order of every row and total sum below
+    x = np.ascontiguousarray(x, dtype=np.float64)
     m = x.shape[0]
     if n_clusters > m:
         raise ValueError(f"cannot form {n_clusters} clusters from {m} points")
     rng = np.random.default_rng(seed)
+    # the row norms and one m x d scratch buffer serve every restart and
+    # iteration; each in-place step rounds exactly as the expression it replaces
+    x_sq = np.sum(x * x, axis=1)[:, None]
+    buf = np.empty_like(x)
     best_labels, best_wss = None, np.inf
     for _ in range(restarts):
-        centers = _plus_plus_centers(x, n_clusters, rng)
+        centers = _plus_plus_centers(x, n_clusters, rng, buf)
         labels = None
         for _ in range(max_iter):
             dist_sq = (
-                np.sum(x * x, axis=1)[:, None]
+                x_sq
                 - 2.0 * (x @ centers.T)
                 + np.sum(centers * centers, axis=1)[None, :]
             )
@@ -156,7 +182,7 @@ def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int
                     # re-seed an empty cluster at the point farthest from its center
                     worst = np.argmax(np.min(dist_sq, axis=1))
                     centers[j] = x[worst]
-        wss = float(np.sum((x - centers[labels]) ** 2))
+        wss = _within_ss(x, centers, labels, buf)
         if wss < best_wss:
             best_wss, best_labels = wss, labels
     return best_labels + 1

@@ -301,6 +301,30 @@ def test_acceptance_same_seed_runs_byte_identical(tmp_path):
     )
 
 
+def test_acceptance_same_seed_sweeps_and_baselines_byte_identical(tmp_path, capsys):
+    # overlapping blobs, so the k-means restarts disagree and the WSS choice matters
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(
+        "dataset.per_cluster = 40\ndataset.test_per_cluster = 40\ndataset.dim = 4\n"
+        "dataset.separation = 2.0\nhead.k = 2\ntrain.epochs = 3\ntrain.batch_size = 16\n"
+        "train.validation_size = 32\ntrain.hidden = 16\nseed = 3\n"
+        "scenario.mode = random-partitions\nscenario.count = 2\n"
+    )
+    csvs, stdouts = [], []
+    for name in ("r1", "r2"):
+        out = tmp_path / name
+        assert cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert cli.main(["baseline", "--config", str(cfg_path)]) == 0
+        csvs.append((out / "scenarios.csv").read_bytes())
+        stdouts.append(capsys.readouterr().out.encode())
+    same_csv, same_stdout = csvs[0] == csvs[1], stdouts[0] == stdouts[1]
+    _report(
+        "same-seed sweeps and baselines byte-identical",
+        same_csv and same_stdout and stdouts[0].count(b"\n") == 4,
+        f"scenarios.csv identical: {same_csv}, stdout identical: {same_stdout}",
+    )
+
+
 # --- 8: idx files round-trip bit-exactly and reject malformed input -----------
 
 

@@ -117,6 +117,13 @@ def test_validate_rules():
         ("scenario.count = 0", "scenario.count must be >= 1, got 0"),
         ("head.n_p = 1", "head.n_p must be >= 2, got 1"),
         ("head.k = 0", "head.k must be >= 1, got 0"),
+        ("train.validation_size = -5", "train.validation_size must be >= 0, got -5"),
+        ("train.batch_size = 1", "train.batch_size must be >= 2, got 1"),
+        ("train.lr = -1", "train.lr must be > 0, got -1.0"),
+        ("train.lr = 0", "train.lr must be > 0, got 0.0"),
+        ("train.lr = nan", "train.lr must be > 0, got nan"),
+        ("train.momentum = 1", "train.momentum must be in [0, 1), got 1.0"),
+        ("train.momentum = -0.1", "train.momentum must be in [0, 1), got -0.1"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_config(line + "\n")
@@ -124,6 +131,12 @@ def test_validate_rules():
     # the bounds themselves are accepted
     cfg = parse_config("train.epochs = 0\ndataset.train_limit = 0\nscenario.count = 1\n")
     assert (cfg.epochs, cfg.train_limit, cfg.scenario_count) == (0, 0, 1)
+    cfg = parse_config(
+        "train.validation_size = 0\ntrain.batch_size = 2\ntrain.lr = 1e-300\ntrain.momentum = 0\n"
+    )
+    assert (cfg.validation_size, cfg.batch_size, cfg.learning_rate, cfg.momentum) == (
+        0, 2, 1e-300, 0.0
+    )
 
 
 def test_exclusion_groups_parsing():

@@ -179,6 +179,46 @@ def test_pool_to_dataset_maps_and_excludes():
         pool_to_dataset(pool, ParentPartition(mapping={0: 1, 5: 2}))
 
 
+def test_pool_to_dataset_equals_per_row_mapping():
+    rng = np.random.default_rng(3)
+    fine = rng.integers(0, 10, size=500)
+    pool = FinePool(X=rng.normal(size=(500, 3)), fine=fine)
+    for partition in (random_partition(4), interparent_partition({8, 9}), threshold_partition(3)):
+        data = pool_to_dataset(pool, partition)
+        keep = np.array([int(f) not in partition.exclude for f in fine])
+        assert data.t.dtype == np.int64
+        assert np.array_equal(data.t, [partition.mapping[int(f)] for f in fine[keep]])
+        assert np.array_equal(data.t_star, fine[keep])
+        assert np.array_equal(data.X, pool.X[keep])
+
+
+def test_pool_to_dataset_empty_exclude_keeps_every_row():
+    fine = np.array([7, 2, 2, 9, 7], dtype=np.uint8)
+    pool = FinePool(X=np.arange(10.0).reshape(5, 2), fine=fine)
+    data = pool_to_dataset(pool, ParentPartition(mapping={2: 1, 7: 2, 9: 2}))
+    assert np.array_equal(data.X, pool.X)
+    assert np.array_equal(data.t, [2, 1, 1, 2, 2]) and data.t.dtype == np.int64
+
+
+def test_pool_to_dataset_unmapped_label_message():
+    pool = FinePool(X=np.zeros((4, 1)), fine=np.array([0, 6, 5, 3]))
+    with pytest.raises(ValueError) as err:
+        pool_to_dataset(pool, ParentPartition(mapping={0: 1, 5: 2}))
+    assert str(err.value) == "fine label 3 has no parent in the partition"
+
+
+def test_pool_to_dataset_t_star_does_not_alias_the_pool():
+    fine = np.array([0, 5, 0, 5])
+    pool = FinePool(X=np.zeros((4, 1)), fine=fine)
+    for partition in (ParentPartition(mapping={0: 1, 5: 2}), interparent_partition({9})):
+        data = pool_to_dataset(pool, partition)
+        data.t_star[0] = 4
+        assert pool.fine[0] == 0
+        pool.fine[1] = 6
+        assert data.t_star[1] == 5
+        pool.fine[1] = 5
+
+
 def test_pool_to_dataset_identity_on_fine_labels():
     # with a mapping that sends each fine label to itself, t equals t_star
     pixels = np.zeros((4, 1, 1), dtype=np.uint8)

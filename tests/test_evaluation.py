@@ -8,6 +8,8 @@ import pytest
 from acol.datasets import synthetic_blobs
 from acol.evaluation import (
     _max_weight_matching,
+    _sq_dist_to,
+    _within_ss,
     clustering_accuracy,
     export_embeddings,
     export_graph,
@@ -170,6 +172,125 @@ def within_cluster_ss(x, assignments):
         float(np.sum((x[assignments == c] - x[assignments == c].mean(axis=0)) ** 2))
         for c in np.unique(assignments)
     )
+
+
+def _oracle_plus_plus_centers(x, n_clusters, rng):
+    """Frozen copy of the out-of-place k-means++ seeding (the reference)."""
+    m = x.shape[0]
+    centers = np.empty((n_clusters, x.shape[1]))
+    centers[0] = x[rng.integers(m)]
+    dist_sq = np.sum((x - centers[0]) ** 2, axis=1)
+    for i in range(1, n_clusters):
+        total = dist_sq.sum()
+        if total == 0.0:
+            centers[i] = x[rng.integers(m)]
+            continue
+        centers[i] = x[rng.choice(m, p=dist_sq / total)]
+        dist_sq = np.minimum(dist_sq, np.sum((x - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def oracle_kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int = 10):
+    """Frozen copy of the out-of-place Lloyd loop (the reference)."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[0]
+    if n_clusters > m:
+        raise ValueError(f"cannot form {n_clusters} clusters from {m} points")
+    rng = np.random.default_rng(seed)
+    best_labels, best_wss = None, np.inf
+    for _ in range(restarts):
+        centers = _oracle_plus_plus_centers(x, n_clusters, rng)
+        labels = None
+        for _ in range(max_iter):
+            dist_sq = (
+                np.sum(x * x, axis=1)[:, None]
+                - 2.0 * (x @ centers.T)
+                + np.sum(centers * centers, axis=1)[None, :]
+            )
+            new_labels = np.argmin(dist_sq, axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for j in range(n_clusters):
+                mask = labels == j
+                if mask.any():
+                    centers[j] = x[mask].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the point farthest from its center
+                    worst = np.argmax(np.min(dist_sq, axis=1))
+                    centers[j] = x[worst]
+        wss = float(np.sum((x - centers[labels]) ** 2))
+        if wss < best_wss:
+            best_wss, best_labels = wss, labels
+    return best_labels + 1
+
+
+def _oracle_cases():
+    """(name, x, k, seed, restarts) for 21 mixes of shape, width, seed and k."""
+    rng = np.random.default_rng(40)
+    cases = []
+    for seed in (0, 1, 2):
+        for m, d, k in [(60, 2, 3), (120, 2, 7), (40, 784, 4), (90, 784, 5), (25, 17, 25)]:
+            cases.append((f"gauss-{m}x{d}-k{k}-s{seed}", rng.normal(size=(m, d)), k, seed, 10))
+    # digit-like: sparse non-negative pixels in [0, 1]
+    pixels = np.where(rng.random((200, 784)) < 0.2, rng.random((200, 784)), 0.0)
+    cases += [(f"pixels-k5-s{s}", pixels, 5, s, 10) for s in (3, 4)]
+    # duplicated rows: k-means++ hits a zero total and re-draws uniformly
+    dup = np.repeat(rng.normal(size=(2, 6)), 10, axis=0)
+    cases += [(f"duplicates-k4-s{s}", dup, 4, s, 10) for s in (5, 6)]
+    # all rows equal: every seeding draw after the first re-draws
+    cases.append(("constant-k3", np.ones((12, 784)), 3, 7, 3))
+    # a far pair 1e-9 apart, which the expanded distance cannot resolve,
+    # leaves a cluster empty
+    empty = np.vstack([np.zeros((8, 2)), [[1e6, 0.0], [1e6, 1e-9]]])
+    cases.append(("empty-cluster-k3", empty, 3, 0, 10))
+    return cases
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+def test_kmeans_equals_frozen_oracle(case):
+    _, x, k, seed, restarts = case
+    expected = oracle_kmeans(x, k, seed=seed, restarts=restarts)
+    assert np.array_equal(kmeans(x, k, seed=seed, restarts=restarts), expected)
+
+
+def test_kmeans_oracle_cases_cover_both_edge_branches(monkeypatch):
+    cases = {name: (x, k, seed, restarts) for name, x, k, seed, restarts in _oracle_cases()}
+    assert len(cases) >= 20
+    # the re-draw branch: with fewer distinct rows than k, seeding runs out of D^2 mass
+    x, k, _, _ = cases["duplicates-k4-s5"]
+    assert len(np.unique(x, axis=0)) < k
+    # the re-seed branch is the oracle's only np.argmax call
+    calls = []
+    argmax = np.argmax
+    monkeypatch.setattr(np, "argmax", lambda a, *args, **kw: calls.append(1) or argmax(a, *args, **kw))
+    x, k, seed, restarts = cases["empty-cluster-k3"]
+    oracle_kmeans(x, k, seed=seed, restarts=restarts)
+    monkeypatch.undo()
+    assert calls
+
+
+def test_in_place_distances_round_like_the_expressions_they_replace():
+    # labels rarely expose a last-bit change, so the two in-place reductions
+    # are pinned to their out-of-place expressions byte for byte
+    rng = np.random.default_rng(41)
+    base = rng.normal(size=(300, 784)) * 3.0
+    for x in (base, base[:, :2].copy(), base[::2, ::3].copy()):
+        buf = np.empty_like(x)
+        centers = x[rng.choice(x.shape[0], 5, replace=False)]
+        labels = rng.integers(0, 5, size=x.shape[0])
+        for c in centers:
+            expected = np.sum((x - c) ** 2, axis=1)
+            assert _sq_dist_to(x, c, buf).tobytes() == expected.tobytes()
+        assert _within_ss(x, centers, labels, buf) == float(np.sum((x - centers[labels]) ** 2))
+
+
+def test_kmeans_ignores_memory_layout():
+    rng = np.random.default_rng(42)
+    x = rng.normal(size=(120, 784))
+    expected = kmeans(x, 4, seed=9)
+    for view in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+        assert np.array_equal(kmeans(view, 4, seed=9), expected)
 
 
 def test_kmeans_recovers_separated_blobs():

@@ -349,6 +349,8 @@ def test_train_config_validation():
         TrainConfig(epochs=1, learning_rate=0.0)
     with pytest.raises(ValueError, match="momentum"):
         TrainConfig(epochs=1, momentum=1.0)
+    with pytest.raises(ValueError, match="validation_size must be >= 0"):
+        TrainConfig(epochs=1, validation_size=-5)
 
 
 def test_train_rejects_bad_labels_and_oversized_batch():
