@@ -39,30 +39,42 @@ def _synthetic_pool(cfg: ExperimentConfig, per_cluster: int, seed: int) -> FineP
     return FinePool(X=data.X, fine=data.t_star)
 
 
-def load_pools(cfg: ExperimentConfig):
-    """(train, test) pools of fine-labeled examples; test may be None.
+def has_test_pool(cfg: ExperimentConfig) -> bool:
+    """Synthetic runs always draw a test pool; idx runs need a test IDX pair."""
+    return cfg.dataset_type == "synthetic" or bool(cfg.test_images and cfg.test_labels)
 
-    Both pools are multiplied by the configured feature scale, so training,
-    evaluation, and baselines all see the same preprocessing.
+
+def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool:
+    """The train or the test pool of fine-labeled examples.
+
+    Features are multiplied by the configured feature scale, so training,
+    evaluation, and baselines all see the same preprocessing, and are then
+    marked read-only: datasets built from the pool may share them.
     """
     if cfg.dataset_type == "synthetic":
-        train = _synthetic_pool(cfg, cfg.per_cluster, cfg.seed)
-        test = _synthetic_pool(cfg, cfg.test_per_cluster, cfg.seed + TEST_SEED_OFFSET)
+        if test:
+            pool = _synthetic_pool(cfg, cfg.test_per_cluster, cfg.seed + TEST_SEED_OFFSET)
+        else:
+            pool = _synthetic_pool(cfg, cfg.per_cluster, cfg.seed)
     else:
-        raw = datasets.load_idx(cfg.images, cfg.labels)
-        if cfg.train_limit > 0:
-            raw = datasets.RawDigits(raw.pixels[: cfg.train_limit], raw.labels[: cfg.train_limit])
-        train = FinePool(X=datasets.images_to_features(raw.pixels), fine=raw.labels)
-        test = None
-        if cfg.test_images and cfg.test_labels:
-            raw_test = datasets.load_idx(cfg.test_images, cfg.test_labels)
-            test = FinePool(X=datasets.images_to_features(raw_test.pixels), fine=raw_test.labels)
+        if test:
+            raw = datasets.load_idx(cfg.test_images, cfg.test_labels)
+        else:
+            raw = datasets.load_idx(cfg.images, cfg.labels)
+            if cfg.train_limit > 0:
+                raw = datasets.RawDigits(raw.pixels[: cfg.train_limit], raw.labels[: cfg.train_limit])
+        pool = FinePool(X=datasets.images_to_features(raw.pixels), fine=raw.labels)
     scale = cfg.resolved_feature_scale()
     if scale != 1.0:
-        train = FinePool(X=train.X * scale, fine=train.fine)
-        if test is not None:
-            test = FinePool(X=test.X * scale, fine=test.fine)
-    return train, test
+        pool = FinePool(X=pool.X * scale, fine=pool.fine)
+    pool.X.flags.writeable = False
+    return pool
+
+
+def load_pools(cfg: ExperimentConfig):
+    """(train, test) pools, see ``load_pool``; test is None without a test pair."""
+    train = load_pool(cfg, test=False)
+    return train, load_pool(cfg, test=True) if has_test_pool(cfg) else None
 
 
 def default_partition(cfg: ExperimentConfig) -> datasets.ParentPartition:
@@ -191,7 +203,7 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path, meta: str):
     The checkpoint is loaded when a path is given (model and epoch are None
     otherwise) and must match the configured head. ``data`` is the test pool,
     or the train pool when no test pool is configured, under
-    ``default_partition``.
+    ``default_partition``; the other pool is never read.
     """
     model = epoch = None
     if checkpoint_path is not None:
@@ -201,8 +213,7 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path, meta: str):
                 f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
                 f"config (n_p={cfg.n_parents}, k={cfg.k})"
             )
-    train_pool, test_pool = load_pools(cfg)
-    pool = test_pool if test_pool is not None else train_pool
+    pool = load_pool(cfg, test=has_test_pool(cfg))
     return model, epoch, pool_to_dataset(pool, default_partition(cfg), meta=meta)
 
 

@@ -32,6 +32,7 @@ Keys (defaults in parentheses):
     scenario.exclusions (none;9;8,9)  inter-parent: ;-separated drop groups
 """
 
+import math
 from dataclasses import dataclass
 
 _INT, _FLOAT, _STR, _INTS = "int", "float", "str", "ints"
@@ -83,6 +84,15 @@ _MINIMUMS = [
     ("scenario.count", 1),
 ]
 
+# Float keys that must be finite and satisfy a bound: (file key, ">" or ">=", bound)
+_FLOAT_BOUNDS = [
+    ("dataset.separation", ">", 0),
+    ("dataset.feature_scale", ">=", 0),
+    ("gar.c_alpha", ">=", 0),
+    ("gar.c_beta", ">=", 0),
+    ("gar.c_f", ">=", 0),
+]
+
 
 @dataclass
 class ExperimentConfig:
@@ -127,19 +137,23 @@ class ExperimentConfig:
             raise ValueError("a threshold partition produces 2 parents; set head.n_p = 2")
         if self.scenario_mode not in ("single", "random-partitions", "inter-parent"):
             raise ValueError(f"unknown scenario.mode '{self.scenario_mode}'")
-        if self.feature_scale < 0:
-            raise ValueError("dataset.feature_scale must be >= 0 (0 means auto)")
         attrs = {key: attr for key, attr, _ in _KEYS}
         for key, minimum in _MINIMUMS:
             value = getattr(self, attrs[key])
             if value < minimum:
                 raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        for key, op, bound in _FLOAT_BOUNDS:
+            value = getattr(self, attrs[key])
+            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+                raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(
                 f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
             )
         if not self.learning_rate > 0:
             raise ValueError(f"train.lr must be > 0, got {self.learning_rate}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"train.lr must be finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
 

@@ -106,13 +106,15 @@ def load_idx_images(path) -> np.ndarray:
     count = _read_be32(buf, 4, path)
     rows = _read_be32(buf, 8, path)
     cols = _read_be32(buf, 12, path)
-    payload = buf[16:]
+    if min(count, rows, cols) < 0:
+        raise IdxFormatError(f"{path}: negative size {count}x{rows}x{cols} in header")
     expected = count * rows * cols
-    if len(payload) != expected:
+    if len(buf) - 16 != expected:
         raise IdxFormatError(
-            f"{path}: truncated payload, expected {expected} pixel bytes, got {len(payload)}"
+            f"{path}: truncated payload, expected {expected} pixel bytes, got {len(buf) - 16}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
+    # read in place from the file's bytes; slicing them first would copy the payload
+    return np.frombuffer(buf, dtype=np.uint8, count=expected, offset=16).reshape(count, rows, cols)
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -124,12 +126,13 @@ def load_idx_labels(path) -> np.ndarray:
     if magic != LABELS_MAGIC:
         raise IdxFormatError(f"{path}: bad magic {magic:#010x}, expected {LABELS_MAGIC:#010x}")
     count = _read_be32(buf, 4, path)
-    payload = buf[8:]
-    if len(payload) != count:
+    if count < 0:
+        raise IdxFormatError(f"{path}: negative size {count} in header")
+    if len(buf) - 8 != count:
         raise IdxFormatError(
-            f"{path}: truncated payload, expected {count} label bytes, got {len(payload)}"
+            f"{path}: truncated payload, expected {count} label bytes, got {len(buf) - 8}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
 
 
 def write_idx_images(pixels: np.ndarray, path) -> None:
@@ -195,16 +198,21 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition, meta: str = "") 
     """Label a fine-labeled pool with parents under ``partition``.
 
     Excluded fine labels are dropped; any other unmapped fine label is an
-    error. The fine labels are kept as ``t_star`` for evaluation only.
+    error. The fine labels are kept as ``t_star`` for evaluation only, in a
+    copy that never aliases the pool. When no row is dropped, ``X`` is the
+    pool's own feature matrix, not a copy.
     """
     keep = ~np.isin(pool.fine, list(partition.exclude))
-    fine = pool.fine[keep]  # boolean indexing copies: t_star never aliases the pool
+    if keep.all():
+        X, fine = pool.X, pool.fine.copy()
+    else:
+        X, fine = pool.X[keep], pool.fine[keep]  # boolean indexing copies
     values, inverse = np.unique(fine, return_inverse=True)
     for value in values:
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
     parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
-    return LabeledDataset(X=pool.X[keep], t=parents[inverse], t_star=fine, meta=meta)
+    return LabeledDataset(X=X, t=parents[inverse], t_star=fine, meta=meta)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:

@@ -231,6 +231,10 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
     latent structure after the supervised task saturates); otherwise the
     final epoch is kept.
 
+    Raises ``ValueError`` naming the epoch and the 1-based batch when a
+    batch loss is not finite, and naming the layer when a parameter is not
+    finite after an epoch.
+
     Returns ``(model, report)``; the given model is updated in place.
     """
     if len(data) == 0:
@@ -258,12 +262,14 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(m)
         sup_sum = aff_sum = bal_sum = fro_sum = 0.0
-        for start in range(0, m, cfg.batch_size):
+        for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
             idx = order[start : start + cfg.batch_size]
             x_b, t_b = train_data.X[idx], train_data.t[idx]
             rows = len(idx)
             scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
-            _, grads, sup_loss, terms = combined_step(model, x_b, t_b, scaled)
+            loss, grads, sup_loss, terms = combined_step(model, x_b, t_b, scaled)
+            if not np.isfinite(loss):
+                raise ValueError(f"training diverged: epoch {epoch}, batch {batch} has loss {loss}")
             # in place, with the rounding of v = momentum * v - lr * g
             for layer, vel, g in zip(model.layers, velocity, grads):
                 vel.weights *= cfg.momentum
@@ -278,6 +284,9 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
             aff_sum += terms.affinity * rows
             bal_sum += terms.balance * rows
             fro_sum += terms.frobenius_sq  # summed over examples already
+        for i, layer in enumerate(model.layers, start=1):
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
+                raise ValueError(f"training diverged: layer {i} is not finite after epoch {epoch}")
 
         train_acc = parent_accuracy_of(model, train_data)
         val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
@@ -363,7 +372,7 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: parameter payload is {len(payload)} bytes, expected {expected}")
     layers = []
     offset = 0
-    for (fan_in, fan_out), act in zip(zip(sizes[:-1], sizes[1:]), activations):
+    for i, ((fan_in, fan_out), act) in enumerate(zip(zip(sizes[:-1], sizes[1:]), activations), 1):
         w_bytes = fan_in * fan_out * 8
         weights = np.frombuffer(payload, dtype="<f8", count=fan_in * fan_out, offset=offset)
         offset += w_bytes
@@ -371,8 +380,8 @@ def load_checkpoint(path):
         offset += fan_out * 8
         layers.append(
             DenseLayer(
-                weights=require_finite(weights, "weights").reshape(fan_in, fan_out).copy(),
-                bias=require_finite(bias, "bias").copy(),
+                weights=require_finite(weights, f"{path}: layer {i} weights").reshape(fan_in, fan_out).copy(),
+                bias=require_finite(bias, f"{path}: layer {i} bias").copy(),
                 activation=act,
             )
         )

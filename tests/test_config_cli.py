@@ -17,7 +17,12 @@ from acol.config import (
     save_config,
     serialize_config,
 )
-from acol.datasets import load_idx_labels, write_idx_images, write_idx_labels
+from acol.datasets import (
+    load_idx_labels,
+    pool_to_dataset,
+    write_idx_images,
+    write_idx_labels,
+)
 
 FAST_SYNTH = """
 dataset.type = synthetic
@@ -124,6 +129,15 @@ def test_validate_rules():
         ("train.lr = nan", "train.lr must be > 0, got nan"),
         ("train.momentum = 1", "train.momentum must be in [0, 1), got 1.0"),
         ("train.momentum = -0.1", "train.momentum must be in [0, 1), got -0.1"),
+        ("train.lr = inf", "train.lr must be finite, got inf"),
+        ("dataset.separation = 0", "dataset.separation must be finite and > 0, got 0.0"),
+        ("dataset.separation = nan", "dataset.separation must be finite and > 0, got nan"),
+        ("dataset.feature_scale = nan", "dataset.feature_scale must be finite and >= 0, got nan"),
+        ("dataset.feature_scale = inf", "dataset.feature_scale must be finite and >= 0, got inf"),
+        ("dataset.feature_scale = -1", "dataset.feature_scale must be finite and >= 0, got -1.0"),
+        ("gar.c_alpha = -1", "gar.c_alpha must be finite and >= 0, got -1.0"),
+        ("gar.c_beta = nan", "gar.c_beta must be finite and >= 0, got nan"),
+        ("gar.c_f = inf", "gar.c_f must be finite and >= 0, got inf"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_config(line + "\n")
@@ -136,6 +150,13 @@ def test_validate_rules():
     )
     assert (cfg.validation_size, cfg.batch_size, cfg.learning_rate, cfg.momentum) == (
         0, 2, 1e-300, 0.0
+    )
+    cfg = parse_config(
+        "dataset.separation = 1e-300\ndataset.feature_scale = 0\n"
+        "gar.c_alpha = 0\ngar.c_beta = 0\ngar.c_f = 0\n"
+    )
+    assert (cfg.separation, cfg.feature_scale, cfg.c_alpha, cfg.c_beta, cfg.c_f) == (
+        1e-300, 0.0, 0.0, 0.0, 0.0
     )
 
 
@@ -348,3 +369,104 @@ def test_cli_idx_dataset_path(tmp_path, capsys):
     assert fieldmap["dataset"] == "idx"
     assert fieldmap["eval_on"] == "train"  # no test pair configured
     assert float(fieldmap["parent_acc"]) >= 0.9  # separable patterns
+
+
+def _write_pattern_pair(tmp_path, stem, count, seed):
+    """An IDX pair of noisy 2x2 patterns, one per fine label 0, 2, 5, 7."""
+    rng = np.random.default_rng(seed)
+    patterns = np.array(
+        [[[255, 0], [0, 0]], [[0, 255], [0, 0]], [[0, 0], [255, 0]], [[0, 0], [0, 255]]],
+        dtype=np.uint8,
+    )
+    which = rng.integers(0, 4, size=count)
+    noise = rng.integers(0, 40, size=(count, 2, 2)).astype(np.uint8)
+    pixels = np.where(patterns[which] > 0, patterns[which] - noise, noise)
+    paths = (tmp_path / f"{stem}-images.idx", tmp_path / f"{stem}-labels.idx")
+    write_idx_images(pixels, paths[0])
+    write_idx_labels(np.array([0, 2, 5, 7], dtype=np.uint8)[which], paths[1])
+    return paths
+
+
+def _idx_config(tmp_path, train_pair, test_pair=None):
+    lines = [
+        "dataset.type = idx",
+        f"dataset.images = {train_pair[0]}",
+        f"dataset.labels = {train_pair[1]}",
+        "head.n_p = 2",
+        "head.k = 2",
+        "train.epochs = 3",
+        "train.batch_size = 16",
+        "train.lr = 0.1",
+        "train.validation_size = 40",
+        "train.hidden = 8",
+        "seed = 3",
+    ]
+    if test_pair is not None:
+        lines += [f"dataset.test_images = {test_pair[0]}", f"dataset.test_labels = {test_pair[1]}"]
+    path = tmp_path / "idx.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def test_load_pools_are_read_only_and_shared_by_datasets(tmp_path, fast_cfg):
+    idx_cfg = _idx_config(
+        tmp_path,
+        _write_pattern_pair(tmp_path, "train", 60, seed=1),
+        _write_pattern_pair(tmp_path, "test", 20, seed=2),
+    )
+    for cfg in (load_config(fast_cfg), load_config(idx_cfg)):
+        pools = cli.load_pools(cfg)
+        assert pools[1] is not None
+        for pool in pools:
+            assert not pool.X.flags.writeable
+            data = pool_to_dataset(pool, cli.default_partition(cfg))
+            assert np.shares_memory(data.X, pool.X)
+            with pytest.raises(ValueError, match="read-only"):
+                data.X[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                data.X *= 2.0
+
+
+def test_cli_scoring_commands_read_only_the_test_pool(tmp_path, capsys):
+    train_pair = _write_pattern_pair(tmp_path, "train", 200, seed=4)
+    cfg = str(_idx_config(tmp_path, train_pair, _write_pattern_pair(tmp_path, "test", 80, seed=5)))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", cfg, "--out", str(out / "train"), "--quiet"]) == 0
+    ckpt = str(out / "train" / "model.ckpt")
+    commands = {
+        "eval": ["eval", "--checkpoint", ckpt],
+        "baseline": ["baseline"],
+        "export-graph": ["export-graph", "--checkpoint", ckpt, "--limit", "50"],
+    }
+
+    def run_all(label):
+        outputs = {}
+        for name, argv in commands.items():
+            target = out / label / name
+            assert cli.main([*argv, "--config", cfg, "--out", str(target)]) == 0, name
+            stdout = capsys.readouterr().out.replace(str(out / label), "<out>")
+            files = {p.name: p.read_bytes() for p in target.glob("*")}
+            outputs[name] = (stdout, files)
+        return outputs
+
+    before = run_all("before")
+    for path in train_pair:
+        path.unlink()
+    after = run_all("after")
+    assert after == before
+    assert set(before["eval"][1]) == {"eval_summary.txt"}
+    assert set(before["export-graph"][1]) == {"graph.edges"}
+    assert before["baseline"][0].startswith("baseline m=80 ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_train_rejects_a_diverging_run(tmp_path, fast_cfg, capsys):
+    cfg = tmp_path / "diverge.txt"
+    cfg.write_text(fast_cfg.read_text() + "train.lr = 1e200\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "error: training diverged: epoch 1, batch 2 has loss nan"
+    assert not (out / "model.ckpt").exists()
+    assert not (out / "metrics.csv").exists()

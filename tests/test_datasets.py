@@ -1,9 +1,12 @@
 """IDX round trips, parent partitions, synthetic blobs, validation splits."""
 
+import operator
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acol.datasets import (
     IMAGES_MAGIC,
@@ -110,11 +113,17 @@ def test_idx_bad_magic(tmp_path):
 def test_idx_truncated_payload(tmp_path):
     p = tmp_path / "short.idx"
     p.write_bytes(struct.pack(">iiii", IMAGES_MAGIC, 2, 2, 2) + bytes(7))  # needs 8
-    with pytest.raises(IdxFormatError, match="truncated payload"):
+    with pytest.raises(IdxFormatError, match="truncated payload") as err:
         load_idx_images(p)
+    assert str(err.value) == f"{p}: truncated payload, expected 8 pixel bytes, got 7"
+    p.write_bytes(struct.pack(">iiii", IMAGES_MAGIC, 2, 2, 2) + bytes(9))  # one byte too many
+    with pytest.raises(IdxFormatError, match="truncated payload") as err:
+        load_idx_images(p)
+    assert str(err.value) == f"{p}: truncated payload, expected 8 pixel bytes, got 9"
     p.write_bytes(struct.pack(">ii", LABELS_MAGIC, 5) + bytes(3))
-    with pytest.raises(IdxFormatError, match="truncated payload"):
+    with pytest.raises(IdxFormatError, match="truncated payload") as err:
         load_idx_labels(p)
+    assert str(err.value) == f"{p}: truncated payload, expected 5 label bytes, got 3"
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -122,8 +131,51 @@ def test_idx_count_mismatch(tmp_path):
     lp = tmp_path / "l.idx"
     ip.write_bytes(make_image_bytes(np.zeros((3, 2, 2), dtype=np.uint8)))
     lp.write_bytes(make_label_bytes(np.zeros(2, dtype=np.uint8)))
-    with pytest.raises(IdxFormatError, match="count mismatch"):
+    with pytest.raises(IdxFormatError, match="count mismatch") as err:
         load_idx(ip, lp)
+    assert str(err.value) == "image/label count mismatch: 3 images vs 2 labels"
+
+
+def test_idx_negative_sizes_are_rejected(tmp_path):
+    p = tmp_path / "neg.idx"
+    p.write_bytes(struct.pack(">iiii", IMAGES_MAGIC, -1, -1, 2) + bytes(2))
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_images(p)
+    assert str(err.value) == f"{p}: negative size -1x-1x2 in header"
+    p.write_bytes(struct.pack(">ii", LABELS_MAGIC, -1))
+    with pytest.raises(IdxFormatError) as err:
+        load_idx_labels(p)
+    assert str(err.value) == f"{p}: negative size -1 in header"
+
+
+_IDX_HEADERS = st.builds(
+    lambda magic, sizes: struct.pack(f">{1 + len(sizes)}i", magic, *sizes),
+    st.sampled_from([IMAGES_MAGIC, LABELS_MAGIC, 0, -1]),
+    st.lists(st.integers(min_value=-3, max_value=4), max_size=3),
+)
+_IDX_BYTES = st.one_of(
+    st.binary(max_size=48),
+    st.builds(operator.add, _IDX_HEADERS, st.binary(max_size=48)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(blob=_IDX_BYTES)
+def test_idx_readers_parse_or_raise_idx_format_error(tmp_path_factory, blob):
+    path = tmp_path_factory.getbasetemp() / "fuzz.idx"
+    path.write_bytes(blob)
+    try:
+        pixels = load_idx_images(path)
+    except IdxFormatError:
+        pass
+    else:
+        assert pixels.dtype == np.uint8 and pixels.tobytes() == blob[16:]
+    try:
+        labels = load_idx_labels(path)
+    except IdxFormatError:
+        pass
+    else:
+        assert labels.dtype == np.int64 and labels.tolist() == list(blob[8:])
 
 
 # --- parent partitions ------------------------------------------------------
@@ -217,6 +269,17 @@ def test_pool_to_dataset_t_star_does_not_alias_the_pool():
         pool.fine[1] = 6
         assert data.t_star[1] == 5
         pool.fine[1] = 5
+
+
+def test_pool_to_dataset_shares_the_pool_features_only_when_no_row_is_dropped():
+    fine = np.array([0, 5, 9, 3, 9, 7])
+    pool = FinePool(X=np.arange(12.0).reshape(6, 2), fine=fine)
+    whole = pool_to_dataset(pool, threshold_partition())
+    assert whole.X is pool.X and np.shares_memory(whole.X, pool.X)
+    assert not np.shares_memory(whole.t_star, pool.fine)
+    part = pool_to_dataset(pool, interparent_partition({9}))
+    assert not np.shares_memory(part.X, pool.X)
+    assert not np.shares_memory(part.t_star, pool.fine)
 
 
 def test_pool_to_dataset_identity_on_fine_labels():

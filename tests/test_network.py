@@ -365,6 +365,27 @@ def test_train_rejects_bad_labels_and_oversized_batch():
         train(model, data, TrainConfig(epochs=1, batch_size=4096, validation_size=0))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_raises_on_a_non_finite_batch_loss():
+    head = AcolHead(2, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e200, validation_size=0)
+    with pytest.raises(ValueError) as err:
+        train(model, toy_data(), cfg)
+    assert str(err.value) == "training diverged: epoch 1, batch 2 has loss nan"
+
+
+def test_train_raises_when_a_parameter_is_not_finite_after_an_epoch():
+    # a -inf bias silences its relu unit, so every batch loss stays finite
+    head = AcolHead(2, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    model.layers[0].bias[3] = -np.inf
+    cfg = TrainConfig(epochs=3, batch_size=16, validation_size=0)
+    with pytest.raises(ValueError) as err:
+        train(model, toy_data(), cfg)
+    assert str(err.value) == "training diverged: layer 1 is not finite after epoch 1"
+
+
 # --- checkpoints ------------------------------------------------------------
 
 
@@ -426,6 +447,21 @@ def test_checkpoint_rejects_nonfinite_parameters(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_non_finite_error_names_the_file_and_the_layer(tmp_path):
+    model = small_model(seed=0)
+    model.layers[1].bias[2] = np.inf
+    path = tmp_path / "inf.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: layer 2 bias contains non-finite entries"
+    model.layers[0].weights[1, 1] = np.nan
+    save_checkpoint(model, path)
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: layer 1 weights contains non-finite entries"
 
 
 def test_checkpoint_rejects_unknown_activation(tmp_path):
