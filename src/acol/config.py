@@ -156,6 +156,14 @@ class ExperimentConfig:
             raise ValueError(f"train.lr must be finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
+        groups = self.exclusion_groups()
+        if self.scenario_mode == "inter-parent" and not all(
+            5 <= digit <= 9 for group in groups for digit in group
+        ):
+            raise ValueError(
+                "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
+                f"got '{self.scenario_exclusions}'"
+            )
 
     def resolved_hidden(self) -> tuple:
         """Hidden widths, with the empty tuple meaning the per-dataset default.
@@ -186,8 +194,14 @@ class ExperimentConfig:
             part = part.strip()
             if part in ("", "none"):
                 groups.append(())
-            else:
+                continue
+            try:
                 groups.append(tuple(int(v) for v in part.split(",")))
+            except ValueError:
+                raise ValueError(
+                    "scenario.exclusions must be ';'-separated groups of comma-separated "
+                    f"integers or 'none', got '{self.scenario_exclusions}'"
+                ) from None
         return groups
 
 

@@ -11,7 +11,7 @@ IDX layout (all integers big-endian):
 
 import itertools
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -278,21 +278,14 @@ def synthetic_blobs(
     )
 
 
-def split_validation(data: LabeledDataset, size: int, seed: int):
-    """Disjoint seeded (train, validation) split; the union is the input."""
-    m = len(data)
+def split_validation(m: int, size: int, seed: int):
+    """Seeded (train, validation) index arrays over ``m`` rows.
+
+    The validation rows are the first ``size`` entries of a seeded
+    permutation and the training rows the rest, in permutation order; each
+    row lands in exactly one of the two.
+    """
     if size >= m:
         raise ValueError(f"validation size {size} must be smaller than the dataset ({m})")
     perm = np.random.default_rng(seed).permutation(m)
-    val_idx, train_idx = perm[:size], perm[size:]
-
-    def take(idx):
-        return replace(
-            data,
-            X=data.X[idx],
-            t=data.t[idx],
-            t_star=None if data.t_star is None else data.t_star[idx],
-        )
-
-    return take(train_idx), take(val_idx)
-
+    return perm[size:], perm[:size]

@@ -96,16 +96,22 @@ def _max_weight_matching(table: np.ndarray):
     return rows[order], cols[order]
 
 
-def parent_accuracy(parent_probs, t) -> float:
-    """Fraction of rows whose argmax parent (ties to lowest index) equals t."""
+def parent_hits(parent_probs, t) -> int:
+    """Number of rows whose argmax parent (ties to lowest index) equals t."""
     parent_probs = np.asarray(parent_probs, dtype=np.float64)
     t = np.asarray(t)
     if parent_probs.ndim != 2 or parent_probs.shape[0] != t.shape[0]:
         raise ValueError(
             f"probability rows {parent_probs.shape} do not match {t.shape[0]} labels"
         )
-    predicted = np.argmax(parent_probs, axis=1) + 1
-    return float(np.mean(predicted == t))
+    return int(np.count_nonzero(np.argmax(parent_probs, axis=1) + 1 == t))
+
+
+def parent_accuracy(parent_probs, t) -> float:
+    """Fraction of rows whose argmax parent (ties to lowest index) equals t;
+    NaN for no rows."""
+    hits = parent_hits(parent_probs, t)
+    return hits / len(t) if len(t) else float("nan")
 
 
 def _sq_dist_to(x: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:

@@ -82,10 +82,11 @@ def head_forward(z, head: AcolHead):
 def supervised_grad(z, t, head: AcolHead):
     """Mean negative log parent probability and its exact gradient at Z.
 
-    ``t`` holds 1-based parent labels. The returned ``(loss, d_z)`` pair
-    differentiates through the pooling sum and the softmax; rows of ``d_z``
-    sum to zero. Where the probability floor is active the loss is flat, so
-    those rows contribute zero gradient.
+    ``t`` holds 1-based parent labels. Returns ``(loss, d_z, parent_probs)``:
+    ``d_z`` differentiates through the pooling sum and the softmax, and its
+    rows sum to zero; ``parent_probs`` are the pooled probabilities of
+    ``head_forward``. Where the probability floor is active the loss is
+    flat, so those rows contribute zero gradient.
     """
     z = as_matrix(z, "Z")
     t = np.asarray(t)
@@ -110,7 +111,7 @@ def supervised_grad(z, t, head: AcolHead):
     d_probs = d_parent @ head.pooling.T
     # softmax Jacobian-vector product, row-wise
     d_z = probs * (d_probs - np.sum(probs * d_probs, axis=1, keepdims=True))
-    return loss, d_z
+    return loss, d_z, parent_probs
 
 
 def assign_annotations(z, head: AcolHead):

@@ -190,23 +190,24 @@ def backward(model: Model, caches, d_z) -> list[LayerGrads]:
 def combined_loss(model: Model, x, t, coeffs: GarCoefficients) -> float:
     """Supervised log loss plus the regularization loss on this batch."""
     _, z = forward(model, x)
-    loss, _ = supervised_grad(z, t, model.head)
+    loss, _, _ = supervised_grad(z, t, model.head)
     return loss + gar_value_and_grad(relu(z), coeffs)[0].loss
 
 
 def combined_step(model: Model, x, t, coeffs: GarCoefficients):
     """One forward/backward evaluation of the combined objective.
 
-    Returns ``(loss, grads, sup_loss, terms)`` where grads mirror the layer
-    parameters. The regularization gradient reaches Z only through the relu
-    mask.
+    Returns ``(loss, grads, sup_loss, terms, hits)`` where grads mirror the
+    layer parameters and ``hits`` counts the rows whose argmax parent under
+    the current parameters equals t. The regularization gradient reaches Z
+    only through the relu mask.
     """
     caches, z = forward(model, x)
-    sup_loss, d_z = supervised_grad(z, t, model.head)
+    sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
     terms, gar_d_z = gar_value_and_grad(relu(z), coeffs)
     d_z = d_z + gar_d_z * (z > 0)
     grads = backward(model, caches, d_z)
-    return sup_loss + terms.loss, grads, sup_loss, terms
+    return sup_loss + terms.loss, grads, sup_loss, terms, evaluation.parent_hits(parent_probs, t)
 
 
 def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
@@ -223,13 +224,18 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
     """Mini-batch SGD with momentum on the combined objective.
 
     Each epoch shuffles the training rows with the seeded stream, walks
-    batches of ``cfg.batch_size`` (final short batch included), and takes
-    one gradient step per batch. When ``cfg.validation_size`` > 0 that many
-    examples are split off (seeded) before training and the returned model
-    is the parameter snapshot from the epoch with the highest validation
-    parent accuracy (latest on ties, so the regularizers keep refining the
-    latent structure after the supervised task saturates); otherwise the
-    final epoch is kept.
+    batches of ``cfg.batch_size`` (final short batch included) gathered
+    straight from ``data.X``, and takes one gradient step per batch. When
+    ``cfg.validation_size`` > 0 that many examples are split off (seeded)
+    before training and the returned model is the parameter snapshot from
+    the epoch with the highest validation parent accuracy (latest on ties,
+    so the regularizers keep refining the latent structure after the
+    supervised task saturates); otherwise the final epoch is kept.
+
+    Like the loss columns, an epoch's ``train_parent_acc`` is a running
+    value over its batches: the share of training rows whose argmax parent,
+    under the parameters their batch was stepped from, equals t. Only the
+    validation rows get a pass of their own.
 
     Raises ``ValueError`` naming the epoch and the 1-based batch when a
     batch loss is not finite, and naming the layer when a parameter is not
@@ -243,10 +249,11 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
         raise ValueError(f"parent labels must lie in 1..{model.head.n_parents}")
 
     if cfg.validation_size > 0:
-        train_data, val_data = datasets.split_validation(data, cfg.validation_size, cfg.seed)
+        train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
+        val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
     else:
-        train_data, val_data = data, None
-    m = len(train_data)
+        train_idx, val_data = np.arange(len(data)), None
+    m = len(train_idx)
     if cfg.batch_size > m:
         raise ValueError(f"batch_size {cfg.batch_size} exceeds {m} training examples")
 
@@ -260,35 +267,41 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
     best_layers = _snapshot(model)
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(m)
+        order = train_idx[rng.permutation(m)]
         sup_sum = aff_sum = bal_sum = fro_sum = 0.0
-        for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
-            idx = order[start : start + cfg.batch_size]
-            x_b, t_b = train_data.X[idx], train_data.t[idx]
-            rows = len(idx)
-            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
-            loss, grads, sup_loss, terms = combined_step(model, x_b, t_b, scaled)
-            if not np.isfinite(loss):
-                raise ValueError(f"training diverged: epoch {epoch}, batch {batch} has loss {loss}")
-            # in place, with the rounding of v = momentum * v - lr * g
-            for layer, vel, g in zip(model.layers, velocity, grads):
-                vel.weights *= cfg.momentum
-                g.weights *= cfg.learning_rate
-                vel.weights -= g.weights
-                layer.weights += vel.weights
-                vel.bias *= cfg.momentum
-                g.bias *= cfg.learning_rate
-                vel.bias -= g.bias
-                layer.bias += vel.bias
-            sup_sum += sup_loss * rows
-            aff_sum += terms.affinity * rows
-            bal_sum += terms.balance * rows
-            fro_sum += terms.frobenius_sq  # summed over examples already
+        hits = 0
+        # a diverging step overflows; the two finiteness checks report it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
+                idx = order[start : start + cfg.batch_size]
+                rows = len(idx)
+                scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
+                loss, grads, sup_loss, terms, batch_hits = combined_step(
+                    model, data.X[idx], data.t[idx], scaled
+                )
+                if not np.isfinite(loss):
+                    raise ValueError(
+                        f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
+                    )
+                # in place, with the rounding of v = momentum * v - lr * g
+                for layer, vel, g in zip(model.layers, velocity, grads):
+                    vel.weights *= cfg.momentum
+                    g.weights *= cfg.learning_rate
+                    vel.weights -= g.weights
+                    layer.weights += vel.weights
+                    vel.bias *= cfg.momentum
+                    g.bias *= cfg.learning_rate
+                    vel.bias -= g.bias
+                    layer.bias += vel.bias
+                sup_sum += sup_loss * rows
+                aff_sum += terms.affinity * rows
+                bal_sum += terms.balance * rows
+                fro_sum += terms.frobenius_sq  # summed over examples already
+                hits += batch_hits
         for i, layer in enumerate(model.layers, start=1):
             if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise ValueError(f"training diverged: layer {i} is not finite after epoch {epoch}")
 
-        train_acc = parent_accuracy_of(model, train_data)
         val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
         records.append(
             EpochRecord(
@@ -297,7 +310,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
                 affinity=aff_sum / m,
                 balance=bal_sum / m,
                 frobenius=fro_sum / m,
-                train_parent_acc=train_acc,
+                train_parent_acc=hits / m,
                 val_parent_acc=val_acc,
             )
         )
@@ -329,6 +342,17 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
             f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
+def _header_int(path, name: str, text: str, minimum: int | None = None) -> int:
+    """One integer of a checkpoint header field; errors name the file and the field."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{path}: header field '{name}' has non-integer value '{text}'") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{path}: header field '{name}' must be >= {minimum}, got {value}")
+    return value
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
@@ -340,19 +364,25 @@ def load_checkpoint(path):
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValueError(f"{path}: missing checkpoint header terminator")
-    lines = blob[:sep].decode("ascii").splitlines()
-    if not lines or lines[0] != CHECKPOINT_TAG:
+    lines = blob[:sep].splitlines()
+    if not lines or lines[0] != CHECKPOINT_TAG.encode("ascii"):
         raise ValueError(f"{path}: not a checkpoint file (missing '{CHECKPOINT_TAG}')")
     fields = {}
     for line in lines[1:]:
-        key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
+        key, _, value = line.partition(b":")
+        name = key.strip().decode("ascii", "backslashreplace")
+        if not line.isascii():
+            raise ValueError(f"{path}: header field '{name}' is not ASCII, value {value.strip()!r}")
+        fields[name] = value.strip().decode("ascii")
     try:
-        sizes = [int(s) for s in fields["layer_sizes"].split(",")]
+        sizes = [_header_int(path, "layer_sizes", s, 1) for s in fields["layer_sizes"].split(",")]
         activations = fields["activations"].split(",")
-        head = AcolHead(n_parents=int(fields["n_parents"]), k=int(fields["k"]))
-        seed = int(fields["seed"])
-        epoch = int(fields["epoch"])
+        head = AcolHead(
+            n_parents=_header_int(path, "n_parents", fields["n_parents"], 2),
+            k=_header_int(path, "k", fields["k"], 1),
+        )
+        seed = _header_int(path, "seed", fields["seed"])
+        epoch = _header_int(path, "epoch", fields["epoch"], 0)
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint header missing field {e}") from e
     if sizes[-1] != head.n:

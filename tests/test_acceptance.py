@@ -76,7 +76,7 @@ def test_acceptance_gradients_match_central_differences():
         model, x, t, m = _smooth_instance(seed, step)
         # same per-batch scaling of the activity-size term as the trainer
         coeffs = GarCoefficients(0.1, 0.1, 0.0003 / m)
-        _, grads, _, _ = combined_step(model, x, t, coeffs)
+        _, grads, _, _, _ = combined_step(model, x, t, coeffs)
         for layer, grad in zip(model.layers, grads):
             for arr, g in ((layer.weights, grad.weights), (layer.bias, grad.bias)):
                 flat, analytic = arr.ravel(), np.asarray(g, dtype=float).ravel()

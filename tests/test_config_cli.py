@@ -138,6 +138,26 @@ def test_validate_rules():
         ("gar.c_alpha = -1", "gar.c_alpha must be finite and >= 0, got -1.0"),
         ("gar.c_beta = nan", "gar.c_beta must be finite and >= 0, got nan"),
         ("gar.c_f = inf", "gar.c_f must be finite and >= 0, got inf"),
+        (
+            "scenario.exclusions = a;b",
+            "scenario.exclusions must be ';'-separated groups of comma-separated integers "
+            "or 'none', got 'a;b'",
+        ),
+        (
+            "scenario.mode = random-partitions\nscenario.exclusions = 9;8,x",
+            "scenario.exclusions must be ';'-separated groups of comma-separated integers "
+            "or 'none', got '9;8,x'",
+        ),
+        (
+            "scenario.mode = inter-parent\nscenario.exclusions = 0,1,2,3,4",
+            "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
+            "got '0,1,2,3,4'",
+        ),
+        (
+            "scenario.mode = inter-parent\nscenario.exclusions = none;9;8,10",
+            "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
+            "got 'none;9;8,10'",
+        ),
     ]:
         with pytest.raises(ValueError) as err:
             parse_config(line + "\n")
@@ -158,6 +178,11 @@ def test_validate_rules():
     assert (cfg.separation, cfg.feature_scale, cfg.c_alpha, cfg.c_beta, cfg.c_f) == (
         1e-300, 0.0, 0.0, 0.0, 0.0
     )
+    # the 5-9 range binds only the inter-parent sweep
+    cfg = parse_config("scenario.exclusions = 0,1;none\n")
+    assert cfg.exclusion_groups() == [(0, 1), ()]
+    cfg = parse_config("scenario.mode = inter-parent\nscenario.exclusions = 5,6,7,8,9;none\n")
+    assert cfg.exclusion_groups() == [(5, 6, 7, 8, 9), ()]
 
 
 def test_exclusion_groups_parsing():
@@ -459,7 +484,6 @@ def test_cli_scoring_commands_read_only_the_test_pool(tmp_path, capsys):
     assert before["baseline"][0].startswith("baseline m=80 ")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_train_rejects_a_diverging_run(tmp_path, fast_cfg, capsys):
     cfg = tmp_path / "diverge.txt"
     cfg.write_text(fast_cfg.read_text() + "train.lr = 1e200\n")
@@ -470,3 +494,23 @@ def test_cli_train_rejects_a_diverging_run(tmp_path, fast_cfg, capsys):
     assert captured.err.splitlines()[-1] == "error: training diverged: epoch 1, batch 2 has loss nan"
     assert not (out / "model.ckpt").exists()
     assert not (out / "metrics.csv").exists()
+
+
+def test_cli_diverging_run_prints_only_the_error_line(tmp_path):
+    """numpy's overflow warnings from the diverging steps stay off stderr."""
+    cfg = tmp_path / "diverge.txt"
+    cfg.write_text(
+        "dataset.per_cluster = 60\ndataset.test_per_cluster = 20\nhead.k = 2\n"
+        "train.hidden = 32\ntrain.epochs = 3\ntrain.validation_size = 40\n"
+        "train.batch_size = 32\ntrain.lr = 1e200\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "acol.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: training diverged: epoch 1, batch 2 has loss nan\n"

@@ -366,23 +366,24 @@ def test_synthetic_blobs_rejects_bad_separation():
 
 
 def test_split_validation_partitions_dataset():
-    data = synthetic_blobs(2, 2, 25, 3, 8.0, seed=1)
-    train, val = split_validation(data, size=20, seed=3)
+    train, val = split_validation(100, size=20, seed=3)
     assert len(train) == 80 and len(val) == 20
-    combined = np.vstack([train.X, val.X])
-    assert np.array_equal(np.sort(combined, axis=0), np.sort(data.X, axis=0))
+    assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(100))
+    # validation takes the first entries of the seeded permutation
+    perm = np.random.default_rng(3).permutation(100)
+    assert np.array_equal(val, perm[:20]) and np.array_equal(train, perm[20:])
     # deterministic
-    train2, val2 = split_validation(data, size=20, seed=3)
-    assert np.array_equal(val.X, val2.X)
+    train2, val2 = split_validation(100, size=20, seed=3)
+    assert np.array_equal(train, train2) and np.array_equal(val, val2)
     # different seed shuffles differently
-    _, val3 = split_validation(data, size=20, seed=4)
-    assert not np.array_equal(val.X, val3.X)
+    _, val3 = split_validation(100, size=20, seed=4)
+    assert not np.array_equal(val, val3)
 
 
 def test_split_validation_rejects_oversize():
-    data = synthetic_blobs(2, 2, 5, 2, 8.0, seed=0)
-    with pytest.raises(ValueError, match="validation size"):
-        split_validation(data, size=len(data), seed=0)
+    with pytest.raises(ValueError) as err:
+        split_validation(20, size=20, seed=0)
+    assert str(err.value) == "validation size 20 must be smaller than the dataset (20)"
 
 
 def test_labeled_dataset_len():

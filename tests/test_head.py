@@ -88,7 +88,7 @@ def test_head_forward_rejects_wrong_width():
 def test_supervised_loss_hand_value():
     head = AcolHead(2, 1)  # k=1 reduces to plain softmax cross-entropy
     z = np.array([[np.log(3.0), 0.0]])  # probs (0.75, 0.25)
-    loss, d_z = supervised_grad(z, np.array([1]), head)
+    loss, d_z, _ = supervised_grad(z, np.array([1]), head)
     assert loss == pytest.approx(-np.log(0.75), abs=1e-12)
     # classic softmax-CE gradient: p - onehot
     assert np.allclose(d_z, np.array([[0.75 - 1.0, 0.25]]), atol=1e-12)
@@ -99,7 +99,7 @@ def test_supervised_grad_rows_sum_to_zero():
     rng = np.random.default_rng(5)
     z = rng.normal(size=(8, head.n))
     t = rng.integers(1, 4, size=8)
-    _, d_z = supervised_grad(z, t, head)
+    _, d_z, _ = supervised_grad(z, t, head)
     assert np.allclose(d_z.sum(axis=1), 0.0, atol=1e-12)
 
 
@@ -112,7 +112,7 @@ def test_supervised_grad_matches_finite_differences():
         m = int(rng.integers(2, 7))
         z = rng.normal(scale=2.0, size=(m, head.n))
         t = rng.integers(1, n_p + 1, size=m)
-        _, d_z = supervised_grad(z, t, head)
+        _, d_z, _ = supervised_grad(z, t, head)
         eps = 1e-6
         for i in range(m):
             for j in range(head.n):
@@ -120,8 +120,8 @@ def test_supervised_grad_matches_finite_differences():
                 zp[i, j] += eps
                 zm = z.copy()
                 zm[i, j] -= eps
-                lp, _ = supervised_grad(zp, t, head)
-                lm, _ = supervised_grad(zm, t, head)
+                lp, _, _ = supervised_grad(zp, t, head)
+                lm, _, _ = supervised_grad(zm, t, head)
                 fd = (lp - lm) / (2 * eps)
                 assert d_z[i, j] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
@@ -130,11 +130,11 @@ def test_supervised_grad_floor_region_is_flat():
     head = AcolHead(2, 1)
     # drive the true parent's probability far below the floor
     z = np.array([[-80.0, 80.0]])
-    loss, d_z = supervised_grad(z, np.array([1]), head)
+    loss, d_z, _ = supervised_grad(z, np.array([1]), head)
     assert loss == pytest.approx(-np.log(PROB_FLOOR), abs=1e-9)
     assert np.array_equal(d_z, np.zeros((1, 2)))
     # and stays finite / identical slightly deeper into the region
-    loss2, _ = supervised_grad(np.array([[-90.0, 90.0]]), np.array([1]), head)
+    loss2, _, _ = supervised_grad(np.array([[-90.0, 90.0]]), np.array([1]), head)
     assert loss2 == pytest.approx(loss, abs=1e-9)
 
 

@@ -1,17 +1,22 @@
 """Model init, forward/backward, training loop, checkpoint container."""
 
 import copy
+import struct
 
 import numpy as np
 import pytest
 
-from acol.datasets import split_validation, synthetic_blobs
-from acol.head import AcolHead
+from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
+from acol import network
+from acol.head import AcolHead, head_forward
 from acol.network import (
     CHECKPOINT_TAG,
     DenseLayer,
+    EpochRecord,
+    LayerGrads,
     Model,
     TrainConfig,
+    TrainReport,
     backward,
     combined_loss,
     combined_step,
@@ -166,7 +171,7 @@ def test_combined_gradient_matches_finite_differences():
         m = int(rng.integers(3, 9))
         x = rng.normal(size=(m, sizes[0]))
         t = rng.integers(1, n_p + 1, size=m)
-        _, grads, _, _ = combined_step(model, x, t, coeffs)
+        _, grads, _, _, _ = combined_step(model, x, t, coeffs)
         eps = 1e-6
         for layer, g in zip(model.layers, grads):
             for arr, garr in ((layer.weights, g.weights), (layer.bias, g.bias)):
@@ -195,8 +200,8 @@ def test_regularizer_gradient_respects_relu_mask():
     t = rng.integers(1, 3, size=6)
     caches, z = forward(model, x)
     coeffs = GarCoefficients(0.5, 0.5, 0.01)
-    _, grads_full, _, _ = combined_step(model, x, t, coeffs)
-    _, grads_sup, _, _ = combined_step(model, x, t, GarCoefficients(0.0, 0.0, 0.0))
+    _, grads_full, _, _, _ = combined_step(model, x, t, coeffs)
+    _, grads_sup, _, _, _ = combined_step(model, x, t, GarCoefficients(0.0, 0.0, 0.0))
     # reconstruct d_z difference through the single linear layer: columns of
     # the weight gradient difference are x^T @ (masked gar grad); entries of
     # the gar grad at z <= 0 contribute nothing
@@ -269,7 +274,7 @@ def _out_of_place_momentum_replay(model, data, cfg):
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / len(idx))
-            _, grads, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
             for i, (layer, g) in enumerate(zip(replay.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
                 v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
@@ -299,7 +304,7 @@ def test_train_momentum_zero_equals_plain_sgd():
             idx = order[start : start + cfg.batch_size]
             rows = len(idx)
             scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
-            _, grads, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
             for layer, g in zip(replay.layers, grads):
                 layer.weights += -cfg.learning_rate * g.weights
                 layer.bias += -cfg.learning_rate * g.bias
@@ -338,8 +343,158 @@ def test_train_restores_best_validation_snapshot():
     # latest epoch achieving the maximum
     assert report.selected_epoch == len(val_accs) - val_accs[::-1].index(best)
     # restored parameters actually score that accuracy on the same split
-    _, val_data = split_validation(data, cfg.validation_size, cfg.seed)
+    _, val_idx = split_validation(len(data), cfg.validation_size, cfg.seed)
+    val_data = LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
     assert parent_accuracy_of(model, val_data) == pytest.approx(best, abs=1e-12)
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _replayed_train_parent_accs(model, data, cfg):
+    """Per-epoch correct-parent shares of the batches, each counted by its
+    own evaluation forward under the parameters the batch is stepped from;
+    the steps are replayed out of place."""
+    replay = copy.deepcopy(model)
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in replay.layers]
+    rows = np.arange(len(data))
+    if cfg.validation_size > 0:
+        rows = np.random.default_rng(cfg.seed).permutation(len(data))[cfg.validation_size :]
+    rng = np.random.default_rng(cfg.seed)
+    accs = []
+    for _ in range(cfg.epochs):
+        order = rows[rng.permutation(len(rows))]
+        hits = 0
+        for start in range(0, len(rows), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            _, _, parent_probs = head_forward(infer(replay, data.X[idx]), replay.head)
+            hits += int(np.sum(np.argmax(parent_probs, axis=1) + 1 == data.t[idx]))
+            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / len(idx))
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            for i, (layer, g) in enumerate(zip(replay.layers, grads)):
+                v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
+                v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
+                velocity[i] = (v_w, v_b)
+                layer.weights += v_w
+                layer.bias += v_b
+        accs.append(hits / len(rows))
+    return accs
+
+
+@pytest.mark.parametrize("validation_size", [0, 20])
+def test_train_parent_acc_is_the_running_pre_step_share(validation_size):
+    data = toy_data(seed=9)  # 120 rows: batches of 16 end on a short one either way
+    head = AcolHead(2, 2)
+    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                      seed=4, validation_size=validation_size)
+    assert (len(data) - validation_size) % cfg.batch_size != 0
+    model = init_model([4, 8, head.n], head, seed=4)
+    expected = _replayed_train_parent_accs(model, data, cfg)
+
+    _, report = train(model, data, cfg)
+
+    assert [r.train_parent_acc for r in report.records] == expected
+    assert len(set(expected)) > 1
+
+
+def _frozen_train(model, data, cfg):
+    """The training loop as it was when the training accuracy came from a
+    second pass over a copied training part after each epoch; kept to check
+    that the one-pass loop steps the same parameters."""
+    if cfg.validation_size > 0:
+        perm = np.random.default_rng(cfg.seed).permutation(len(data))
+        val_idx, train_idx = perm[: cfg.validation_size], perm[cfg.validation_size :]
+        train_data = LabeledDataset(X=data.X[train_idx], t=data.t[train_idx])
+        val_data = LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
+    else:
+        train_data, val_data = data, None
+    m = len(train_data)
+    rng = np.random.default_rng(cfg.seed)
+    velocity = [
+        LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
+    ]
+    records = []
+    best_acc, best_epoch, best_layers = -np.inf, 0, copy.deepcopy(model.layers)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(m)
+        sup_sum = aff_sum = bal_sum = fro_sum = 0.0
+        for start in range(0, m, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x_b, t_b = train_data.X[idx], train_data.t[idx]
+            rows = len(idx)
+            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
+            _, grads, sup_loss, terms, _ = combined_step(model, x_b, t_b, scaled)
+            for layer, vel, g in zip(model.layers, velocity, grads):
+                vel.weights *= cfg.momentum
+                g.weights *= cfg.learning_rate
+                vel.weights -= g.weights
+                layer.weights += vel.weights
+                vel.bias *= cfg.momentum
+                g.bias *= cfg.learning_rate
+                vel.bias -= g.bias
+                layer.bias += vel.bias
+            sup_sum += sup_loss * rows
+            aff_sum += terms.affinity * rows
+            bal_sum += terms.balance * rows
+            fro_sum += terms.frobenius_sq
+        train_acc = parent_accuracy_of(model, train_data)
+        val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
+        records.append(EpochRecord(epoch, sup_sum / m, aff_sum / m, bal_sum / m, fro_sum / m,
+                                   train_acc, val_acc))
+        if val_data is not None:
+            if val_acc >= best_acc:
+                best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
+        else:
+            best_epoch, best_layers = epoch, copy.deepcopy(model.layers)
+    model.layers = best_layers
+    return model, TrainReport(records=records, selected_epoch=best_epoch)
+
+
+@pytest.mark.parametrize(
+    "sizes, validation_size, batch_size",
+    [
+        ((4, 8, 4), 20, 16),       # relu, linear; short final batch
+        ((4, 8, 4), 0, 16),
+        ((4, 6, 8, 4), 24, 32),    # relu, relu, linear
+        ((4, 4), 20, 25),          # a single linear layer
+    ],
+)
+def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch_size):
+    data = toy_data(seed=2)
+    head = AcolHead(2, 2)
+    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=0.9,
+                      seed=3, validation_size=validation_size)
+    model = init_model(list(sizes), head, seed=3)
+    frozen, frozen_report = _frozen_train(copy.deepcopy(model), data, cfg)
+
+    model, report = train(model, data, cfg)
+
+    assert report.selected_epoch == frozen_report.selected_epoch
+    for la, lb in zip(model.layers, frozen.layers):
+        assert la.activation == lb.activation
+        assert np.array_equal(la.weights, lb.weights)
+        assert np.array_equal(la.bias, lb.bias)
+    fields = ("epoch", "sup_loss", "affinity", "balance", "frobenius", "val_parent_acc")
+    for new, old in zip(report.records, frozen_report.records, strict=True):
+        for name in fields:
+            assert _bits(getattr(new, name)) == _bits(getattr(old, name)), name
+
+
+@pytest.mark.parametrize("validation_size", [0, 20])
+def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
+    evaluated = []
+
+    def counting(model, data):
+        evaluated.append(len(data))
+        return parent_accuracy_of(model, data)
+
+    monkeypatch.setattr(network, "parent_accuracy_of", counting)
+    head = AcolHead(2, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    cfg = TrainConfig(epochs=5, batch_size=16, seed=0, validation_size=validation_size)
+    train(model, toy_data(), cfg)
+    assert sum(evaluated) == cfg.epochs * validation_size
 
 
 def test_train_config_validation():
@@ -365,7 +520,6 @@ def test_train_rejects_bad_labels_and_oversized_batch():
         train(model, data, TrainConfig(epochs=1, batch_size=4096, validation_size=0))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_raises_on_a_non_finite_batch_loss():
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=0)
@@ -474,3 +628,29 @@ def test_checkpoint_rejects_unknown_activation(tmp_path):
     bad.write_bytes(blob.replace(b"activations: relu,linear\n", b"activations: relu,lineax\n", 1))
     with pytest.raises(ValueError, match=r"lineax\.ckpt: .*'activations'.*'lineax'"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        (b"k: 2\n", b"k: x\n", "header field 'k' has non-integer value 'x'"),
+        (b"k: 2\n", b"k: 0\n", "header field 'k' must be >= 1, got 0"),
+        (b"n_parents: 2\n", b"n_parents: 1\n", "header field 'n_parents' must be >= 2, got 1"),
+        (b"layer_sizes: 3,5,4\n", b"layer_sizes: \n",
+         "header field 'layer_sizes' has non-integer value ''"),
+        (b"layer_sizes: 3,5,4\n", b"layer_sizes: 3,0,4\n",
+         "header field 'layer_sizes' must be >= 1, got 0"),
+        (b"seed: 0\n", b"seed: 0\xe9\n", "header field 'seed' is not ASCII, value b'0\\xe9'"),
+        (b"epoch: 0\n", b"epoch: -1\n", "header field 'epoch' must be >= 0, got -1"),
+    ],
+)
+def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, bad, message):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    blob = path.read_bytes()
+    assert line in blob
+    path.write_bytes(blob.replace(line, bad, 1))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {message}"
+
