@@ -25,7 +25,6 @@ from . import datasets, evaluation, network
 from .config import ExperimentConfig, load_config, save_config
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
-from .regularizers import GarCoefficients
 
 # Test-noise stream for synthetic data; keeps test blobs disjoint from
 # training blobs while sharing the same (deterministic) centers.
@@ -97,17 +96,7 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
     """
     head = AcolHead(cfg.n_parents, cfg.k)
     sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
-    model = network.init_model(sizes, head, seed)
-    tcfg = network.TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        gar=GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f),
-        seed=seed,
-        validation_size=cfg.validation_size,
-    )
-    return network.train(model, data, tcfg)
+    return network.train(network.init_model(sizes, head, seed), data, replace(cfg, seed=seed))
 
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
@@ -166,10 +155,8 @@ def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     train_pool, test_pool = load_pools(cfg)
     partition = default_partition(cfg)
-    train_data = pool_to_dataset(train_pool, partition, meta="train")
-    eval_data = (
-        pool_to_dataset(test_pool, partition, meta="test") if test_pool is not None else train_data
-    )
+    train_data = pool_to_dataset(train_pool, partition)
+    eval_data = pool_to_dataset(test_pool, partition) if test_pool is not None else train_data
 
     model, report = fit(cfg, train_data, cfg.seed)
     network.save_checkpoint(model, out / "model.ckpt", epoch=report.selected_epoch)
@@ -197,7 +184,7 @@ def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
     return summary
 
 
-def _eval_inputs(cfg: ExperimentConfig, checkpoint_path, meta: str):
+def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
@@ -214,12 +201,12 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path, meta: str):
                 f"config (n_p={cfg.n_parents}, k={cfg.k})"
             )
     pool = load_pool(cfg, test=has_test_pool(cfg))
-    return model, epoch, pool_to_dataset(pool, default_partition(cfg), meta=meta)
+    return model, epoch, pool_to_dataset(pool, default_partition(cfg))
 
 
 def run_eval(cfg: ExperimentConfig, checkpoint_path, out_dir=None, quiet: bool = False) -> dict:
     """Score a saved checkpoint on the configured dataset."""
-    model, epoch, data = _eval_inputs(cfg, checkpoint_path, "eval")
+    model, epoch, data = _eval_inputs(cfg, checkpoint_path)
     result = score(model, data)
     summary = {"checkpoint_epoch": epoch, "m": result["m"], "parent_acc": result["parent_acc"]}
     if "acc" in result:
@@ -259,8 +246,8 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
     rows = []
     for index, partition in enumerate(partitions):
         seed = cfg.seed + index
-        train_data = pool_to_dataset(train_pool, partition, meta=f"scenario {index}")
-        eval_data = pool_to_dataset(eval_pool, partition, meta=f"scenario {index} eval")
+        train_data = pool_to_dataset(train_pool, partition)
+        eval_data = pool_to_dataset(eval_pool, partition)
         model, _ = fit(cfg, train_data, seed)
         result = score(model, eval_data)
         baseline_nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, seed=seed)
@@ -317,7 +304,7 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
 
 def run_baseline(cfg: ExperimentConfig, quiet: bool = False) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
-    _, _, data = _eval_inputs(cfg, None, "baseline")
+    _, _, data = _eval_inputs(cfg, None)
     nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
     summary = {"m": len(data), "k": cfg.k, "acc": acc}
@@ -336,7 +323,7 @@ def run_export_graph(
     quiet: bool = False,
 ) -> dict:
     """Edge list of the similarity graph on the first ``limit`` eval rows."""
-    model, _, data = _eval_inputs(cfg, checkpoint_path, "graph export")
+    model, _, data = _eval_inputs(cfg, checkpoint_path)
     take = min(limit, len(data))
     activities, _, parent_probs = head_forward(network.infer(model, data.X[:take]), model.head)
     rows = activities if source == "activities" else parent_probs

@@ -17,7 +17,7 @@ Keys (defaults in parentheses):
     dataset.feature_scale (0)       multiply features by this before training;
                                     0 = auto (0.32 synthetic, 1.0 idx)
     partition.type (threshold)      threshold | random  (idx datasets)
-    partition.threshold (5)         digits below -> parent 1, rest -> parent 2
+    partition.threshold (5)         1..9: digits below -> parent 1, rest -> parent 2
     head.n_p (2)                    parent-class count
     head.k (3)                      softmax duplicates per parent
     gar.c_alpha (0.1)  gar.c_beta (0.1)  gar.c_f (0.0003)
@@ -133,8 +133,11 @@ class ExperimentConfig:
             raise ValueError("idx datasets need dataset.images and dataset.labels paths")
         if self.partition_type not in ("threshold", "random"):
             raise ValueError(f"partition.type must be 'threshold' or 'random', got '{self.partition_type}'")
-        if self.dataset_type == "idx" and self.partition_type == "threshold" and self.n_parents != 2:
-            raise ValueError("a threshold partition produces 2 parents; set head.n_p = 2")
+        if self.dataset_type == "idx" and self.partition_type == "threshold":
+            if self.n_parents != 2:
+                raise ValueError("a threshold partition produces 2 parents; set head.n_p = 2")
+            if not 1 <= self.partition_threshold <= 9:
+                raise ValueError(f"partition.threshold must be in 1..9, got {self.partition_threshold}")
         if self.scenario_mode not in ("single", "random-partitions", "inter-parent"):
             raise ValueError(f"unknown scenario.mode '{self.scenario_mode}'")
         attrs = {key: attr for key, attr, _ in _KEYS}

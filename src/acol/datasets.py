@@ -45,7 +45,6 @@ class LabeledDataset:
     X: np.ndarray                 # float64, (m, d), values in [0, 1] for image data
     t: np.ndarray                 # int64, (m,)
     t_star: np.ndarray | None = None
-    meta: str = ""
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -74,10 +73,6 @@ class ParentPartition:
         retained = {f: p for f, p in self.mapping.items() if f not in self.exclude}
         if len(set(retained.values())) < 2:
             raise ValueError("partition must map retained fine labels onto at least 2 parents")
-
-    @property
-    def n_parents(self) -> int:
-        return max(p for f, p in self.mapping.items() if f not in self.exclude)
 
     def describe(self) -> str:
         groups: dict[int, list[int]] = {}
@@ -194,7 +189,7 @@ def interparent_partition(dropped=()) -> ParentPartition:
     )
 
 
-def pool_to_dataset(pool: FinePool, partition: ParentPartition, meta: str = "") -> LabeledDataset:
+def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDataset:
     """Label a fine-labeled pool with parents under ``partition``.
 
     Excluded fine labels are dropped; any other unmapped fine label is an
@@ -212,7 +207,7 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition, meta: str = "") 
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
     parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
-    return LabeledDataset(X=X, t=parents[inverse], t_star=fine, meta=meta)
+    return LabeledDataset(X=X, t=parents[inverse], t_star=fine)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:
@@ -261,8 +256,6 @@ def synthetic_blobs(
     clusters over parents by the head's node-to-parent rule (cluster c ->
     parent ``(c-1) % n_parents + 1``, see ``node_to_parent_sub``).
     """
-    if separation <= 0:
-        raise ValueError("separation must be positive")
     count = n_parents * k
     if dim >= count:
         centers = _simplex_centers(count, dim, separation)
@@ -274,7 +267,6 @@ def synthetic_blobs(
         X=centers[t_star - 1] + noise,
         t=node_to_parent_sub(t_star, n_parents)[0],
         t_star=t_star,
-        meta=f"synthetic blobs {n_parents}x{k}, dim {dim}, separation {separation}, seed {seed}",
     )
 
 

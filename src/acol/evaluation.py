@@ -194,7 +194,7 @@ def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int
     return best_labels + 1
 
 
-def kmeans_per_parent(x, t, k: int, seed: int = 0, **kwargs):
+def kmeans_per_parent(x, t, k: int, seed: int = 0):
     """Baseline matching the comparison protocol: cluster within each parent.
 
     The data is pre-divided by the provided parent labels, each subset is
@@ -206,7 +206,7 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, **kwargs):
     combined = np.zeros(len(t), dtype=np.int64)
     for i, parent in enumerate(np.unique(t)):
         idx = np.nonzero(t == parent)[0]
-        local = kmeans(x[idx], k, seed=seed + i, **kwargs)
+        local = kmeans(x[idx], k, seed=seed + i)
         combined[idx] = (int(parent) - 1) * k + local
     return combined
 

@@ -20,28 +20,32 @@ from .linalg import as_matrix, relu, softmax_rows
 PROB_FLOOR = 1e-12
 
 
+def _check_head(n_parents: int, k: int) -> None:
+    if n_parents < 2:
+        raise ValueError(f"need at least 2 parent classes, got {n_parents}")
+    if k < 1:
+        raise ValueError(f"clustering coefficient k must be >= 1, got {k}")
+
+
 def build_pooling(n_parents: int, k: int) -> np.ndarray:
     """Fixed n x n_parents pooling matrix: k stacked identity blocks.
 
     Every row has exactly one 1; every column sums to k. Never updated by
     training.
     """
-    if n_parents < 2:
-        raise ValueError(f"need at least 2 parent classes, got {n_parents}")
-    if k < 1:
-        raise ValueError(f"clustering coefficient k must be >= 1, got {k}")
+    _check_head(n_parents, k)
     return np.tile(np.eye(n_parents), (k, 1))
 
 
 @dataclass(frozen=True)
 class AcolHead:
-    """Head configuration: parent count and duplicates per parent."""
+    """Parent count and duplicates per parent; ``pooling`` is built on first use."""
 
     n_parents: int
     k: int
 
     def __post_init__(self):
-        build_pooling(self.n_parents, self.k)  # reuse its validation
+        _check_head(self.n_parents, self.k)
 
     @property
     def n(self) -> int:

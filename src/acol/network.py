@@ -18,11 +18,12 @@ one per layer in order, weights (row-major) then bias.
 
 import copy
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import datasets, evaluation
+from .config import ExperimentConfig
 from .head import AcolHead, head_forward, supervised_grad
 from .linalg import as_matrix, relu, require_finite
 from .regularizers import GarCoefficients, gar_value_and_grad
@@ -53,27 +54,6 @@ class Model:
 class LayerGrads:
     weights: np.ndarray
     bias: np.ndarray
-
-
-@dataclass
-class TrainConfig:
-    epochs: int
-    batch_size: int = 128
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    gar: GarCoefficients = field(default_factory=GarCoefficients)
-    seed: int = 0
-    validation_size: int = 1000
-
-    def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2; the regularizers are batch statistics")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.validation_size < 0:
-            raise ValueError("validation_size must be >= 0")
 
 
 @dataclass
@@ -220,9 +200,11 @@ def _snapshot(model: Model) -> list[DenseLayer]:
     return copy.deepcopy(model.layers)
 
 
-def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
+def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     """Mini-batch SGD with momentum on the combined objective.
 
+    ``cfg`` is validated first, so a bad value is reported under its config
+    key; its ``train.*`` and ``gar.*`` values and its seed drive the run.
     Each epoch shuffles the training rows with the seeded stream, walks
     batches of ``cfg.batch_size`` (final short batch included) gathered
     straight from ``data.X``, and takes one gradient step per batch. When
@@ -237,16 +219,21 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
     under the parameters their batch was stepped from, equals t. Only the
     validation rows get a pass of their own.
 
-    Raises ``ValueError`` naming the epoch and the 1-based batch when a
-    batch loss is not finite, and naming the layer when a parameter is not
-    finite after an epoch.
+    Raises ``ValueError`` when a parent of the model's head has no row,
+    naming the epoch and the 1-based batch when a batch loss is not finite,
+    and naming the layer when a parameter is not finite after an epoch.
 
     Returns ``(model, report)``; the given model is updated in place.
     """
+    cfg.validate()
+    n_p = model.head.n_parents
     if len(data) == 0:
         raise ValueError("empty dataset")
-    if data.t.min() < 1 or data.t.max() > model.head.n_parents:
-        raise ValueError(f"parent labels must lie in 1..{model.head.n_parents}")
+    if data.t.min() < 1 or data.t.max() > n_p:
+        raise ValueError(f"parent labels must lie in 1..{n_p}")
+    empty = np.flatnonzero(np.bincount(data.t, minlength=n_p + 1)[1:] == 0)
+    if empty.size:
+        raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no rows")
 
     if cfg.validation_size > 0:
         train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
@@ -275,7 +262,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: TrainConfig):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
                 rows = len(idx)
-                scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
+                scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
                 loss, grads, sup_loss, terms, batch_hits = combined_step(
                     model, data.X[idx], data.t[idx], scaled
                 )

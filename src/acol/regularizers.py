@@ -32,12 +32,6 @@ class GarCoefficients:
     c_beta: float = 0.1
     c_f: float = 0.0003
 
-    def __post_init__(self):
-        for name in ("c_alpha", "c_beta", "c_f"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
 
 @dataclass(frozen=True)
 class GarTerms:

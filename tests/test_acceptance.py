@@ -169,8 +169,8 @@ def test_acceptance_matching_accuracy_equals_exhaustive():
 def _fit_and_score(cfg: ExperimentConfig, partition, seed: int):
     """Train with ``cli.fit`` on the train pool; score on the test pool."""
     train_pool, test_pool = cli.load_pools(cfg)
-    train_data = pool_to_dataset(train_pool, partition, meta="train")
-    test_data = pool_to_dataset(test_pool, partition, meta="test")
+    train_data = pool_to_dataset(train_pool, partition)
+    test_data = pool_to_dataset(test_pool, partition)
     model, _ = cli.fit(cfg, train_data, seed)
     return cli.score(model, test_data), test_data
 

@@ -2,12 +2,15 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acol import cli
 from acol.config import (
@@ -49,6 +52,8 @@ def fast_cfg(tmp_path):
 
 
 # --- config format ----------------------------------------------------------
+
+IDX_THRESHOLD = "dataset.type = idx\ndataset.images = a\ndataset.labels = b\npartition.type = threshold\n"
 
 
 def test_parse_defaults_and_overrides():
@@ -158,6 +163,10 @@ def test_validate_rules():
             "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
             "got 'none;9;8,10'",
         ),
+        (IDX_THRESHOLD + "partition.threshold = 0", "partition.threshold must be in 1..9, got 0"),
+        (IDX_THRESHOLD + "partition.threshold = 10", "partition.threshold must be in 1..9, got 10"),
+        (IDX_THRESHOLD + "partition.threshold = 99", "partition.threshold must be in 1..9, got 99"),
+        (IDX_THRESHOLD + "partition.threshold = -3", "partition.threshold must be in 1..9, got -3"),
     ]:
         with pytest.raises(ValueError) as err:
             parse_config(line + "\n")
@@ -183,6 +192,42 @@ def test_validate_rules():
     assert cfg.exclusion_groups() == [(0, 1), ()]
     cfg = parse_config("scenario.mode = inter-parent\nscenario.exclusions = 5,6,7,8,9;none\n")
     assert cfg.exclusion_groups() == [(5, 6, 7, 8, 9), ()]
+    # partition.threshold binds only the threshold partition of idx data
+    for threshold in (1, 9):
+        cfg = parse_config(IDX_THRESHOLD + f"partition.threshold = {threshold}\n")
+        assert cfg.partition_threshold == threshold
+    for text in (IDX_THRESHOLD.replace("threshold", "random"), ""):
+        assert parse_config(text + "partition.threshold = 0\n").partition_threshold == 0
+
+
+CONFIG_KEYS = [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()]
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers(min_value=-(10**20), max_value=10**20).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["idx", "threshold", "random", "inter-parent", "none;9;8,9", "16,0", ""]),
+)
+_CONFIG_LINES = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        lambda key, sep, value: f"{key}{sep}{value}",
+        st.sampled_from(CONFIG_KEYS),
+        st.sampled_from([" = ", "=", " "]),
+        _CONFIG_VALUES,
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(text=st.lists(_CONFIG_LINES, max_size=6).map("\n".join))
+def test_config_parser_parses_or_names_the_line_or_the_key(text):
+    try:
+        cfg = parse_config(text)
+    except ValueError as err:
+        message = str(err)
+        assert re.match(r"line \d+: ", message) or any(k in message for k in CONFIG_KEYS), message
+    else:
+        assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_exclusion_groups_parsing():
@@ -431,6 +476,32 @@ def _idx_config(tmp_path, train_pair, test_pair=None):
     path = tmp_path / "idx.cfg"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+@pytest.mark.parametrize(
+    "command, lines, message",
+    [
+        ("train", "head.n_p = 11\n", "head.n_p = 11, but parent 11 has no rows"),
+        ("scenarios", "head.n_p = 3\nscenario.mode = inter-parent\n",
+         "head.n_p = 3, but parent 3 has no rows"),
+    ],
+)
+def test_cli_rejects_a_head_parent_without_rows(tmp_path, capsys, command, lines, message):
+    rng = np.random.default_rng(4)
+    write_idx_images(rng.integers(0, 256, size=(80, 2, 2), dtype=np.uint8), tmp_path / "imgs.idx")
+    write_idx_labels(np.tile(np.arange(10, dtype=np.uint8), 8), tmp_path / "labs.idx")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        f"dataset.type = idx\ndataset.images = {tmp_path / 'imgs.idx'}\n"
+        f"dataset.labels = {tmp_path / 'labs.idx'}\npartition.type = random\n"
+        "train.epochs = 1\ntrain.batch_size = 16\ntrain.validation_size = 20\n" + lines
+    )
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (out / "model.ckpt").exists() and not (out / "scenarios.csv").exists()
 
 
 def test_load_pools_are_read_only_and_shared_by_datasets(tmp_path, fast_cfg):

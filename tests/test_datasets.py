@@ -183,7 +183,6 @@ def test_idx_readers_parse_or_raise_idx_format_error(tmp_path_factory, blob):
 
 def test_threshold_partition_default():
     p = threshold_partition()
-    assert p.n_parents == 2
     for d in range(10):
         assert p.mapping[d] == (1 if d < 5 else 2)
     assert p.exclude == frozenset()
@@ -355,11 +354,6 @@ def test_synthetic_blobs_deterministic_per_seed():
     c = synthetic_blobs(2, 2, 10, 3, 6.0, seed=6)
     assert np.array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
-
-
-def test_synthetic_blobs_rejects_bad_separation():
-    with pytest.raises(ValueError, match="separation"):
-        synthetic_blobs(2, 2, 5, 2, 0.0, seed=0)
 
 
 # --- validation split -------------------------------------------------------

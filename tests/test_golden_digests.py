@@ -1,0 +1,151 @@
+"""Golden sha256 digests of every artifact and stdout of two CLI sessions.
+
+The sessions are the default synthetic run (``train --seed 1``, then
+``eval`` and ``export-graph``) and a few-hundred-row session on generated
+digits (``bench/digits.write_pair``: train, eval, export-graph,
+inter-parent scenarios, baseline). Each file the commands write and each
+command's stdout is hashed with the session's temp dir replaced by a fixed
+token, and the hashes are compared with ``golden_digests.json``.
+
+The bits depend on the BLAS kernel, so the table is keyed by the OpenBLAS
+core name and the numpy version; on a key the table lacks, the test skips
+and names the key. A change that alters bits on purpose regenerates the
+entry of the current key with
+
+    python3 tests/test_golden_digests.py --write
+"""
+
+import contextlib
+import ctypes
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = Path(__file__).resolve().parent / "golden_digests.json"
+TOKEN = b"<TMP>"
+
+DIGITS_ROWS = (600, 200)  # generated (train, test) digits
+DIGITS_CONFIG = {
+    "dataset.type": "idx",
+    "partition.type": "threshold",
+    "partition.threshold": "5",
+    "head.n_p": "2",
+    "head.k": "5",
+    "train.epochs": "2",
+    "train.validation_size": "100",
+    "scenario.mode": "inter-parent",
+    "seed": "7",
+}
+
+
+def blas_key() -> str:
+    """``<OpenBLAS core name>/numpy-<version>`` of numpy's bundled OpenBLAS."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    core = "unknown-blas"
+    if libs:
+        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        get.restype = ctypes.c_char_p
+        core = get().decode("ascii")
+    return f"{core}/numpy-{np.__version__}"
+
+
+def _write_config(path: Path, entries: dict) -> str:
+    path.write_text("".join(f"{key} = {value}\n" for key, value in entries.items()))
+    return str(path)
+
+
+def _run_session(work: Path, commands) -> dict:
+    """Run ``(label, argv)`` commands in-process; sha256 of stdout and files."""
+    from acol import cli
+
+    token = str(work).encode()
+    digests = {}
+    for label, argv in commands:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0, label
+        digests[f"stdout:{label}"] = stdout.getvalue().encode()
+    for path in sorted((work / "out").rglob("*")):
+        if path.is_file():
+            digests[str(path.relative_to(work))] = path.read_bytes()
+    return {
+        name: hashlib.sha256(data.replace(token, TOKEN)).hexdigest()
+        for name, data in digests.items()
+    }
+
+
+def _commands(config: str, out: Path, names, seed_args=()):
+    ckpt = str(out / "train" / "model.ckpt")
+    extra = {"eval": ["--checkpoint", ckpt], "export-graph": ["--checkpoint", ckpt]}
+    return [
+        (name, [name, "--config", config, "--out", str(out / name), *seed_args, *extra.get(name, [])])
+        for name in names
+    ]
+
+
+def synthetic_session(work: Path) -> dict:
+    config = _write_config(work / "config.txt", {})
+    names = ("train", "eval", "export-graph")
+    return _run_session(work, _commands(config, work / "out", names, ("--seed", "1")))
+
+
+def digits_session(work: Path) -> dict:
+    spec = importlib.util.spec_from_file_location("bench_digits", ROOT / "bench" / "digits.py")
+    digits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digits)
+    rng = np.random.default_rng(7)
+    entries = dict(DIGITS_CONFIG)
+    pairs = (("train", "dataset.images", "dataset.labels"),
+             ("t10k", "dataset.test_images", "dataset.test_labels"))
+    for (stem, *keys), count in zip(pairs, DIGITS_ROWS):
+        entries.update(zip(keys, digits.write_pair(count, rng, str(work / stem))))
+    config = _write_config(work / "config.txt", entries)
+    names = ("train", "eval", "export-graph", "scenarios", "baseline")
+    return _run_session(work, _commands(config, work / "out", names))
+
+
+SESSIONS = {"synthetic": synthetic_session, "digits": digits_session}
+
+
+def _table() -> dict:
+    return json.loads(TABLE.read_text()) if TABLE.exists() else {}
+
+
+@pytest.mark.parametrize("session", sorted(SESSIONS))
+def test_artifacts_match_the_golden_digests(tmp_path, session):
+    key = blas_key()
+    expected = _table().get(key, {}).get(session)
+    if expected is None:
+        pytest.skip(f"no golden digests for key '{key}'; run tests/test_golden_digests.py --write")
+    got = SESSIONS[session](tmp_path)
+    changed = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
+    assert changed == []
+
+
+def main(argv) -> int:
+    if argv != ["--write"]:
+        print("usage: python3 tests/test_golden_digests.py --write", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(ROOT / "src"))
+    table = _table()
+    key = blas_key()
+    entry = {}
+    for name, session in sorted(SESSIONS.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            entry[name] = session(Path(tmp))
+    table[key] = entry
+    TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, entry.values()))} digests for key '{key}' to {TABLE.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

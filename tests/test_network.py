@@ -5,7 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from acol.config import ExperimentConfig
 from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
 from acol import network
 from acol.head import AcolHead, head_forward
@@ -15,7 +18,6 @@ from acol.network import (
     EpochRecord,
     LayerGrads,
     Model,
-    TrainConfig,
     TrainReport,
     backward,
     combined_loss,
@@ -225,8 +227,8 @@ def test_train_learns_separable_parents():
     data = toy_data()
     head = AcolHead(2, 2)
     model = init_model([4, 16, head.n], head, seed=0)
-    cfg = TrainConfig(epochs=15, batch_size=16, learning_rate=0.02, momentum=0.9,
-                      seed=0, validation_size=20)
+    cfg = ExperimentConfig(epochs=15, batch_size=16, learning_rate=0.02, momentum=0.9,
+                           seed=0, validation_size=20)
     model, report = train(model, data, cfg)
     assert parent_accuracy_of(model, data) >= 0.95
     assert len(report.records) == 15
@@ -238,8 +240,8 @@ def test_train_zero_epochs_keeps_initial_parameters():
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=1)
     before = copy.deepcopy(model.layers)
-    model, report = train(model, data, TrainConfig(epochs=0, batch_size=16, seed=0,
-                                                   validation_size=20))
+    model, report = train(model, data, ExperimentConfig(epochs=0, batch_size=16, seed=0,
+                                                        validation_size=20))
     assert report.records == []
     assert report.selected_epoch == 0
     for la, lb in zip(model.layers, before):
@@ -252,8 +254,8 @@ def test_train_is_deterministic():
     runs = []
     for _ in range(2):
         model = init_model([4, 8, head.n], head, seed=2)
-        model, report = train(model, data, TrainConfig(epochs=5, batch_size=16, seed=2,
-                                                       validation_size=20))
+        model, report = train(model, data, ExperimentConfig(epochs=5, batch_size=16, seed=2,
+                                                            validation_size=20))
         runs.append((model, report))
     (m1, r1), (m2, r2) = runs
     for la, lb in zip(m1.layers, m2.layers):
@@ -273,7 +275,7 @@ def _out_of_place_momentum_replay(model, data, cfg):
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / len(idx))
+            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / len(idx))
             _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
             for i, (layer, g) in enumerate(zip(replay.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
@@ -288,8 +290,8 @@ def test_train_momentum_zero_equals_plain_sgd():
     """Independent plain-SGD replay must match train() exactly at momentum 0."""
     data = toy_data(seed=3)
     head = AcolHead(2, 2)
-    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=0.05, momentum=0.0,
-                      seed=7, validation_size=0)
+    cfg = ExperimentConfig(epochs=3, batch_size=16, learning_rate=0.05, momentum=0.0,
+                           seed=7, validation_size=0)
     model = init_model([4, 8, head.n], head, seed=7)
     replay = copy.deepcopy(model)
     with_velocity = _out_of_place_momentum_replay(model, data, cfg)
@@ -303,7 +305,7 @@ def test_train_momentum_zero_equals_plain_sgd():
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             rows = len(idx)
-            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
+            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
             _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
             for layer, g in zip(replay.layers, grads):
                 layer.weights += -cfg.learning_rate * g.weights
@@ -320,8 +322,8 @@ def test_train_momentum_update_equals_out_of_place_reference():
     """The in-place momentum update rounds exactly like v = mu*v - lr*g."""
     data = toy_data(seed=6)
     head = AcolHead(2, 2)
-    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
-                      seed=8, validation_size=0)
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=8, validation_size=0)
     model = init_model([4, 8, head.n], head, seed=8)
     replay = _out_of_place_momentum_replay(model, data, cfg)
 
@@ -336,7 +338,7 @@ def test_train_restores_best_validation_snapshot():
     data = toy_data(seed=4)
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=5)
-    cfg = TrainConfig(epochs=8, batch_size=16, seed=5, validation_size=24)
+    cfg = ExperimentConfig(epochs=8, batch_size=16, seed=5, validation_size=24)
     model, report = train(model, data, cfg)
     val_accs = [r.val_parent_acc for r in report.records]
     best = max(val_accs)
@@ -370,7 +372,7 @@ def _replayed_train_parent_accs(model, data, cfg):
             idx = order[start : start + cfg.batch_size]
             _, _, parent_probs = head_forward(infer(replay, data.X[idx]), replay.head)
             hits += int(np.sum(np.argmax(parent_probs, axis=1) + 1 == data.t[idx]))
-            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / len(idx))
+            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / len(idx))
             _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
             for i, (layer, g) in enumerate(zip(replay.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
@@ -386,8 +388,8 @@ def _replayed_train_parent_accs(model, data, cfg):
 def test_train_parent_acc_is_the_running_pre_step_share(validation_size):
     data = toy_data(seed=9)  # 120 rows: batches of 16 end on a short one either way
     head = AcolHead(2, 2)
-    cfg = TrainConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
-                      seed=4, validation_size=validation_size)
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=4, validation_size=validation_size)
     assert (len(data) - validation_size) % cfg.batch_size != 0
     model = init_model([4, 8, head.n], head, seed=4)
     expected = _replayed_train_parent_accs(model, data, cfg)
@@ -423,7 +425,7 @@ def _frozen_train(model, data, cfg):
             idx = order[start : start + cfg.batch_size]
             x_b, t_b = train_data.X[idx], train_data.t[idx]
             rows = len(idx)
-            scaled = GarCoefficients(cfg.gar.c_alpha, cfg.gar.c_beta, cfg.gar.c_f / rows)
+            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
             _, grads, sup_loss, terms, _ = combined_step(model, x_b, t_b, scaled)
             for layer, vel, g in zip(model.layers, velocity, grads):
                 vel.weights *= cfg.momentum
@@ -463,8 +465,8 @@ def _frozen_train(model, data, cfg):
 def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch_size):
     data = toy_data(seed=2)
     head = AcolHead(2, 2)
-    cfg = TrainConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=0.9,
-                      seed=3, validation_size=validation_size)
+    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=0.9,
+                           seed=3, validation_size=validation_size)
     model = init_model(list(sizes), head, seed=3)
     frozen, frozen_report = _frozen_train(copy.deepcopy(model), data, cfg)
 
@@ -492,20 +494,41 @@ def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
     monkeypatch.setattr(network, "parent_accuracy_of", counting)
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=0)
-    cfg = TrainConfig(epochs=5, batch_size=16, seed=0, validation_size=validation_size)
+    cfg = ExperimentConfig(epochs=5, batch_size=16, seed=0, validation_size=validation_size)
     train(model, toy_data(), cfg)
     assert sum(evaluated) == cfg.epochs * validation_size
 
 
-def test_train_config_validation():
-    with pytest.raises(ValueError, match="batch_size"):
-        TrainConfig(epochs=1, batch_size=1)
-    with pytest.raises(ValueError, match="learning_rate"):
-        TrainConfig(epochs=1, learning_rate=0.0)
-    with pytest.raises(ValueError, match="momentum"):
-        TrainConfig(epochs=1, momentum=1.0)
-    with pytest.raises(ValueError, match="validation_size must be >= 0"):
-        TrainConfig(epochs=1, validation_size=-5)
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"batch_size": 1}, "train.batch_size must be >= 2, got 1"),
+        ({"learning_rate": 0.0}, "train.lr must be > 0, got 0.0"),
+        ({"momentum": 1.0}, "train.momentum must be in [0, 1), got 1.0"),
+        ({"validation_size": -5}, "train.validation_size must be >= 0, got -5"),
+        ({"c_alpha": -0.1}, "gar.c_alpha must be finite and >= 0, got -0.1"),
+        ({"c_f": float("nan")}, "gar.c_f must be finite and >= 0, got nan"),
+    ],
+)
+def test_train_rejects_config_values_under_their_key(change, message):
+    head = AcolHead(2, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    with pytest.raises(ValueError) as err:
+        train(model, toy_data(), ExperimentConfig(epochs=1, **change))
+    assert str(err.value) == message
+
+
+def test_train_rejects_a_head_parent_without_rows():
+    data = toy_data()
+    head = AcolHead(3, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    with pytest.raises(ValueError) as err:
+        train(model, data, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
+    assert str(err.value) == "head.n_p = 3, but parent 3 has no rows"
+    data.t[data.t == 1] = 3  # parent 1 is now the empty one
+    with pytest.raises(ValueError) as err:
+        train(model, data, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
+    assert str(err.value) == "head.n_p = 3, but parent 1 has no rows"
 
 
 def test_train_rejects_bad_labels_and_oversized_batch():
@@ -515,15 +538,15 @@ def test_train_rejects_bad_labels_and_oversized_batch():
     bad = copy.deepcopy(data)
     bad.t[0] = 9
     with pytest.raises(ValueError, match="parent labels"):
-        train(model, bad, TrainConfig(epochs=1, batch_size=16, validation_size=0))
+        train(model, bad, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
     with pytest.raises(ValueError, match="exceeds"):
-        train(model, data, TrainConfig(epochs=1, batch_size=4096, validation_size=0))
+        train(model, data, ExperimentConfig(epochs=1, batch_size=4096, validation_size=0))
 
 
 def test_train_raises_on_a_non_finite_batch_loss():
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=0)
-    cfg = TrainConfig(epochs=3, batch_size=16, learning_rate=1e200, validation_size=0)
+    cfg = ExperimentConfig(epochs=3, batch_size=16, learning_rate=1e200, validation_size=0)
     with pytest.raises(ValueError) as err:
         train(model, toy_data(), cfg)
     assert str(err.value) == "training diverged: epoch 1, batch 2 has loss nan"
@@ -534,7 +557,7 @@ def test_train_raises_when_a_parameter_is_not_finite_after_an_epoch():
     head = AcolHead(2, 2)
     model = init_model([4, 8, head.n], head, seed=0)
     model.layers[0].bias[3] = -np.inf
-    cfg = TrainConfig(epochs=3, batch_size=16, validation_size=0)
+    cfg = ExperimentConfig(epochs=3, batch_size=16, validation_size=0)
     with pytest.raises(ValueError) as err:
         train(model, toy_data(), cfg)
     assert str(err.value) == "training diverged: layer 1 is not finite after epoch 1"
@@ -654,3 +677,40 @@ def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, ba
         load_checkpoint(path)
     assert str(err.value) == f"{path}: {message}"
 
+
+
+_HEADER_FIELDS = ("layer_sizes", "activations", "n_parents", "k", "seed", "epoch")
+_HEADER_VALUES = st.one_of(
+    st.integers(min_value=-(10**25), max_value=10**25).map(str),
+    st.lists(st.integers(min_value=-3, max_value=10**12), min_size=1, max_size=4).map(
+        lambda sizes: ",".join(map(str, sizes))
+    ),
+    st.sampled_from(["3,5,4", "relu,linear", "relu", "", "99999999999999999999"]),
+    st.text(max_size=8),
+)
+# (field, new value); None drops the field's line
+_HEADER_EDITS = st.lists(
+    st.tuples(st.sampled_from(_HEADER_FIELDS), st.none() | _HEADER_VALUES), min_size=1, max_size=3
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(edits=_HEADER_EDITS)
+def test_checkpoint_reader_loads_or_names_the_file(tmp_path_factory, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    blob = path.read_bytes()
+    sep = blob.find(b"\n\n")
+    lines = blob[:sep].split(b"\n")
+    for name, value in edits:
+        prefix = name.encode() + b":"
+        lines = [l for l in lines if not l.startswith(prefix)]
+        if value is not None:
+            lines.append(prefix + b" " + value.encode())
+    path.write_bytes(b"\n".join(lines) + blob[sep:])
+    try:
+        model, epoch = load_checkpoint(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: ")
+    else:
+        assert model.layer_sizes[-1] == model.head.n and epoch >= 0
