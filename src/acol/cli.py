@@ -25,6 +25,7 @@ from . import datasets, evaluation, network
 from .config import ExperimentConfig, load_config, save_config
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
+from .linalg import relu
 
 # Test-noise stream for synthetic data; keeps test blobs disjoint from
 # training blobs while sharing the same (deterministic) centers.
@@ -101,10 +102,10 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     """Annotations plus metrics of a frozen model on one dataset."""
-    z = network.infer(model, data.X)
+    z = network.forward(model, data.X)[-1]
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]
-    _, _, parent_probs = head_forward(z, model.head)
+    _, parent_probs = head_forward(z, model.head)
     result = {
         "m": len(data),
         "parent_acc": evaluation.parent_accuracy(parent_probs, data.t),
@@ -323,10 +324,14 @@ def run_export_graph(
     quiet: bool = False,
 ) -> dict:
     """Edge list of the similarity graph on the first ``limit`` eval rows."""
+    if limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {limit}")
+    if not np.isfinite(threshold):
+        raise ValueError(f"--threshold must be finite, got {threshold}")
     model, _, data = _eval_inputs(cfg, checkpoint_path)
     take = min(limit, len(data))
-    activities, _, parent_probs = head_forward(network.infer(model, data.X[:take]), model.head)
-    rows = activities if source == "activities" else parent_probs
+    z = network.forward(model, data.X[:take])[-1]
+    rows = relu(z) if source == "activities" else head_forward(z, model.head)[1]
     truth = data.t_star[:take] if data.t_star is not None else data.t[:take]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -369,6 +374,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
+            cfg.validate()
         out = args.out if args.out is not None else cfg.output_dir
         if args.command == "train":
             run_train(cfg, out, quiet=args.quiet)
@@ -390,6 +396,9 @@ def main(argv=None) -> int:
             )
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
     return 0
 

@@ -2,129 +2,62 @@
 
 Lines are ``dotted.key = value``; blank lines and ``#`` comments are
 ignored. Unknown keys are rejected. ``serialize_config`` writes every key
-in a fixed order with full-precision floats, so parse/serialize round-trips
+in field order with full-precision floats, so parse/serialize round-trips
 are lossless.
 
-Keys (defaults in parentheses):
-    dataset.type (synthetic)        synthetic | idx
-    dataset.images / dataset.labels             IDX paths for training data
-    dataset.test_images / dataset.test_labels   optional IDX test pair
-    dataset.train_limit (0)         keep only the first N training examples
-    dataset.per_cluster (200)       synthetic: examples per cluster
-    dataset.test_per_cluster (200)  synthetic: test examples per cluster
-    dataset.dim (8)                 synthetic: feature dimension
-    dataset.separation (10.0)       synthetic: minimum center distance
-    dataset.feature_scale (0)       multiply features by this before training;
-                                    0 = auto (0.32 synthetic, 1.0 idx)
-    partition.type (threshold)      threshold | random  (idx datasets)
-    partition.threshold (5)         1..9: digits below -> parent 1, rest -> parent 2
-    head.n_p (2)                    parent-class count
-    head.k (3)                      softmax duplicates per parent
-    gar.c_alpha (0.1)  gar.c_beta (0.1)  gar.c_f (0.0003)
-    train.batch_size (128)  train.epochs (100)  train.lr (0.01)
-    train.momentum (0.9)  train.validation_size (1000)
-    train.hidden (empty)            hidden layer widths, comma separated;
-                                    empty = auto (2048 synthetic, 256,128 idx)
-    seed (0)
-    output.dir (out)
-    scenario.mode (single)          single | random-partitions | inter-parent
-    scenario.count (4)              random-partitions: number of repetitions
-    scenario.exclusions (none;9;8,9)  inter-parent: ;-separated drop groups
+Each ``ExperimentConfig`` field declares its file key, its default and its
+range rule in one place; parsing, serializing and ``validate`` walk the
+fields, and a value's type is its field's type.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
-_INT, _FLOAT, _STR, _INTS = "int", "float", "str", "ints"
 
-# (file key, attribute, type tag)
-_KEYS = [
-    ("dataset.type", "dataset_type", _STR),
-    ("dataset.images", "images", _STR),
-    ("dataset.labels", "labels", _STR),
-    ("dataset.test_images", "test_images", _STR),
-    ("dataset.test_labels", "test_labels", _STR),
-    ("dataset.train_limit", "train_limit", _INT),
-    ("dataset.per_cluster", "per_cluster", _INT),
-    ("dataset.test_per_cluster", "test_per_cluster", _INT),
-    ("dataset.dim", "dim", _INT),
-    ("dataset.separation", "separation", _FLOAT),
-    ("dataset.feature_scale", "feature_scale", _FLOAT),
-    ("partition.type", "partition_type", _STR),
-    ("partition.threshold", "partition_threshold", _INT),
-    ("head.n_p", "n_parents", _INT),
-    ("head.k", "k", _INT),
-    ("gar.c_alpha", "c_alpha", _FLOAT),
-    ("gar.c_beta", "c_beta", _FLOAT),
-    ("gar.c_f", "c_f", _FLOAT),
-    ("train.batch_size", "batch_size", _INT),
-    ("train.epochs", "epochs", _INT),
-    ("train.lr", "learning_rate", _FLOAT),
-    ("train.momentum", "momentum", _FLOAT),
-    ("train.validation_size", "validation_size", _INT),
-    ("train.hidden", "hidden", _INTS),
-    ("seed", "seed", _INT),
-    ("output.dir", "output_dir", _STR),
-    ("scenario.mode", "scenario_mode", _STR),
-    ("scenario.count", "scenario_count", _INT),
-    ("scenario.exclusions", "scenario_exclusions", _STR),
-]
-
-# Lower bounds of integer keys: (file key, minimum)
-_MINIMUMS = [
-    ("dataset.train_limit", 0),
-    ("dataset.per_cluster", 1),
-    ("dataset.test_per_cluster", 1),
-    ("dataset.dim", 1),
-    ("head.n_p", 2),
-    ("head.k", 1),
-    ("train.batch_size", 2),
-    ("train.epochs", 0),
-    ("train.validation_size", 0),
-    ("scenario.count", 1),
-]
-
-# Float keys that must be finite and satisfy a bound: (file key, ">" or ">=", bound)
-_FLOAT_BOUNDS = [
-    ("dataset.separation", ">", 0),
-    ("dataset.feature_scale", ">=", 0),
-    ("gar.c_alpha", ">=", 0),
-    ("gar.c_beta", ">=", 0),
-    ("gar.c_f", ">=", 0),
-]
+def _key(name: str, default, rule=None):
+    """A config field read from file key ``name``; ``rule`` is ``(op, bound)``
+    with op ``">"`` or ``">="`` (floats must also be finite)."""
+    return field(default=default, metadata={"key": name, "rule": rule})
 
 
 @dataclass
 class ExperimentConfig:
-    dataset_type: str = "synthetic"
-    images: str = ""
-    labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
-    train_limit: int = 0
-    per_cluster: int = 200
-    test_per_cluster: int = 200
-    dim: int = 8
-    separation: float = 10.0
-    feature_scale: float = 0.0
-    partition_type: str = "threshold"
-    partition_threshold: int = 5
-    n_parents: int = 2
-    k: int = 3
-    c_alpha: float = 0.1
-    c_beta: float = 0.1
-    c_f: float = 0.0003
-    batch_size: int = 128
-    epochs: int = 100
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    validation_size: int = 1000
-    hidden: tuple = ()
-    seed: int = 0
-    output_dir: str = "out"
-    scenario_mode: str = "single"
-    scenario_count: int = 4
-    scenario_exclusions: str = "none;9;8,9"
+    dataset_type: str = _key("dataset.type", "synthetic")  # synthetic | idx
+    images: str = _key("dataset.images", "")  # IDX training pair
+    labels: str = _key("dataset.labels", "")
+    test_images: str = _key("dataset.test_images", "")  # optional IDX test pair
+    test_labels: str = _key("dataset.test_labels", "")
+    # keep only the first N training examples; 0 = all
+    train_limit: int = _key("dataset.train_limit", 0, (">=", 0))
+    # synthetic: examples per cluster, feature dimension, minimum center distance
+    per_cluster: int = _key("dataset.per_cluster", 200, (">=", 1))
+    test_per_cluster: int = _key("dataset.test_per_cluster", 200, (">=", 1))
+    dim: int = _key("dataset.dim", 8, (">=", 1))
+    separation: float = _key("dataset.separation", 10.0, (">", 0))
+    # multiply features by this before training; 0 = auto (0.32 synthetic, 1.0 idx)
+    feature_scale: float = _key("dataset.feature_scale", 0.0, (">=", 0))
+    # threshold | random (idx datasets); threshold 1..9: digits below -> parent 1
+    partition_type: str = _key("partition.type", "threshold")
+    partition_threshold: int = _key("partition.threshold", 5)
+    n_parents: int = _key("head.n_p", 2, (">=", 2))
+    k: int = _key("head.k", 3, (">=", 1))  # softmax duplicates per parent
+    c_alpha: float = _key("gar.c_alpha", 0.1, (">=", 0))
+    c_beta: float = _key("gar.c_beta", 0.1, (">=", 0))
+    c_f: float = _key("gar.c_f", 0.0003, (">=", 0))
+    batch_size: int = _key("train.batch_size", 128, (">=", 2))
+    epochs: int = _key("train.epochs", 100, (">=", 0))
+    learning_rate: float = _key("train.lr", 0.01)
+    momentum: float = _key("train.momentum", 0.9)
+    validation_size: int = _key("train.validation_size", 1000, (">=", 0))
+    # hidden widths, comma separated; empty = auto (2048 synthetic, 256,128 idx)
+    hidden: tuple = _key("train.hidden", ())
+    seed: int = _key("seed", 0, (">=", 0))
+    output_dir: str = _key("output.dir", "out")
+    # single | random-partitions | inter-parent
+    scenario_mode: str = _key("scenario.mode", "single")
+    scenario_count: int = _key("scenario.count", 4, (">=", 1))  # random-partitions repetitions
+    # inter-parent: ;-separated groups of fine labels dropped from parent 2
+    scenario_exclusions: str = _key("scenario.exclusions", "none;9;8,9")
 
     def validate(self) -> None:
         if self.dataset_type not in ("synthetic", "idx"):
@@ -140,15 +73,15 @@ class ExperimentConfig:
                 raise ValueError(f"partition.threshold must be in 1..9, got {self.partition_threshold}")
         if self.scenario_mode not in ("single", "random-partitions", "inter-parent"):
             raise ValueError(f"unknown scenario.mode '{self.scenario_mode}'")
-        attrs = {key: attr for key, attr, _ in _KEYS}
-        for key, minimum in _MINIMUMS:
-            value = getattr(self, attrs[key])
-            if value < minimum:
-                raise ValueError(f"{key} must be >= {minimum}, got {value}")
-        for key, op, bound in _FLOAT_BOUNDS:
-            value = getattr(self, attrs[key])
-            if not (math.isfinite(value) and (value > bound if op == ">" else value >= bound)):
+        for f in fields(self):
+            if f.metadata["rule"] is None:
+                continue
+            key, (op, bound), value = f.metadata["key"], f.metadata["rule"], getattr(self, f.name)
+            ok = value > bound if op == ">" else value >= bound
+            if f.type is float and not (math.isfinite(value) and ok):
                 raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
+            if not ok:
+                raise ValueError(f"{key} must be {op} {bound}, got {value}")
         if any(width < 1 for width in self.hidden):
             raise ValueError(
                 f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
@@ -208,27 +141,21 @@ class ExperimentConfig:
         return groups
 
 
-def _parse_value(tag: str, raw: str):
-    if tag == _INT:
-        return int(raw)
-    if tag == _FLOAT:
-        return float(raw)
-    if tag == _INTS:
+def _parse_value(kind: type, raw: str):
+    if kind is tuple:
         return tuple(int(v) for v in raw.split(",")) if raw else ()
-    return raw
+    return kind(raw)
 
 
-def _format_value(tag: str, value) -> str:
-    if tag == _INTS:
+def _format_value(kind: type, value) -> str:
+    if kind is tuple:
         return ",".join(str(v) for v in value)
-    if tag == _FLOAT:
-        return repr(float(value))
-    return str(value)
+    return repr(float(value)) if kind is float else str(value)
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys and malformed lines are errors."""
-    by_key = {key: (attr, tag) for key, attr, tag in _KEYS}
+    by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
     cfg = ExperimentConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -240,9 +167,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in by_key:
             raise ValueError(f"line {lineno}: unknown config key '{key}'")
-        attr, tag = by_key[key]
+        f = by_key[key]
         try:
-            setattr(cfg, attr, _parse_value(tag, raw.strip()))
+            setattr(cfg, f.name, _parse_value(f.type, raw.strip()))
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for '{key}': {e}") from e
     cfg.validate()
@@ -250,10 +177,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    lines = []
-    for key, attr, tag in _KEYS:
-        lines.append(f"{key} = {_format_value(tag, getattr(cfg, attr))}")
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{f.metadata['key']} = {_format_value(f.type, getattr(cfg, f.name))}\n" for f in fields(cfg)
+    )
 
 
 def load_config(path) -> ExperimentConfig:

@@ -13,39 +13,30 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, relu, softmax_rows
+from .linalg import as_matrix, softmax_rows
 
 # Floor applied to parent probabilities before the log; avoids -inf loss on
 # saturated wrong predictions.
 PROB_FLOOR = 1e-12
 
 
-def _check_head(n_parents: int, k: int) -> None:
-    if n_parents < 2:
-        raise ValueError(f"need at least 2 parent classes, got {n_parents}")
-    if k < 1:
-        raise ValueError(f"clustering coefficient k must be >= 1, got {k}")
-
-
-def build_pooling(n_parents: int, k: int) -> np.ndarray:
-    """Fixed n x n_parents pooling matrix: k stacked identity blocks.
-
-    Every row has exactly one 1; every column sums to k. Never updated by
-    training.
-    """
-    _check_head(n_parents, k)
-    return np.tile(np.eye(n_parents), (k, 1))
-
-
 @dataclass(frozen=True)
 class AcolHead:
-    """Parent count and duplicates per parent; ``pooling`` is built on first use."""
+    """Parent count and duplicates per parent.
+
+    ``pooling`` is the fixed n x n_parents matrix of k stacked identity
+    blocks: every row has exactly one 1, every column sums to k. It is built
+    on first use and never updated by training.
+    """
 
     n_parents: int
     k: int
 
     def __post_init__(self):
-        _check_head(self.n_parents, self.k)
+        if self.n_parents < 2:
+            raise ValueError(f"need at least 2 parent classes, got {self.n_parents}")
+        if self.k < 1:
+            raise ValueError(f"clustering coefficient k must be >= 1, got {self.k}")
 
     @property
     def n(self) -> int:
@@ -54,7 +45,7 @@ class AcolHead:
 
     @cached_property
     def pooling(self) -> np.ndarray:
-        return build_pooling(self.n_parents, self.k)
+        return np.tile(np.eye(self.n_parents), (self.k, 1))
 
 
 def node_to_parent_sub(node, n_parents: int):
@@ -69,18 +60,14 @@ def node_to_parent_sub(node, n_parents: int):
 def head_forward(z, head: AcolHead):
     """Forward pass of the head on pre-softmax activities Z (m x n).
 
-    Returns ``(activities, probs, parent_probs)``: the rectified activities
-    ``max(0, Z)`` that the regularizers act on, the softmax over all n
-    nodes, and the pooled m x n_parents parent probabilities (rows sum
-    to 1).
+    Returns ``(probs, parent_probs)``: the softmax over all n nodes and the
+    pooled m x n_parents parent probabilities (rows sum to 1).
     """
     z = as_matrix(z, "Z")
     if z.shape[1] != head.n:
         raise ValueError(f"Z has {z.shape[1]} columns, head expects n = {head.n}")
-    activities = relu(z)
     probs = softmax_rows(z)
-    parent_probs = probs @ head.pooling
-    return activities, probs, parent_probs
+    return probs, probs @ head.pooling
 
 
 def supervised_grad(z, t, head: AcolHead):
@@ -104,7 +91,7 @@ def supervised_grad(z, t, head: AcolHead):
             f"parent label {t[i]} at example {i} outside 1..{head.n_parents}"
         )
 
-    _, probs, parent_probs = head_forward(z, head)
+    probs, parent_probs = head_forward(z, head)
     rows = np.arange(m)
     p = parent_probs[rows, t - 1]
     clamped = np.maximum(p, PROB_FLOOR)

@@ -17,7 +17,9 @@ one per layer in order, weights (row-major) then bias.
 """
 
 import copy
+import ctypes
 import io
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,77 +103,51 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     return Model(layers=layers, head=head, rng_seed=seed)
 
 
-def _model_input(model: Model, x) -> np.ndarray:
-    """x as a float64 matrix whose width is the first layer's fan-in."""
+def forward(model: Model, x) -> list[np.ndarray]:
+    """Outputs of the layer chain, ``[X, a_1, ..., Z]``: everything backward() needs.
+
+    Each layer's output is computed in one buffer: ``a @ W``, then the bias
+    added and relu applied in place.
+    """
     a = as_matrix(x, "X")
     if a.shape[1] != model.layers[0].weights.shape[0]:
         raise ValueError(
             f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
         )
-    return a
-
-
-def forward(model: Model, x):
-    """Run the layer chain; returns per-layer caches and the final Z.
-
-    Each cache entry holds the layer's input and pre-activation, which is
-    everything backward() needs.
-    """
-    a = _model_input(model, x)
-    caches = []
-    for layer in model.layers:
-        pre = a @ layer.weights + layer.bias
-        caches.append((a, pre))
-        a = relu(pre) if layer.activation == "relu" else pre
-    return caches, a
-
-
-def infer(model: Model, x) -> np.ndarray:
-    """Z of the layer chain without caches, for evaluation only.
-
-    Each layer's output is computed in one buffer: the bias is added and
-    relu applied in place, in the same operand order as ``forward``, so Z
-    is bit-identical to ``forward(model, x)[1]``.
-    """
-    a = _model_input(model, x)
+    outputs = [a]
     for layer in model.layers:
         a = a @ layer.weights
         a += layer.bias
         if layer.activation == "relu":
             np.maximum(0.0, a, out=a)
-    return a
+        outputs.append(a)
+    return outputs
 
 
-def backward(model: Model, caches, d_z) -> list[LayerGrads]:
-    """Backpropagate d_z (gradient at Z) through the cached layer chain.
+def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
+    """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
 
-    Gradients are unnormalized: any 1/batch factors must already be inside
-    d_z. The gradient at the model input is not formed, since nothing reads
-    it.
+    A relu output is > 0 exactly where its pre-activation is, so it serves
+    as the mask. Gradients are unnormalized: any 1/batch factors must
+    already be inside d_z. The gradient at the model input is not formed,
+    since nothing reads it.
     """
-    if len(caches) != len(model.layers):
-        raise ValueError(f"cache holds {len(caches)} layers, model has {len(model.layers)}")
+    if len(outputs) != len(model.layers) + 1:
+        raise ValueError(f"cache holds {len(outputs) - 1} layers, model has {len(model.layers)}")
     d_out = as_matrix(d_z, "dZ")
     grads: list[LayerGrads | None] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
-        a_in, pre = caches[i]
-        if d_out.shape != pre.shape:
+        a_in, a_out = outputs[i], outputs[i + 1]
+        if d_out.shape != a_out.shape:
             raise ValueError(
-                f"stale cache at layer {i}: gradient shape {d_out.shape} vs activations {pre.shape}"
+                f"stale cache at layer {i}: gradient shape {d_out.shape} vs activations {a_out.shape}"
             )
-        d_pre = d_out * (pre > 0) if layer.activation == "relu" else d_out
+        d_pre = d_out * (a_out > 0) if layer.activation == "relu" else d_out
         grads[i] = LayerGrads(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
         if i > 0:
             d_out = d_pre @ layer.weights.T
     return grads
-
-
-def combined_loss(model: Model, x, t, coeffs: GarCoefficients) -> float:
-    """Supervised log loss plus the regularization loss on this batch."""
-    _, z = forward(model, x)
-    loss, _, _ = supervised_grad(z, t, model.head)
-    return loss + gar_value_and_grad(relu(z), coeffs)[0].loss
 
 
 def combined_step(model: Model, x, t, coeffs: GarCoefficients):
@@ -182,17 +158,18 @@ def combined_step(model: Model, x, t, coeffs: GarCoefficients):
     the current parameters equals t. The regularization gradient reaches Z
     only through the relu mask.
     """
-    caches, z = forward(model, x)
+    outputs = forward(model, x)
+    z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
     terms, gar_d_z = gar_value_and_grad(relu(z), coeffs)
     d_z = d_z + gar_d_z * (z > 0)
-    grads = backward(model, caches, d_z)
+    grads = backward(model, outputs, d_z)
     return sup_loss + terms.loss, grads, sup_loss, terms, evaluation.parent_hits(parent_probs, t)
 
 
 def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
     """Fraction of examples whose pooled argmax parent matches t."""
-    _, _, parent_probs = head_forward(infer(model, data.X), model.head)
+    _, parent_probs = head_forward(forward(model, data.X)[-1], model.head)
     return evaluation.parent_accuracy(parent_probs, data.t)
 
 
@@ -220,8 +197,10 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     validation rows get a pass of their own.
 
     Raises ``ValueError`` when a parent of the model's head has no row,
-    naming the epoch and the 1-based batch when a batch loss is not finite,
-    and naming the layer when a parameter is not finite after an epoch.
+    when ``train.validation_size`` leaves no row or ``train.batch_size``
+    exceeds the rows left for training, naming the epoch and the 1-based
+    batch when a batch loss is not finite, and naming the layer when a
+    parameter is not finite after an epoch.
 
     Returns ``(model, report)``; the given model is updated in place.
     """
@@ -235,14 +214,21 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     if empty.size:
         raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no rows")
 
+    if cfg.validation_size >= len(data):
+        raise ValueError(
+            f"train.validation_size must be < {len(data)} (the rows of the data), "
+            f"got {cfg.validation_size}"
+        )
+    m = len(data) - cfg.validation_size
+    if cfg.batch_size > m:
+        raise ValueError(
+            f"train.batch_size must be <= {m} (the rows left for training), got {cfg.batch_size}"
+        )
     if cfg.validation_size > 0:
         train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
         val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
     else:
         train_idx, val_data = np.arange(len(data)), None
-    m = len(train_idx)
-    if cfg.batch_size > m:
-        raise ValueError(f"batch_size {cfg.batch_size} exceeds {m} training examples")
 
     rng = np.random.default_rng(cfg.seed)
     velocity = [
@@ -308,6 +294,11 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
             best_epoch, best_layers = epoch, _snapshot(model)
 
     model.layers = best_layers
+    # glibc keeps the pages of freed validation buffers in its heap; whether the
+    # caller's next, larger array reuses them depends on the heap's layout, so
+    # the peak memory would move by one such buffer from run to run.
+    if sys.platform == "linux":
+        getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
     return model, TrainReport(records=records, selected_epoch=best_epoch)
 
 

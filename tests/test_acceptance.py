@@ -28,7 +28,7 @@ from acol.datasets import (
 )
 from acol.evaluation import clustering_accuracy, kmeans_per_parent
 from acol.head import AcolHead, node_to_parent_sub
-from acol.network import combined_loss, combined_step, init_model
+from acol.network import combined_step, init_model
 from acol.regularizers import GarCoefficients, affinity, balance
 
 
@@ -58,8 +58,9 @@ def _smooth_instance(seed: int, step: float):
         m = int(rng.integers(2, 17))
         x = rng.standard_normal((m, sizes[0])) * rng.uniform(0.5, 2.0)
         t = rng.integers(1, n_p + 1, size=m)
-        caches, z = network.forward(model, x)
-        margins = [np.abs(pre).min() for _, pre in caches[:-1]] + [np.abs(z).min()]
+        outputs = network.forward(model, x)
+        hidden_pre = [a @ layer.weights + layer.bias for a, layer in zip(outputs[:-2], model.layers)]
+        margins = [np.abs(pre).min() for pre in hidden_pre] + [np.abs(outputs[-1]).min()]
         if min(margins) > 100.0 * step:
             return model, x, t, m
         if attempt > 200:
@@ -83,9 +84,9 @@ def test_acceptance_gradients_match_central_differences():
                 for i in range(flat.size):
                     kept = flat[i]
                     flat[i] = kept + step
-                    up = combined_loss(model, x, t, coeffs)
+                    up = combined_step(model, x, t, coeffs)[0]
                     flat[i] = kept - step
-                    down = combined_loss(model, x, t, coeffs)
+                    down = combined_step(model, x, t, coeffs)[0]
                     flat[i] = kept
                     fd = (up - down) / (2.0 * step)
                     if abs(analytic[i]) < 1e-8 and abs(fd) < 1e-8:

@@ -1,10 +1,13 @@
 """Config format round-trips and the command-line entry points."""
 
 import csv
+import math
 import os
 import re
+import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +132,7 @@ def test_validate_rules():
         ("head.k = 0", "head.k must be >= 1, got 0"),
         ("train.validation_size = -5", "train.validation_size must be >= 0, got -5"),
         ("train.batch_size = 1", "train.batch_size must be >= 2, got 1"),
+        ("seed = -1", "seed must be >= 0, got -1"),
         ("train.lr = -1", "train.lr must be > 0, got -1.0"),
         ("train.lr = 0", "train.lr must be > 0, got 0.0"),
         ("train.lr = nan", "train.lr must be > 0, got nan"),
@@ -200,7 +204,39 @@ def test_validate_rules():
         assert parse_config(text + "partition.threshold = 0\n").partition_threshold == 0
 
 
-CONFIG_KEYS = [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()]
+def test_every_field_declares_one_key_and_its_bound_holds():
+    declared = fields(ExperimentConfig)
+    keys = [f.metadata["key"] for f in declared]
+    assert len(set(keys)) == len(keys)
+    # config.txt lists every key once, in field order
+    assert [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()] == keys
+    bounded = [f for f in declared if f.metadata["rule"] is not None]
+    assert {f.metadata["key"] for f in bounded} >= {"seed", "head.n_p", "gar.c_f"}
+    for f in bounded:
+        key, (op, bound) = f.metadata["key"], f.metadata["rule"]
+        if f.type is int:
+            assert op == ">="
+            assert getattr(parse_config(f"{key} = {bound}\n"), f.name) == bound
+            past, message = bound - 1, f"{key} must be >= {bound}, got {bound - 1}"
+        else:
+            inside = bound if op == ">=" else math.nextafter(bound, math.inf)
+            assert getattr(parse_config(f"{key} = {inside!r}\n"), f.name) == inside
+            past = math.nextafter(bound, -math.inf) if op == ">=" else float(bound)
+            message = f"{key} must be finite and {op} {bound}, got {past}"
+        with pytest.raises(ValueError) as err:
+            parse_config(f"{key} = {past!r}\n")
+        assert str(err.value) == message
+    for cfg in (ExperimentConfig(), parse_config(FAST_SYNTH), parse_config(IDX_THRESHOLD)):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_the_first_bad_bounded_key_in_field_order_is_reported():
+    with pytest.raises(ValueError) as err:
+        parse_config("head.n_p = 1\ndataset.separation = 0\n")
+    assert str(err.value) == "dataset.separation must be finite and > 0, got 0.0"
+
+
+KEY_NAMES = [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()]
 _CONFIG_VALUES = st.one_of(
     st.text(max_size=12),
     st.integers(min_value=-(10**20), max_value=10**20).map(str),
@@ -211,7 +247,7 @@ _CONFIG_LINES = st.one_of(
     st.text(max_size=30),
     st.builds(
         lambda key, sep, value: f"{key}{sep}{value}",
-        st.sampled_from(CONFIG_KEYS),
+        st.sampled_from(KEY_NAMES),
         st.sampled_from([" = ", "=", " "]),
         _CONFIG_VALUES,
     ),
@@ -225,7 +261,7 @@ def test_config_parser_parses_or_names_the_line_or_the_key(text):
         cfg = parse_config(text)
     except ValueError as err:
         message = str(err)
-        assert re.match(r"line \d+: ", message) or any(k in message for k in CONFIG_KEYS), message
+        assert re.match(r"line \d+: ", message) or any(k in message for k in KEY_NAMES), message
     else:
         assert parse_config(serialize_config(cfg)) == cfg
 
@@ -390,6 +426,65 @@ def test_cli_train_imports_no_scipy(tmp_path, fast_cfg):
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
     assert (tmp_path / "out" / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "lines, extra, message",
+    [
+        ("seed = -1\n", [], "seed must be >= 0, got -1"),
+        ("", ["--seed", "-3"], "seed must be >= 0, got -3"),
+        ("dataset.per_cluster = 20\n", [],
+         "train.validation_size must be < 120 (the rows of the data), got 1000"),
+        ("train.batch_size = 4096\n", [],
+         "train.batch_size must be <= 200 (the rows left for training), got 4096"),
+    ],
+)
+def test_cli_train_names_the_key_of_a_bad_value(tmp_path, capsys, lines, extra, message):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(lines)
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(out), *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_export_graph_checks_its_flags(tmp_path, fast_cfg, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(fast_cfg), "--out", str(out), "--quiet"]) == 0
+    for flags, message in [
+        (["--limit", "-5"], "--limit must be >= 1, got -5"),
+        (["--limit", "0"], "--limit must be >= 1, got 0"),
+        (["--threshold", "nan"], "--threshold must be finite, got nan"),
+    ]:
+        argv = ["export-graph", "--config", str(fast_cfg), "--checkpoint", str(out / "model.ckpt")]
+        assert cli.main([*argv, "--out", str(out / "graph"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not (out / "graph").exists()
+
+
+def _cap_address_space():
+    cap = 2 * 2**30  # in the child only: far below the 17.9 GiB the config asks for
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+def test_cli_out_of_memory_is_one_error_line(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("dataset.dim = 2000000\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "acol.cli", "train", "--config", str(cfg),
+         "--out", str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory: Unable to allocate 17.9 GiB")
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_cli_missing_config_reports_error(tmp_path, capsys):

@@ -1,7 +1,12 @@
 """Model init, forward/backward, training loop, checkpoint container."""
 
 import copy
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from acol.config import ExperimentConfig
 from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
 from acol import network
 from acol.head import AcolHead, head_forward
+from acol.linalg import relu
 from acol.network import (
     CHECKPOINT_TAG,
     DenseLayer,
@@ -20,10 +26,8 @@ from acol.network import (
     Model,
     TrainReport,
     backward,
-    combined_loss,
     combined_step,
     forward,
-    infer,
     init_model,
     load_checkpoint,
     parent_accuracy_of,
@@ -98,9 +102,10 @@ def test_forward_hand_computation():
     )
     x = np.array([[1.0, 2.0]])
     # hidden pre = [2.0, 2.0], relu -> [2.0, 2.0]; z = [2*2+2*1+0.5, -2.0]
-    caches, z = forward(model, x)
-    assert np.allclose(caches[0][1], np.array([[2.0, 2.0]]))
-    assert np.allclose(z, np.array([[6.5, -2.0]]))
+    outputs = forward(model, x)
+    assert len(outputs) == 3 and outputs[0] is x
+    assert np.allclose(outputs[1], np.array([[2.0, 2.0]]))
+    assert np.allclose(outputs[2], np.array([[6.5, -2.0]]))
 
 
 def test_forward_rejects_wrong_feature_count():
@@ -109,7 +114,16 @@ def test_forward_rejects_wrong_feature_count():
         forward(model, np.zeros((2, 7)))
 
 
-def test_infer_equals_forward_bit_for_bit():
+def _reference_outputs(model, x):
+    """Out-of-place ``relu(a @ W + b)`` chain: the outputs forward() must give."""
+    outputs = [x]
+    for layer in model.layers:
+        pre = outputs[-1] @ layer.weights + layer.bias
+        outputs.append(relu(pre) if layer.activation == "relu" else pre)
+    return outputs
+
+
+def test_forward_equals_out_of_place_reference_bit_for_bit():
     rng = np.random.default_rng(12)
     for seed, sizes in enumerate([(3, 5, 4), (6, 9, 7, 4), (2, 4), (5, 16, 6)]):
         head = AcolHead(2, sizes[-1] // 2)
@@ -121,20 +135,13 @@ def test_infer_equals_forward_bit_for_bit():
         x[1::4, 0] = 0.0
         x[2::5] *= -1.0
         x_before = x.copy()
-        expected = forward(model, x)[1]
-        got = infer(model, x)
+        expected = _reference_outputs(model, x)
+        got = forward(model, x)
         assert np.array_equal(x, x_before)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
-
-
-def test_infer_rejects_wrong_feature_count_like_forward():
-    model = small_model()
-    with pytest.raises(ValueError) as from_forward:
-        forward(model, np.zeros((2, 7)))
-    with pytest.raises(ValueError) as from_infer:
-        infer(model, np.zeros((2, 7)))
-    assert str(from_infer.value) == str(from_forward.value)
+        assert len(got) == len(expected) == len(sizes)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
 # --- backward ---------------------------------------------------------------
@@ -146,19 +153,63 @@ def test_backward_single_linear_layer_closed_form():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 3))
     d_z = rng.normal(size=(6, 2))
-    caches, _ = forward(model, x)
-    grads = backward(model, caches, d_z)
+    grads = backward(model, forward(model, x), d_z)
     assert np.allclose(grads[0].weights, x.T @ d_z, atol=1e-12)
     assert np.allclose(grads[0].bias, d_z.sum(axis=0), atol=1e-12)
 
 
 def test_backward_stale_cache_detected():
     model = small_model()
-    caches, _ = forward(model, np.zeros((4, 3)))
+    outputs = forward(model, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="stale cache"):
-        backward(model, caches, np.zeros((5, 4)))
+        backward(model, outputs, np.zeros((5, 4)))
     with pytest.raises(ValueError, match="cache holds"):
-        backward(model, caches[:1], np.zeros((4, 4)))
+        backward(model, outputs[:2], np.zeros((4, 4)))
+
+
+def _frozen_pre_activation_backward(model, caches, d_z):
+    """backward() as it was when the cache held each layer's (input,
+    pre-activation) pair and the relu mask was ``pre > 0``."""
+    grads = [None] * len(model.layers)
+    d_out = d_z
+    for i in reversed(range(len(model.layers))):
+        a_in, pre = caches[i]
+        d_pre = d_out * (pre > 0) if model.layers[i].activation == "relu" else d_out
+        grads[i] = (a_in.T @ d_pre, d_pre.sum(axis=0))
+        if i > 0:
+            d_out = d_pre @ model.layers[i].weights.T
+    return grads
+
+
+def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for seed, sizes in enumerate([(3, 5, 4), (6, 9, 7, 4), (2, 4), (5, 16, 8, 6)]):
+        head = AcolHead(2, sizes[-1] // 2)
+        model = init_model(list(sizes), head, seed)
+        for layer in model.layers:
+            layer.bias = rng.normal(size=layer.bias.shape)
+        x = rng.normal(size=(40, sizes[0]))
+        x[::3] = 0.0
+        d_z = rng.normal(size=(40, sizes[-1]))
+        d_z[::5] = 0.0
+        outputs, pres = [x], []
+        for layer in model.layers:
+            pre = outputs[-1] @ layer.weights + layer.bias
+            pre[::4, :2] = 0.0  # exact zeros of both signs in every layer
+            pre[1::4, :2] = -0.0
+            pres.append(pre)
+            outputs.append(relu(pre) if layer.activation == "relu" else pre)
+        expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
+        got = backward(model, outputs, d_z)
+        for g, (w, b) in zip(got, expected):
+            assert np.array_equal(g.weights, w) and np.array_equal(np.signbit(g.weights), np.signbit(w))
+            assert np.array_equal(g.bias, b) and np.array_equal(np.signbit(g.bias), np.signbit(b))
+        # on a chain forward() computes itself, the frozen path agrees too
+        outputs = forward(model, x)
+        pres = [a @ l.weights + l.bias for a, l in zip(outputs, model.layers)]
+        expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
+        for g, (w, b) in zip(backward(model, outputs, d_z), expected):
+            assert np.array_equal(g.weights, w) and np.array_equal(g.bias, b)
 
 
 def test_combined_gradient_matches_finite_differences():
@@ -182,9 +233,9 @@ def test_combined_gradient_matches_finite_differences():
                     idx = it.multi_index
                     old = arr[idx]
                     arr[idx] = old + eps
-                    lp = combined_loss(model, x, t, coeffs)
+                    lp = combined_step(model, x, t, coeffs)[0]
                     arr[idx] = old - eps
-                    lm = combined_loss(model, x, t, coeffs)
+                    lm = combined_step(model, x, t, coeffs)[0]
                     arr[idx] = old
                     fd = (lp - lm) / (2 * eps)
                     if abs(fd) < 1e-8 and abs(garr[idx]) < 1e-8:
@@ -200,14 +251,13 @@ def test_regularizer_gradient_respects_relu_mask():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 3))
     t = rng.integers(1, 3, size=6)
-    caches, z = forward(model, x)
+    z = forward(model, x)[-1]
     coeffs = GarCoefficients(0.5, 0.5, 0.01)
     _, grads_full, _, _, _ = combined_step(model, x, t, coeffs)
     _, grads_sup, _, _, _ = combined_step(model, x, t, GarCoefficients(0.0, 0.0, 0.0))
     # reconstruct d_z difference through the single linear layer: columns of
     # the weight gradient difference are x^T @ (masked gar grad); entries of
     # the gar grad at z <= 0 contribute nothing
-    from acol.linalg import relu
     from acol.regularizers import gar_value_and_grad
 
     masked = gar_value_and_grad(relu(z), coeffs)[1] * (z > 0)
@@ -370,7 +420,7 @@ def _replayed_train_parent_accs(model, data, cfg):
         hits = 0
         for start in range(0, len(rows), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, _, parent_probs = head_forward(infer(replay, data.X[idx]), replay.head)
+            _, parent_probs = head_forward(forward(replay, data.X[idx])[-1], replay.head)
             hits += int(np.sum(np.argmax(parent_probs, axis=1) + 1 == data.t[idx]))
             scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / len(idx))
             _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
@@ -499,6 +549,50 @@ def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
     assert sum(evaluated) == cfg.epochs * validation_size
 
 
+_HEAP_PROBE = """
+import os
+from acol import cli, network
+from acol.config import ExperimentConfig
+from acol.datasets import pool_to_dataset
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+cfg = ExperimentConfig(epochs=3)
+data = pool_to_dataset(cli.load_pools(cfg)[0], cli.default_partition(cfg))
+during = []
+forward = network.forward
+
+def recording(model, x):
+    outputs = forward(model, x)
+    if len(x) == cfg.validation_size:
+        during.append(resident())
+    return outputs
+
+network.forward = recording
+cli.fit(cfg, data, cfg.seed)
+print(during[-1] - resident())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+def test_train_hands_the_freed_validation_pages_back():
+    """Default synthetic config: a validation pass holds 1,000 x 2,048 float64
+    (16.4 MB). After the first one glibc serves them from its heap and keeps
+    the pages when they are freed; whether the caller's next, larger array
+    could reuse them depended on the heap's layout, so the peak memory of
+    ``acol train`` moved by one buffer from run to run. ``train`` hands the
+    pages back, so the resident size drops by the buffer when it returns."""
+    src = str(Path(network.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) > 1000 * 2048 * 8 // 2
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -539,8 +633,30 @@ def test_train_rejects_bad_labels_and_oversized_batch():
     bad.t[0] = 9
     with pytest.raises(ValueError, match="parent labels"):
         train(model, bad, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError) as err:
         train(model, data, ExperimentConfig(epochs=1, batch_size=4096, validation_size=0))
+    assert str(err.value) == (
+        "train.batch_size must be <= 120 (the rows left for training), got 4096"
+    )
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"validation_size": 120}, "train.validation_size must be < 120 (the rows of the data), got 120"),
+        ({"validation_size": 1000}, "train.validation_size must be < 120 (the rows of the data), got 1000"),
+        ({"validation_size": 100, "batch_size": 21},
+         "train.batch_size must be <= 20 (the rows left for training), got 21"),
+    ],
+)
+def test_train_names_the_key_of_a_data_size_error(change, message):
+    head = AcolHead(2, 2)
+    model = init_model([4, 8, head.n], head, seed=0)
+    with pytest.raises(ValueError) as err:
+        train(model, toy_data(), ExperimentConfig(epochs=1, **change))
+    assert str(err.value) == message
+    # the largest sizes that fit are trained on
+    train(model, toy_data(), ExperimentConfig(epochs=1, validation_size=100, batch_size=20))
 
 
 def test_train_raises_on_a_non_finite_batch_loss():

@@ -64,7 +64,7 @@ def test_balance_hand_value_exact():
     assert balance(HAND_B) == pytest.approx(5.0 / 13.0, abs=1e-12)
 
 
-def test_combined_loss_hand_value():
+def test_gar_terms_loss_hand_value():
     coeffs = GarCoefficients(0.1, 0.1, 0.0003)
     # 0.1/3 + 0.1*(8/13) + 0.0003*6
     expect = 0.1 / 3.0 + 0.1 * (8.0 / 13.0) + 0.0003 * 6.0
