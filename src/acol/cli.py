@@ -16,7 +16,7 @@ machine-parsable ``key=value`` summary to stdout unless ``--quiet``.
 import argparse
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,37 +32,29 @@ from .linalg import relu
 TEST_SEED_OFFSET = 1009
 
 
-def _synthetic_pool(cfg: ExperimentConfig, per_cluster: int, seed: int) -> FinePool:
-    data = datasets.synthetic_blobs(
-        cfg.n_parents, cfg.k, per_cluster, cfg.dim, cfg.separation, seed
-    )
-    return FinePool(X=data.X, fine=data.t_star)
+def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
+    """The train or the test pool of fine-labeled examples; the test pool of
+    an idx config without a test pair is None.
 
-
-def has_test_pool(cfg: ExperimentConfig) -> bool:
-    """Synthetic runs always draw a test pool; idx runs need a test IDX pair."""
-    return cfg.dataset_type == "synthetic" or bool(cfg.test_images and cfg.test_labels)
-
-
-def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool:
-    """The train or the test pool of fine-labeled examples.
-
-    Features are multiplied by the configured feature scale, so training,
-    evaluation, and baselines all see the same preprocessing, and are then
-    marked read-only: datasets built from the pool may share them.
+    Synthetic pools take their fine labels from the cluster ids; an IDX pair
+    with no rows is rejected. Features are multiplied by the configured
+    feature scale, so training, evaluation, and baselines all see the same
+    preprocessing, and are then marked read-only: datasets built from the
+    pool may share them.
     """
     if cfg.dataset_type == "synthetic":
-        if test:
-            pool = _synthetic_pool(cfg, cfg.test_per_cluster, cfg.seed + TEST_SEED_OFFSET)
-        else:
-            pool = _synthetic_pool(cfg, cfg.per_cluster, cfg.seed)
+        per_cluster = cfg.test_per_cluster if test else cfg.per_cluster
+        seed = cfg.seed + TEST_SEED_OFFSET if test else cfg.seed
+        pool = datasets.synthetic_blobs(cfg.n_parents * cfg.k, per_cluster, cfg.dim, cfg.separation, seed)
     else:
-        if test:
-            raw = datasets.load_idx(cfg.test_images, cfg.test_labels)
-        else:
-            raw = datasets.load_idx(cfg.images, cfg.labels)
-            if cfg.train_limit > 0:
-                raw = datasets.RawDigits(raw.pixels[: cfg.train_limit], raw.labels[: cfg.train_limit])
+        images, labels = (cfg.test_images, cfg.test_labels) if test else (cfg.images, cfg.labels)
+        if not (images and labels):
+            return None
+        raw = datasets.load_idx(images, labels)
+        if len(raw.labels) == 0:
+            raise ValueError(f"{images}: the IDX pair has no rows")
+        if not test and cfg.train_limit > 0:
+            raw = datasets.RawDigits(raw.pixels[: cfg.train_limit], raw.labels[: cfg.train_limit])
         pool = FinePool(X=datasets.images_to_features(raw.pixels), fine=raw.labels)
     scale = cfg.resolved_feature_scale()
     if scale != 1.0:
@@ -72,9 +64,18 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool:
 
 
 def load_pools(cfg: ExperimentConfig):
-    """(train, test) pools, see ``load_pool``; test is None without a test pair."""
-    train = load_pool(cfg, test=False)
-    return train, load_pool(cfg, test=True) if has_test_pool(cfg) else None
+    """(train, test) pools, see ``load_pool``; test is None without a test pair.
+
+    A test pool whose feature width differs from the training pool's is
+    rejected here, before anything is trained.
+    """
+    train, test = load_pool(cfg, test=False), load_pool(cfg, test=True)
+    if test is not None and test.X.shape[1] != train.X.shape[1]:
+        raise ValueError(
+            f"test images {cfg.test_images} have {test.X.shape[1]} features per row, "
+            f"training images {cfg.images} have {train.X.shape[1]}"
+        )
+    return train, test
 
 
 def default_partition(cfg: ExperimentConfig) -> datasets.ParentPartition:
@@ -101,7 +102,8 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
 
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
-    """Annotations plus metrics of a frozen model on one dataset."""
+    """Annotations plus metrics of a frozen model on one dataset, which must
+    carry its fine labels ``t_star``."""
     z = network.forward(model, data.X)[-1]
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]
@@ -109,29 +111,27 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     result = {
         "m": len(data),
         "parent_acc": evaluation.parent_accuracy(parent_probs, data.t),
+        "acc": evaluation.clustering_accuracy(nodes, data.t_star).accuracy,
         "z": z,
         "annotations": annotations,
         "nodes": nodes,
     }
-    if data.t_star is not None:
-        result["acc"] = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
-        first = data.t == 1
-        if first.any():
-            result["first_parent_acc"] = evaluation.clustering_accuracy(
-                nodes[first], data.t_star[first]
-            ).accuracy
+    first = data.t == 1
+    if first.any():
+        result["first_parent_acc"] = evaluation.clustering_accuracy(
+            nodes[first], data.t_star[first]
+        ).accuracy
     return result
 
 
 def write_metrics_csv(report: network.TrainReport, path) -> None:
-    """One row per epoch; floats via repr so reruns are byte-identical."""
+    """One row per epoch under the names of ``EpochRecord``'s fields; values
+    via repr so reruns are byte-identical."""
+    names = [f.name for f in fields(network.EpochRecord)]
     with open(str(path), "w") as f:
-        f.write("epoch,sup_loss,affinity,balance,frobenius,train_parent_acc,val_parent_acc\n")
+        f.write(",".join(names) + "\n")
         for r in report.records:
-            f.write(
-                f"{r.epoch},{r.sup_loss!r},{r.affinity!r},{r.balance!r},"
-                f"{r.frobenius!r},{r.train_parent_acc!r},{r.val_parent_acc!r}\n"
-            )
+            f.write(",".join(repr(getattr(r, name)) for name in names) + "\n")
 
 
 def _write_summary(path, entries: dict) -> None:
@@ -150,11 +150,11 @@ def _summary_line(command: str, entries: dict) -> str:
     return " ".join(parts)
 
 
-def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
+def run_train(cfg: ExperimentConfig, args) -> dict:
     """Train one model and persist checkpoint, metrics, embeddings, summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_pool, test_pool = load_pools(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     partition = default_partition(cfg)
     train_data = pool_to_dataset(train_pool, partition)
     eval_data = pool_to_dataset(test_pool, partition) if test_pool is not None else train_data
@@ -175,12 +175,11 @@ def run_train(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> dict:
         "eval_on": "test" if test_pool is not None else "train",
         "selected_epoch": report.selected_epoch,
         "parent_acc": result["parent_acc"],
+        "acc": result["acc"],
     }
-    if "acc" in result:
-        summary["acc"] = result["acc"]
     _write_summary(out / "summary.txt", summary)
     save_config(cfg, out / "config.txt")
-    if not quiet:
+    if not args.quiet:
         print(_summary_line("train", {k: v for k, v in summary.items() if k != "partition"}))
     return summary
 
@@ -189,9 +188,9 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
-    otherwise) and must match the configured head. ``data`` is the test pool,
-    or the train pool when no test pool is configured, under
-    ``default_partition``; the other pool is never read.
+    otherwise) and must match the configured head and the data's width.
+    ``data`` is the test pool, or the train pool when no test pool is
+    configured, under ``default_partition``; the other pool is never read.
     """
     model = epoch = None
     if checkpoint_path is not None:
@@ -201,22 +200,29 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
                 f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
                 f"config (n_p={cfg.n_parents}, k={cfg.k})"
             )
-    pool = load_pool(cfg, test=has_test_pool(cfg))
+    pool = load_pool(cfg, test=True) or load_pool(cfg, test=False)
+    if model is not None and model.layer_sizes[0] != pool.X.shape[1]:
+        raise ValueError(
+            f"{checkpoint_path}: first layer expects {model.layer_sizes[0]} features, "
+            f"the data has {pool.X.shape[1]}"
+        )
     return model, epoch, pool_to_dataset(pool, default_partition(cfg))
 
 
-def run_eval(cfg: ExperimentConfig, checkpoint_path, out_dir=None, quiet: bool = False) -> dict:
+def run_eval(cfg: ExperimentConfig, args) -> dict:
     """Score a saved checkpoint on the configured dataset."""
-    model, epoch, data = _eval_inputs(cfg, checkpoint_path)
+    model, epoch, data = _eval_inputs(cfg, args.checkpoint)
     result = score(model, data)
-    summary = {"checkpoint_epoch": epoch, "m": result["m"], "parent_acc": result["parent_acc"]}
-    if "acc" in result:
-        summary["acc"] = result["acc"]
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_summary(out / "eval_summary.txt", summary)
-    if not quiet:
+    summary = {
+        "checkpoint_epoch": epoch,
+        "m": result["m"],
+        "parent_acc": result["parent_acc"],
+        "acc": result["acc"],
+    }
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_summary(out / "eval_summary.txt", summary)
+    if not args.quiet:
         print(_summary_line("eval", summary))
     return summary
 
@@ -232,15 +238,15 @@ def _scenario_partitions(cfg: ExperimentConfig, fine_labels) -> list[datasets.Pa
     raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
 
 
-def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[dict]:
+def run_scenarios(cfg: ExperimentConfig, args) -> list[dict]:
     """Partition sweep; each scenario trains afresh with seed base+index.
 
     The k-means baseline clusters the identical test subset that the model
     is scored on, pre-divided by the same parent labels.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     train_pool, test_pool = load_pools(cfg)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     eval_pool = test_pool if test_pool is not None else train_pool
     partitions = _scenario_partitions(cfg, sorted(int(v) for v in np.unique(train_pool.fine)))
 
@@ -264,7 +270,7 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
             "kmeans_acc": kmeans_acc,
         }
         rows.append(row)
-        if not quiet:
+        if not args.quiet:
             print(_summary_line("scenario", row))
 
     accs = np.array([r["acc"] for r in rows])
@@ -276,69 +282,48 @@ def run_scenarios(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> list[d
         "mean": (float(accs.mean()), float(base.mean())),
     }
 
-    columns = [
-        "scenario", "description", "m_train", "m_eval",
-        "parent_acc", "acc", "first_parent_acc", "kmeans_acc",
-    ]
-    # csv quotes the description, which holds commas; floats are written via repr
+    # the columns are the row's keys; csv quotes the description, which holds
+    # commas, and writes floats via repr
     with open(out / "scenarios.csv", "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([row[c] for c in columns] for row in rows)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]), restval="", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
         for name, (acc, kacc) in aggregate.items():
-            writer.writerow([name, "aggregate", "", "", "", acc, "", kacc])
+            writer.writerow({"scenario": name, "description": "aggregate", "acc": acc, "kmeans_acc": kacc})
 
-    if not quiet:
-        print(
-            _summary_line(
-                "scenarios",
-                {
-                    "mode": cfg.scenario_mode,
-                    "count": len(rows),
-                    "acc_mean": float(accs.mean()),
-                    "kmeans_mean": float(base.mean()),
-                },
-            )
-        )
+    if not args.quiet:
+        means = dict(zip(("acc_mean", "kmeans_mean"), aggregate["mean"]))
+        print(_summary_line("scenarios", {"mode": cfg.scenario_mode, "count": len(rows), **means}))
     return rows
 
 
-def run_baseline(cfg: ExperimentConfig, quiet: bool = False) -> dict:
+def run_baseline(cfg: ExperimentConfig, args) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
     _, _, data = _eval_inputs(cfg, None)
     nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
     summary = {"m": len(data), "k": cfg.k, "acc": acc}
-    if not quiet:
+    if not args.quiet:
         print(_summary_line("baseline", summary))
     return summary
 
 
-def run_export_graph(
-    cfg: ExperimentConfig,
-    checkpoint_path,
-    out_dir,
-    source: str = "activities",
-    threshold: float = 0.0,
-    limit: int = 250,
-    quiet: bool = False,
-) -> dict:
-    """Edge list of the similarity graph on the first ``limit`` eval rows."""
-    if limit < 1:
-        raise ValueError(f"--limit must be >= 1, got {limit}")
-    if not np.isfinite(threshold):
-        raise ValueError(f"--threshold must be finite, got {threshold}")
-    model, _, data = _eval_inputs(cfg, checkpoint_path)
-    take = min(limit, len(data))
+def run_export_graph(cfg: ExperimentConfig, args) -> dict:
+    """Edge list of the similarity graph on the first ``--limit`` eval rows."""
+    if args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"--threshold must be finite, got {args.threshold}")
+    model, _, data = _eval_inputs(cfg, args.checkpoint)
+    take = min(args.limit, len(data))
     z = network.forward(model, data.X[:take])[-1]
-    rows = relu(z) if source == "activities" else head_forward(z, model.head)[1]
-    truth = data.t_star[:take] if data.t_star is not None else data.t[:take]
-    out = Path(out_dir)
+    rows = relu(z) if args.source == "activities" else head_forward(z, model.head)[1]
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "graph.edges"
-    evaluation.export_graph(rows, threshold, path, truth=truth)
-    summary = {"rows": take, "source": source, "threshold": threshold, "path": str(path)}
-    if not quiet:
+    evaluation.export_graph(rows, args.threshold, path, truth=data.t_star[:take])
+    summary = {"rows": take, "source": args.source, "threshold": args.threshold, "path": str(path)}
+    if not args.quiet:
         print(_summary_line("export-graph", summary))
     return summary
 
@@ -347,20 +332,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="acol", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", default=None, help="output directory (overrides output.dir)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress the stdout summary")
+        return p
 
-    common(sub.add_parser("train", help="train a model and write artifacts"))
-    p_eval = sub.add_parser("eval", help="score a checkpoint on the configured dataset")
-    common(p_eval)
+    command("train", run_train, "train a model and write artifacts")
+    p_eval = command("eval", run_eval, "score a checkpoint on the configured dataset")
     p_eval.add_argument("--checkpoint", required=True)
-    common(sub.add_parser("scenarios", help="run the configured partition sweep"))
-    common(sub.add_parser("baseline", help="per-parent k-means baseline"))
-    p_graph = sub.add_parser("export-graph", help="write a similarity edge list")
-    common(p_graph)
+    command("scenarios", run_scenarios, "run the configured partition sweep")
+    command("baseline", run_baseline, "per-parent k-means baseline")
+    p_graph = command("export-graph", run_export_graph, "write a similarity edge list")
     p_graph.add_argument("--checkpoint", required=True)
     p_graph.add_argument("--source", choices=["activities", "parents"], default="activities")
     p_graph.add_argument("--threshold", type=float, default=0.0)
@@ -375,25 +361,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
             cfg.validate()
-        out = args.out if args.out is not None else cfg.output_dir
-        if args.command == "train":
-            run_train(cfg, out, quiet=args.quiet)
-        elif args.command == "eval":
-            run_eval(cfg, args.checkpoint, out_dir=out, quiet=args.quiet)
-        elif args.command == "scenarios":
-            run_scenarios(cfg, out, quiet=args.quiet)
-        elif args.command == "baseline":
-            run_baseline(cfg, quiet=args.quiet)
-        elif args.command == "export-graph":
-            run_export_graph(
-                cfg,
-                args.checkpoint,
-                out,
-                source=args.source,
-                threshold=args.threshold,
-                limit=args.limit,
-                quiet=args.quiet,
-            )
+        if args.out is None:
+            args.out = cfg.output_dir
+        args.run(cfg, args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .head import node_to_parent_sub
-
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
@@ -238,36 +236,23 @@ def _lattice_centers(count: int, dim: int, separation: float) -> np.ndarray:
     return separation * np.array(list(points), dtype=np.float64)
 
 
-def synthetic_blobs(
-    n_parents: int,
-    k: int,
-    per_cluster: int,
-    dim: int,
-    separation: float,
-    seed: int,
-) -> LabeledDataset:
-    """Isotropic unit-variance Gaussian clusters with known sub-class truth.
+def synthetic_blobs(count: int, per_cluster: int, dim: int, separation: float, seed: int) -> FinePool:
+    """Isotropic unit-variance Gaussian clusters whose fine label is the
+    1-based cluster id.
 
-    Generates ``n_parents * k`` clusters whose centers sit at mutual
-    distance >= separation: a centered regular simplex when the feature
-    dimension allows (all pairs exactly ``separation`` apart), a lattice
-    otherwise. Centers are fixed; only the noise depends on the seed.
-    ``t_star`` is the 1-based cluster id; the parent label interleaves
-    clusters over parents by the head's node-to-parent rule (cluster c ->
-    parent ``(c-1) % n_parents + 1``, see ``node_to_parent_sub``).
+    Generates ``count`` clusters whose centers sit at mutual distance >=
+    separation: a centered regular simplex when the feature dimension allows
+    (all pairs exactly ``separation`` apart), a lattice otherwise. Centers
+    are fixed; only the noise depends on the seed. Parents are assigned
+    later, by a partition.
     """
-    count = n_parents * k
     if dim >= count:
         centers = _simplex_centers(count, dim, separation)
     else:
         centers = _lattice_centers(count, dim, separation)
-    t_star = np.repeat(np.arange(1, count + 1, dtype=np.int64), per_cluster)
+    fine = np.repeat(np.arange(1, count + 1, dtype=np.int64), per_cluster)
     noise = np.random.default_rng(seed).standard_normal((count * per_cluster, dim))
-    return LabeledDataset(
-        X=centers[t_star - 1] + noise,
-        t=node_to_parent_sub(t_star, n_parents)[0],
-        t_star=t_star,
-    )
+    return FinePool(X=centers[fine - 1] + noise, fine=fine)
 
 
 def split_validation(m: int, size: int, seed: int):

@@ -29,7 +29,7 @@ def clustering_accuracy(assignments, truth) -> ClusterMapping:
     Works on arbitrary (hashable-as-int) label values and allows more
     clusters than labels. The matching maximizes the total count on the
     contingency table, which equals an exhaustive search over injective
-    mappings.
+    mappings. The accuracy is NaN for no rows.
     """
     assignments = np.asarray(assignments)
     truth = np.asarray(truth)
@@ -45,7 +45,7 @@ def clustering_accuracy(assignments, truth) -> ClusterMapping:
     rows, cols = _max_weight_matching(table)
     mapping = {int(clusters[r]): int(labels[c]) for r, c in zip(rows, cols)}
     unmatched = [int(c) for c in clusters if int(c) not in mapping]
-    accuracy = float(table[rows, cols].sum()) / m
+    accuracy = float(table[rows, cols].sum()) / m if m else float("nan")
     return ClusterMapping(mapping=mapping, unmatched=unmatched, accuracy=accuracy)
 
 

@@ -1,7 +1,7 @@
 """Dense feedforward model, combined backpropagation, and mini-batch SGD.
 
-The model is a chain of fully connected layers (relu hidden activations,
-linear last layer) whose final output Z feeds the auto-clustering head.
+The model is a chain of fully connected layers (the fixed layout is on
+``Model``) whose final output Z feeds the auto-clustering head.
 Each training step combines the supervised parent-label gradient with the
 activity-regularization gradient, the latter masked by the relu indicator
 so that entries with Z <= 0 receive no regularization signal.
@@ -31,18 +31,19 @@ from .linalg import as_matrix, relu, require_finite
 from .regularizers import GarCoefficients, gar_value_and_grad
 
 CHECKPOINT_TAG = "acol checkpoint v1"
-ACTIVATIONS = ("relu", "linear")
 
 
 @dataclass
 class DenseLayer:
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray     # (fan_out,)
-    activation: str      # "relu" | "linear"
 
 
 @dataclass
 class Model:
+    """A dense chain whose layout is fixed: every layer but the last is
+    relu, and the last is linear and produces Z."""
+
     layers: list[DenseLayer]
     head: AcolHead
     rng_seed: int
@@ -78,10 +79,10 @@ class TrainReport:
 def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     """Uniform Glorot initialization, biases zero, fully seed-deterministic.
 
-    ``layer_sizes`` runs from the input dimension to the head width n;
-    hidden layers use relu, the last layer is linear and produces Z. Every
-    duplicate column is drawn independently so random initialization breaks
-    the symmetry between a parent's k nodes.
+    ``layer_sizes`` runs from the input dimension to the head width n, the
+    width of Z (see ``Model`` for the layout). Every duplicate column is
+    drawn independently so random initialization breaks the symmetry
+    between a parent's k nodes.
     """
     sizes = [int(s) for s in layer_sizes]
     if len(sizes) < 2:
@@ -90,15 +91,10 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
         raise ValueError(f"final layer size {sizes[-1]} must equal head.n = {head.n}")
     rng = np.random.default_rng(seed)
     layers = []
-    last = len(sizes) - 2
-    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         scale = np.sqrt(6.0 / (fan_in + fan_out))
         layers.append(
-            DenseLayer(
-                weights=rng.uniform(-scale, scale, size=(fan_in, fan_out)),
-                bias=np.zeros(fan_out),
-                activation="linear" if i == last else "relu",
-            )
+            DenseLayer(weights=rng.uniform(-scale, scale, size=(fan_in, fan_out)), bias=np.zeros(fan_out))
         )
     return Model(layers=layers, head=head, rng_seed=seed)
 
@@ -115,10 +111,11 @@ def forward(model: Model, x) -> list[np.ndarray]:
             f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
         )
     outputs = [a]
-    for layer in model.layers:
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
         a = a @ layer.weights
         a += layer.bias
-        if layer.activation == "relu":
+        if i < last:
             np.maximum(0.0, a, out=a)
         outputs.append(a)
     return outputs
@@ -135,6 +132,7 @@ def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
     if len(outputs) != len(model.layers) + 1:
         raise ValueError(f"cache holds {len(outputs) - 1} layers, model has {len(model.layers)}")
     d_out = as_matrix(d_z, "dZ")
+    last = len(model.layers) - 1
     grads: list[LayerGrads | None] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
@@ -143,7 +141,7 @@ def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
             raise ValueError(
                 f"stale cache at layer {i}: gradient shape {d_out.shape} vs activations {a_out.shape}"
             )
-        d_pre = d_out * (a_out > 0) if layer.activation == "relu" else d_out
+        d_pre = d_out * (a_out > 0) if i < last else d_out
         grads[i] = LayerGrads(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
         if i > 0:
             d_out = d_pre @ layer.weights.T
@@ -171,10 +169,6 @@ def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
     """Fraction of examples whose pooled argmax parent matches t."""
     _, parent_probs = head_forward(forward(model, data.X)[-1], model.head)
     return evaluation.parent_accuracy(parent_probs, data.t)
-
-
-def _snapshot(model: Model) -> list[DenseLayer]:
-    return copy.deepcopy(model.layers)
 
 
 def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
@@ -237,7 +231,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     records: list[EpochRecord] = []
     best_acc = -np.inf
     best_epoch = 0
-    best_layers = _snapshot(model)
+    best_layers = copy.deepcopy(model.layers)
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(m)]
@@ -289,9 +283,9 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         )
         if val_data is not None:
             if val_acc >= best_acc:
-                best_acc, best_epoch, best_layers = val_acc, epoch, _snapshot(model)
+                best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
         else:
-            best_epoch, best_layers = epoch, _snapshot(model)
+            best_epoch, best_layers = epoch, copy.deepcopy(model.layers)
 
     model.layers = best_layers
     # glibc keeps the pages of freed validation buffers in its heap; whether the
@@ -307,7 +301,7 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     header = io.StringIO()
     header.write(CHECKPOINT_TAG + "\n")
     header.write("layer_sizes: " + ",".join(str(s) for s in model.layer_sizes) + "\n")
-    header.write("activations: " + ",".join(l.activation for l in model.layers) + "\n")
+    header.write("activations: " + ",".join(_layout(len(model.layers))) + "\n")
     header.write(f"n_parents: {model.head.n_parents}\n")
     header.write(f"k: {model.head.k}\n")
     header.write(f"seed: {model.rng_seed}\n")
@@ -318,6 +312,11 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
         for layer in model.layers:
             f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
+
+
+def _layout(count: int) -> list[str]:
+    """The activation names of a ``count``-layer model, as the header spells them."""
+    return ["relu"] * (count - 1) + ["linear"]
 
 
 def _header_int(path, name: str, text: str, minimum: int | None = None) -> int:
@@ -334,8 +333,9 @@ def _header_int(path, name: str, text: str, minimum: int | None = None) -> int:
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
-    Validates the tag, the header fields (activation names against
-    ``ACTIVATIONS``), the payload length, and parameter finiteness.
+    Validates the tag, the header fields (the activations against the fixed
+    relu,...,relu,linear layout), the payload length, and parameter
+    finiteness.
     """
     with open(str(path), "rb") as f:
         blob = f.read()
@@ -367,30 +367,26 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: header mismatch, last layer {sizes[-1]} vs head n {head.n}")
     if len(activations) != len(sizes) - 1:
         raise ValueError(f"{path}: header mismatch between layer_sizes and activations")
-    for act in activations:
-        if act not in ACTIVATIONS:
+    for i, (act, want) in enumerate(zip(activations, _layout(len(activations))), 1):
+        if act != want:
             raise ValueError(
-                f"{path}: header field 'activations' has unknown value '{act}' "
-                f"(allowed: {', '.join(ACTIVATIONS)})"
+                f"{path}: header field 'activations' has value '{act}' at layer {i}, expected '{want}'"
             )
 
     payload = blob[sep + 2 :]
     expected = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:])) * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: parameter payload is {len(payload)} bytes, expected {expected}")
-    layers = []
-    offset = 0
-    for i, ((fan_in, fan_out), act) in enumerate(zip(zip(sizes[:-1], sizes[1:]), activations), 1):
-        w_bytes = fan_in * fan_out * 8
-        weights = np.frombuffer(payload, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += w_bytes
-        bias = np.frombuffer(payload, dtype="<f8", count=fan_out, offset=offset)
-        offset += fan_out * 8
+    params = np.frombuffer(payload, dtype="<f8")
+    layers, offset = [], 0
+    for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:]), 1):
+        weights = params[offset : offset + fan_in * fan_out]
+        bias = params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out]
+        offset += (fan_in + 1) * fan_out
         layers.append(
             DenseLayer(
                 weights=require_finite(weights, f"{path}: layer {i} weights").reshape(fan_in, fan_out).copy(),
                 bias=require_finite(bias, f"{path}: layer {i} bias").copy(),
-                activation=act,
             )
         )
     return Model(layers=layers, head=head, rng_seed=seed), epoch

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acol import cli
+from acol import cli, network
 from acol.config import (
     ExperimentConfig,
     load_config,
@@ -286,6 +286,7 @@ def test_cli_train_writes_artifacts(tmp_path, fast_cfg, capsys):
     assert line.startswith("train ") and "parent_acc=" in line and "acc=" in line
     header = (out / "metrics.csv").read_text().splitlines()[0]
     assert header == "epoch,sup_loss,affinity,balance,frobenius,train_parent_acc,val_parent_acc"
+    assert header.split(",") == [f.name for f in fields(network.EpochRecord)]
     assert len((out / "metrics.csv").read_text().splitlines()) == 9  # header + 8 epochs
 
 
@@ -616,6 +617,84 @@ def test_load_pools_are_read_only_and_shared_by_datasets(tmp_path, fast_cfg):
                 data.X[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 data.X *= 2.0
+
+
+def test_load_pool_is_none_for_an_idx_config_without_a_test_pair(tmp_path):
+    cfg = load_config(_idx_config(tmp_path, _write_pattern_pair(tmp_path, "train", 60, seed=1)))
+    assert cli.load_pool(cfg, test=True) is None
+    assert cli.load_pools(cfg)[1] is None
+    assert len(cli.load_pool(cfg, test=False).fine) == 60
+
+
+def _write_square_pair(tmp_path, stem, side, labels):
+    """An IDX pair of random side x side images with the given labels."""
+    rng = np.random.default_rng(side)
+    paths = (tmp_path / f"{stem}-images.idx", tmp_path / f"{stem}-labels.idx")
+    write_idx_images(rng.integers(0, 256, size=(len(labels), side, side), dtype=np.uint8), paths[0])
+    write_idx_labels(np.asarray(labels, dtype=np.uint8), paths[1])
+    return paths
+
+
+@pytest.mark.parametrize("command, extra", [("train", ""), ("scenarios", "scenario.mode = inter-parent\n")])
+def test_cli_rejects_a_test_pair_of_another_width_before_training(tmp_path, capsys, command, extra):
+    train_pair = _write_pattern_pair(tmp_path, "train", 120, seed=1)
+    test_pair = _write_square_pair(tmp_path, "wide", 3, np.arange(20) % 10)
+    cfg = _idx_config(tmp_path, train_pair, test_pair)
+    cfg.write_text(cfg.read_text() + extra)
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: test images {test_pair[0]} have 9 features per row, "
+        f"training images {train_pair[0]} have 4\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-graph"])
+def test_cli_rejects_a_checkpoint_of_another_width(tmp_path, capsys, command):
+    train_pair = _write_pattern_pair(tmp_path, "train", 120, seed=1)
+    out = tmp_path / "run"
+    trained = ["train", "--config", str(_idx_config(tmp_path, train_pair)), "--out", str(out / "train")]
+    assert cli.main([*trained, "--quiet"]) == 0
+    ckpt = out / "train" / "model.ckpt"
+    cfg = _idx_config(tmp_path, train_pair, _write_square_pair(tmp_path, "wide", 3, np.arange(20) % 10))
+    argv = [command, "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out / command)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: first layer expects 4 features, the data has 9\n"
+    assert not (out / command).exists()
+
+
+@pytest.mark.parametrize("command", ["train", "baseline"])
+def test_cli_rejects_an_idx_pair_with_no_rows(tmp_path, capsys, command):
+    train_pair = _write_pattern_pair(tmp_path, "train", 120, seed=1)
+    empty = _write_square_pair(tmp_path, "empty", 2, [])
+    cfg = _idx_config(tmp_path, train_pair, empty)
+    out = tmp_path / "run"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty[0]}: the IDX pair has no rows\n"
+    assert not out.exists()
+
+
+def test_cli_sweep_scores_a_scenario_without_eval_rows_as_nan(tmp_path, capsys):
+    """Dropping 9 from a test pair of nines leaves that scenario no eval rows;
+    the sweep completes and the row reads nan."""
+    train_pair = _write_square_pair(tmp_path, "train", 2, np.arange(120) % 10)
+    cfg = _idx_config(tmp_path, train_pair, _write_square_pair(tmp_path, "nines", 2, [9] * 40))
+    cfg.write_text(cfg.read_text() + "scenario.mode = inter-parent\nscenario.exclusions = none;9\n")
+    out = tmp_path / "run"
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = list(csv.DictReader((out / "scenarios.csv").open()))
+    assert [r["m_eval"] for r in rows[:2]] == ["40", "0"]
+    assert [rows[1][key] for key in ("parent_acc", "acc", "first_parent_acc", "kmeans_acc")] == ["nan"] * 4
+    assert "m_eval=0 parent_acc=nan acc=nan first_parent_acc=nan kmeans_acc=nan" in captured.out
 
 
 def test_cli_scoring_commands_read_only_the_test_pool(tmp_path, capsys):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acol import cli
+from acol.config import ExperimentConfig
 from acol.datasets import (
     IMAGES_MAGIC,
     LABELS_MAGIC,
@@ -134,6 +136,15 @@ def test_idx_count_mismatch(tmp_path):
     with pytest.raises(IdxFormatError, match="count mismatch") as err:
         load_idx(ip, lp)
     assert str(err.value) == "image/label count mismatch: 3 images vs 2 labels"
+
+
+def test_idx_readers_accept_a_pair_with_no_rows(tmp_path):
+    """Count 0 is valid IDX; rejecting an empty pool is the CLI's job."""
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx_images(np.zeros((0, 28, 28), dtype=np.uint8), ip)
+    write_idx_labels(np.zeros(0, dtype=np.uint8), lp)
+    raw = load_idx(ip, lp)
+    assert raw.pixels.shape == (0, 28, 28) and raw.labels.shape == (0,)
 
 
 def test_idx_negative_sizes_are_rejected(tmp_path):
@@ -294,44 +305,52 @@ def test_pool_to_dataset_identity_on_fine_labels():
 
 
 def test_synthetic_blobs_contract():
-    data = synthetic_blobs(n_parents=2, k=3, per_cluster=50, dim=8, separation=10.0, seed=0)
+    data = synthetic_blobs(6, per_cluster=50, dim=8, separation=10.0, seed=0)
     assert data.X.shape == (300, 8)
-    assert set(np.unique(data.t_star)) == set(range(1, 7))
-    assert set(np.unique(data.t)) == {1, 2}
-    # parent labels follow the interleaved node rule
-    assert np.array_equal(data.t, (data.t_star - 1) % 2 + 1)
+    assert set(np.unique(data.fine)) == set(range(1, 7))
     # each cluster has exactly per_cluster examples
-    assert all(np.sum(data.t_star == c) == 50 for c in range(1, 7))
+    assert all(np.sum(data.fine == c) == 50 for c in range(1, 7))
     # noise comes from one seeded stream drawn cluster after cluster: taking
     # it away leaves each cluster's fixed center on every one of its rows
     rng = np.random.default_rng(0)
     noise = np.vstack([rng.standard_normal((50, 8)) for _ in range(6)])
     centers = data.X - noise
     for c in range(1, 7):
-        rows = centers[data.t_star == c]
+        rows = centers[data.fine == c]
         assert np.allclose(rows, rows[0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_parents, k", [(2, 3), (3, 2), (4, 1)])
+def test_synthetic_parents_follow_the_interleaved_node_rule(n_parents, k):
+    """The CLI's default partition alone assigns synthetic parents: cluster
+    c -> parent (c-1) % n_p + 1, the head's node-to-parent rule."""
+    cfg = ExperimentConfig(n_parents=n_parents, k=k)
+    pool = synthetic_blobs(n_parents * k, per_cluster=5, dim=8, separation=10.0, seed=0)
+    data = pool_to_dataset(pool, cli.default_partition(cfg))
+    assert np.array_equal(data.t, (pool.fine - 1) % n_parents + 1)
+    assert np.array_equal(data.t_star, pool.fine)
 
 
 def test_synthetic_blobs_center_separation_and_purity():
     """Nearest-center oracle: with separation 10 and unit variance, almost
     every point is closest to its own cluster's empirical center."""
     for seed in range(3):
-        data = synthetic_blobs(n_parents=2, k=3, per_cluster=100, dim=8, separation=10.0, seed=seed)
-        centers = np.stack([data.X[data.t_star == c].mean(axis=0) for c in range(1, 7)])
+        data = synthetic_blobs(6, per_cluster=100, dim=8, separation=10.0, seed=seed)
+        centers = np.stack([data.X[data.fine == c].mean(axis=0) for c in range(1, 7)])
         gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
         off = gaps[~np.eye(6, dtype=bool)]
         assert off.min() >= 9.0
         d2 = ((data.X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         nearest = d2.argmin(axis=1) + 1
-        assert (nearest == data.t_star).mean() >= 0.999
+        assert (nearest == data.fine).mean() >= 0.999
 
 
 def test_synthetic_blobs_equidistant_centered_layout():
     """With dim >= cluster count the centers form a regular simplex: every
     pair exactly ``separation`` apart and the centroid at the origin."""
     for seed in range(3):
-        data = synthetic_blobs(n_parents=2, k=3, per_cluster=400, dim=8, separation=10.0, seed=seed)
-        centers = np.stack([data.X[data.t_star == c].mean(axis=0) for c in range(1, 7)])
+        data = synthetic_blobs(6, per_cluster=400, dim=8, separation=10.0, seed=seed)
+        centers = np.stack([data.X[data.fine == c].mean(axis=0) for c in range(1, 7)])
         gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
         off = gaps[~np.eye(6, dtype=bool)]
         # empirical centers wobble by ~1/sqrt(400) per coordinate
@@ -341,17 +360,17 @@ def test_synthetic_blobs_equidistant_centered_layout():
 
 def test_synthetic_blobs_lattice_fallback_when_dim_is_small():
     # 4 clusters in 3 dims cannot form a centered-identity simplex
-    data = synthetic_blobs(n_parents=2, k=2, per_cluster=200, dim=3, separation=8.0, seed=0)
-    centers = np.stack([data.X[data.t_star == c].mean(axis=0) for c in range(1, 5)])
+    data = synthetic_blobs(4, per_cluster=200, dim=3, separation=8.0, seed=0)
+    centers = np.stack([data.X[data.fine == c].mean(axis=0) for c in range(1, 5)])
     gaps = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
     off = gaps[~np.eye(4, dtype=bool)]
     assert off.min() >= 7.0
 
 
 def test_synthetic_blobs_deterministic_per_seed():
-    a = synthetic_blobs(2, 2, 10, 3, 6.0, seed=5)
-    b = synthetic_blobs(2, 2, 10, 3, 6.0, seed=5)
-    c = synthetic_blobs(2, 2, 10, 3, 6.0, seed=6)
+    a = synthetic_blobs(4, 10, 3, 6.0, seed=5)
+    b = synthetic_blobs(4, 10, 3, 6.0, seed=5)
+    c = synthetic_blobs(4, 10, 3, 6.0, seed=6)
     assert np.array_equal(a.X, b.X)
     assert not np.array_equal(a.X, c.X)
 

@@ -102,6 +102,15 @@ def test_accuracy_input_validation():
         clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
 
 
+def test_accuracy_of_no_rows_is_nan():
+    """Like ``parent_accuracy``: a scenario whose filter drops every eval row
+    scores NaN instead of dividing by zero."""
+    empty = np.array([], dtype=np.int64)
+    result = clustering_accuracy(empty, empty)
+    assert np.isnan(result.accuracy)
+    assert result.mapping == {} and result.unmatched == []
+
+
 def _tables():
     """Square, wide (more clusters than labels) and tall contingency tables,
     random ones plus all-tie and all-zero ones."""
@@ -294,10 +303,10 @@ def test_kmeans_ignores_memory_layout():
 
 
 def test_kmeans_recovers_separated_blobs():
-    data = synthetic_blobs(n_parents=2, k=3, per_cluster=60, dim=5, separation=10.0, seed=31)
-    labels = kmeans(data.X, 6, seed=0)
+    pool = synthetic_blobs(6, per_cluster=60, dim=5, separation=10.0, seed=31)
+    labels = kmeans(pool.X, 6, seed=0)
     assert labels.min() == 1 and labels.max() <= 6
-    assert clustering_accuracy(labels, data.t_star).accuracy >= 0.99
+    assert clustering_accuracy(labels, pool.fine).accuracy >= 0.99
 
 
 def test_kmeans_each_point_its_own_cluster():
@@ -340,14 +349,15 @@ def test_kmeans_restarts_never_hurt():
 
 
 def test_kmeans_per_parent_id_ranges():
-    data = synthetic_blobs(n_parents=2, k=2, per_cluster=40, dim=4, separation=9.0, seed=36)
-    combined = kmeans_per_parent(data.X, data.t, k=2, seed=0)
+    pool = synthetic_blobs(4, per_cluster=40, dim=4, separation=9.0, seed=36)
+    t = (pool.fine - 1) % 2 + 1
+    combined = kmeans_per_parent(pool.X, t, k=2, seed=0)
     for parent in (1, 2):
-        ids = set(int(v) for v in combined[data.t == parent])
+        ids = set(int(v) for v in combined[t == parent])
         low, high = (parent - 1) * 2 + 1, parent * 2
         assert ids <= set(range(low, high + 1))
     # separable blobs: the combined clustering matches the fine truth
-    assert clustering_accuracy(combined, data.t_star).accuracy >= 0.99
+    assert clustering_accuracy(combined, pool.fine).accuracy >= 0.99
 
 
 # --- exports ----------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Golden sha256 digests of every artifact and stdout of two CLI sessions.
 
 The sessions are the default synthetic run (``train --seed 1``, then
-``eval`` and ``export-graph``) and a few-hundred-row session on generated
-digits (``bench/digits.write_pair``: train, eval, export-graph,
-inter-parent scenarios, baseline). Each file the commands write and each
-command's stdout is hashed with the session's temp dir replaced by a fixed
-token, and the hashes are compared with ``golden_digests.json``.
+``eval``, ``export-graph`` and ``export-graph --source parents``) and a
+few-hundred-row session on generated digits (``bench/digits.write_pair``:
+train, eval, export-graph, inter-parent scenarios, baseline, then
+random-partitions scenarios and a ``dataset.train_limit`` train, each from
+a config of its own). Each file the commands write and each command's
+stdout is hashed with the session's temp dir replaced by a fixed token, and
+the hashes are compared with ``golden_digests.json``.
 
 The bits depend on the BLAS kernel, so the table is keyed by the OpenBLAS
 core name and the numpy version; on a key the table lacks, the test skips
@@ -82,19 +84,27 @@ def _run_session(work: Path, commands) -> dict:
     }
 
 
-def _commands(config: str, out: Path, names, seed_args=()):
+def _commands(config: str, out: Path, names, seed_args=(), label=None):
+    """One ``(label, argv)`` per command name; the label (default: the name)
+    names the output directory and the stdout digest."""
     ckpt = str(out / "train" / "model.ckpt")
     extra = {"eval": ["--checkpoint", ckpt], "export-graph": ["--checkpoint", ckpt]}
-    return [
-        (name, [name, "--config", config, "--out", str(out / name), *seed_args, *extra.get(name, [])])
-        for name in names
-    ]
+    commands = []
+    for name in names:
+        tag = label or name
+        argv = [name, "--config", config, "--out", str(out / tag), *seed_args, *extra.get(name, [])]
+        commands.append((tag, argv))
+    return commands
 
 
 def synthetic_session(work: Path) -> dict:
     config = _write_config(work / "config.txt", {})
-    names = ("train", "eval", "export-graph")
-    return _run_session(work, _commands(config, work / "out", names, ("--seed", "1")))
+    out, seed = work / "out", ("--seed", "1")
+    commands = _commands(config, out, ("train", "eval", "export-graph"), seed)
+    commands += _commands(
+        config, out, ("export-graph",), (*seed, "--source", "parents"), label="export-graph-parents"
+    )
+    return _run_session(work, commands)
 
 
 def digits_session(work: Path) -> dict:
@@ -108,8 +118,18 @@ def digits_session(work: Path) -> dict:
     for (stem, *keys), count in zip(pairs, DIGITS_ROWS):
         entries.update(zip(keys, digits.write_pair(count, rng, str(work / stem))))
     config = _write_config(work / "config.txt", entries)
+    out = work / "out"
     names = ("train", "eval", "export-graph", "scenarios", "baseline")
-    return _run_session(work, _commands(config, work / "out", names))
+    commands = _commands(config, out, names)
+    random = {**entries, "scenario.mode": "random-partitions", "scenario.count": "2"}
+    commands += _commands(
+        _write_config(work / "random.txt", random), out, ("scenarios",), label="scenarios-random"
+    )
+    limited = {**entries, "dataset.train_limit": "300"}
+    commands += _commands(
+        _write_config(work / "limited.txt", limited), out, ("train",), label="train-limit"
+    )
+    return _run_session(work, commands)
 
 
 SESSIONS = {"synthetic": synthetic_session, "digits": digits_session}

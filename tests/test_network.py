@@ -63,7 +63,8 @@ def test_init_deterministic_and_glorot_bounded():
 
 def test_init_activations_and_sizes():
     model = init_model([4, 8, 6, 6], AcolHead(2, 3), seed=0)
-    assert [l.activation for l in model.layers] == ["relu", "relu", "linear"]
+    outputs = forward(model, np.random.default_rng(0).normal(size=(50, 4)))
+    assert all((a >= 0).all() for a in outputs[1:-1]) and (outputs[-1] < 0).any()
     assert model.layer_sizes == [4, 8, 6, 6]
     with pytest.raises(ValueError, match="head.n"):
         init_model([4, 5], AcolHead(2, 3), seed=0)
@@ -89,12 +90,10 @@ def test_forward_hand_computation():
             DenseLayer(
                 weights=np.array([[1.0, -1.0], [0.5, 2.0]]),
                 bias=np.array([0.0, -1.0]),
-                activation="relu",
             ),
             DenseLayer(
                 weights=np.array([[2.0, 0.0], [1.0, -1.0]]),
                 bias=np.array([0.5, 0.0]),
-                activation="linear",
             ),
         ],
         head=head,
@@ -117,9 +116,9 @@ def test_forward_rejects_wrong_feature_count():
 def _reference_outputs(model, x):
     """Out-of-place ``relu(a @ W + b)`` chain: the outputs forward() must give."""
     outputs = [x]
-    for layer in model.layers:
+    for i, layer in enumerate(model.layers):
         pre = outputs[-1] @ layer.weights + layer.bias
-        outputs.append(relu(pre) if layer.activation == "relu" else pre)
+        outputs.append(relu(pre) if i < len(model.layers) - 1 else pre)
     return outputs
 
 
@@ -174,7 +173,7 @@ def _frozen_pre_activation_backward(model, caches, d_z):
     d_out = d_z
     for i in reversed(range(len(model.layers))):
         a_in, pre = caches[i]
-        d_pre = d_out * (pre > 0) if model.layers[i].activation == "relu" else d_out
+        d_pre = d_out * (pre > 0) if i < len(model.layers) - 1 else d_out
         grads[i] = (a_in.T @ d_pre, d_pre.sum(axis=0))
         if i > 0:
             d_out = d_pre @ model.layers[i].weights.T
@@ -193,12 +192,12 @@ def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
         d_z = rng.normal(size=(40, sizes[-1]))
         d_z[::5] = 0.0
         outputs, pres = [x], []
-        for layer in model.layers:
+        for i, layer in enumerate(model.layers):
             pre = outputs[-1] @ layer.weights + layer.bias
             pre[::4, :2] = 0.0  # exact zeros of both signs in every layer
             pre[1::4, :2] = -0.0
             pres.append(pre)
-            outputs.append(relu(pre) if layer.activation == "relu" else pre)
+            outputs.append(relu(pre) if i < len(model.layers) - 1 else pre)
         expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
         got = backward(model, outputs, d_z)
         for g, (w, b) in zip(got, expected):
@@ -270,7 +269,8 @@ def test_regularizer_gradient_respects_relu_mask():
 
 
 def toy_data(seed=0):
-    return synthetic_blobs(n_parents=2, k=2, per_cluster=30, dim=4, separation=8.0, seed=seed)
+    pool = synthetic_blobs(4, per_cluster=30, dim=4, separation=8.0, seed=seed)
+    return LabeledDataset(X=pool.X, t=(pool.fine - 1) % 2 + 1, t_star=pool.fine)
 
 
 def test_train_learns_separable_parents():
@@ -524,7 +524,6 @@ def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch
 
     assert report.selected_epoch == frozen_report.selected_epoch
     for la, lb in zip(model.layers, frozen.layers):
-        assert la.activation == lb.activation
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
     fields = ("epoch", "sup_loss", "affinity", "balance", "frobenius", "val_parent_acc")
@@ -695,7 +694,6 @@ def test_checkpoint_round_trip_exact(tmp_path):
     assert loaded.rng_seed == model.rng_seed
     assert loaded.layer_sizes == model.layer_sizes
     for la, lb in zip(loaded.layers, model.layers):
-        assert la.activation == lb.activation
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
 
@@ -767,6 +765,25 @@ def test_checkpoint_rejects_unknown_activation(tmp_path):
     bad.write_bytes(blob.replace(b"activations: relu,linear\n", b"activations: relu,lineax\n", 1))
     with pytest.raises(ValueError, match=r"lineax\.ckpt: .*'activations'.*'lineax'"):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        (b"linear,linear", "header field 'activations' has value 'linear' at layer 1, expected 'relu'"),
+        (b"relu,relu", "header field 'activations' has value 'relu' at layer 2, expected 'linear'"),
+    ],
+)
+def test_checkpoint_rejects_any_layout_but_relu_then_linear(tmp_path, layout, message):
+    """Every layer but the last is relu; a header naming another layout of
+    known activations is rejected, not loaded into a network acol cannot train."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    bad = tmp_path / "layout.ckpt"
+    bad.write_bytes(path.read_bytes().replace(b"activations: relu,linear\n", b"activations: " + layout + b"\n", 1))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(bad)
+    assert str(err.value) == f"{bad}: {message}"
 
 
 @pytest.mark.parametrize(
