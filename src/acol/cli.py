@@ -257,8 +257,12 @@ def run_scenarios(cfg: ExperimentConfig, args) -> list[dict]:
         eval_data = pool_to_dataset(eval_pool, partition)
         model, _ = fit(cfg, train_data, seed)
         result = score(model, eval_data)
-        baseline_nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, seed=seed)
-        kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star).accuracy
+        try:
+            baseline_nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, seed=seed)
+        except ValueError:  # a parent has fewer rows than head.k: no baseline, as with no rows
+            kmeans_acc = float("nan")
+        else:
+            kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star).accuracy
         row = {
             "scenario": index,
             "description": partition.describe(),

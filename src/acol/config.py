@@ -46,7 +46,7 @@ class ExperimentConfig:
     c_f: float = _key("gar.c_f", 0.0003, (">=", 0))
     batch_size: int = _key("train.batch_size", 128, (">=", 2))
     epochs: int = _key("train.epochs", 100, (">=", 0))
-    learning_rate: float = _key("train.lr", 0.01)
+    learning_rate: float = _key("train.lr", 0.01, (">", 0))
     momentum: float = _key("train.momentum", 0.9)
     validation_size: int = _key("train.validation_size", 1000, (">=", 0))
     # hidden widths, comma separated; empty = auto (2048 synthetic, 256,128 idx)
@@ -86,10 +86,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
             )
-        if not self.learning_rate > 0:
-            raise ValueError(f"train.lr must be > 0, got {self.learning_rate}")
-        if not math.isfinite(self.learning_rate):
-            raise ValueError(f"train.lr must be finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
         groups = self.exclusion_groups()

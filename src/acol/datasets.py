@@ -10,6 +10,7 @@ IDX layout (all integers big-endian):
 """
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -82,67 +83,55 @@ class ParentPartition:
         )
 
 
-def _read_be32(buf: bytes, offset: int, path: str) -> int:
-    if len(buf) < offset + 4:
+def _read_idx(path, magic: int, unit: str) -> np.ndarray:
+    """Read an IDX file of uint8 values whose dimension count is the low byte
+    of ``magic``; ``unit`` names the values in the payload-length error."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    header = 4 * (1 + (magic & 0xFF))
+    if len(buf) >= 4 and (found := struct.unpack_from(">i", buf)[0]) != magic:
+        raise IdxFormatError(f"{path}: bad magic {found:#010x}, expected {magic:#010x}")
+    if len(buf) < header:
         raise IdxFormatError(f"{path}: truncated header")
-    return struct.unpack_from(">i", buf, offset)[0]
+    sizes = struct.unpack_from(f">{magic & 0xFF}i", buf, 4)
+    if min(sizes) < 0:
+        raise IdxFormatError(f"{path}: negative size {'x'.join(map(str, sizes))} in header")
+    expected = math.prod(sizes)
+    if len(buf) - header != expected:
+        raise IdxFormatError(
+            f"{path}: truncated payload, expected {expected} {unit} bytes, got {len(buf) - header}"
+        )
+    # read in place from the file's bytes; slicing them first would copy the payload
+    return np.frombuffer(buf, dtype=np.uint8, count=expected, offset=header).reshape(sizes)
 
 
 def load_idx_images(path) -> np.ndarray:
     """Read an IDX image file into a uint8 (m, rows, cols) array."""
-    path = str(path)
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic = _read_be32(buf, 0, path)
-    if magic != IMAGES_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic {magic:#010x}, expected {IMAGES_MAGIC:#010x}")
-    count = _read_be32(buf, 4, path)
-    rows = _read_be32(buf, 8, path)
-    cols = _read_be32(buf, 12, path)
-    if min(count, rows, cols) < 0:
-        raise IdxFormatError(f"{path}: negative size {count}x{rows}x{cols} in header")
-    expected = count * rows * cols
-    if len(buf) - 16 != expected:
-        raise IdxFormatError(
-            f"{path}: truncated payload, expected {expected} pixel bytes, got {len(buf) - 16}"
-        )
-    # read in place from the file's bytes; slicing them first would copy the payload
-    return np.frombuffer(buf, dtype=np.uint8, count=expected, offset=16).reshape(count, rows, cols)
+    return _read_idx(path, IMAGES_MAGIC, "pixel")
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into an int64 (m,) array."""
-    path = str(path)
-    with open(path, "rb") as f:
-        buf = f.read()
-    magic = _read_be32(buf, 0, path)
-    if magic != LABELS_MAGIC:
-        raise IdxFormatError(f"{path}: bad magic {magic:#010x}, expected {LABELS_MAGIC:#010x}")
-    count = _read_be32(buf, 4, path)
-    if count < 0:
-        raise IdxFormatError(f"{path}: negative size {count} in header")
-    if len(buf) - 8 != count:
-        raise IdxFormatError(
-            f"{path}: truncated payload, expected {count} label bytes, got {len(buf) - 8}"
-        )
-    return np.frombuffer(buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
+
+
+def _write_idx(path, magic: int, values: np.ndarray) -> None:
+    """Write uint8 ``values``, whose ndim must be the low byte of ``magic``, as IDX."""
+    if values.ndim != magic & 0xFF:
+        raise ValueError(f"IDX magic {magic:#010x} needs a {magic & 0xFF}-D array, got shape {values.shape}")
+    with open(str(path), "wb") as f:
+        f.write(struct.pack(f">{1 + values.ndim}i", magic, *values.shape))
+        f.write(values.tobytes())
 
 
 def write_idx_images(pixels: np.ndarray, path) -> None:
     """Serialize a uint8 (m, rows, cols) array back to IDX bytes."""
-    pixels = np.ascontiguousarray(pixels, dtype=np.uint8)
-    m, rows, cols = pixels.shape
-    with open(str(path), "wb") as f:
-        f.write(struct.pack(">iiii", IMAGES_MAGIC, m, rows, cols))
-        f.write(pixels.tobytes())
+    _write_idx(path, IMAGES_MAGIC, np.asarray(pixels, dtype=np.uint8))
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
     """Serialize labels back to IDX bytes."""
-    labels = np.asarray(labels)
-    with open(str(path), "wb") as f:
-        f.write(struct.pack(">ii", LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, LABELS_MAGIC, np.asarray(labels).astype(np.uint8))
 
 
 def load_idx(images_path, labels_path) -> RawDigits:
@@ -260,9 +249,8 @@ def split_validation(m: int, size: int, seed: int):
 
     The validation rows are the first ``size`` entries of a seeded
     permutation and the training rows the rest, in permutation order; each
-    row lands in exactly one of the two.
+    row lands in exactly one of the two. The caller keeps ``size < m``, as
+    ``network.train`` does for ``train.validation_size``.
     """
-    if size >= m:
-        raise ValueError(f"validation size {size} must be smaller than the dataset ({m})")
     perm = np.random.default_rng(seed).permutation(m)
     return perm[size:], perm[:size]

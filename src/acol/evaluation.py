@@ -199,37 +199,42 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0):
 
     The data is pre-divided by the provided parent labels, each subset is
     clustered into k clusters, and the clusterings are combined with
-    disjoint ids ``(parent-1)*k + local``.
+    disjoint ids ``(parent-1)*k + local``. A parent with fewer than k rows
+    raises ``ValueError`` before any clustering.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t)
+    parents, counts = np.unique(t, return_counts=True)
+    for parent, count in zip(parents, counts):
+        if count < k:
+            raise ValueError(f"parent {parent} has {count} rows, fewer than head.k = {k}")
     combined = np.zeros(len(t), dtype=np.int64)
-    for i, parent in enumerate(np.unique(t)):
+    for i, parent in enumerate(parents):
         idx = np.nonzero(t == parent)[0]
         local = kmeans(x[idx], k, seed=seed + i)
         combined[idx] = (int(parent) - 1) * k + local
     return combined
 
 
-def export_graph(rows, threshold: float, path, truth=None) -> None:
+def export_graph(rows, threshold: float, path, truth) -> None:
     """Write the similarity graph of the given rows as an edge list.
 
     Edges are the upper-triangle entries of ``rows @ rows.T`` strictly above
     the threshold, one ``i j weight`` line each (1-based, 6 significant
-    digits). When ``truth`` labels are given, ``# vertex i label`` comment
-    lines precede the edges. Intended for small subsets; the matrix is
-    quadratic in the number of rows.
+    digits), after one ``# vertex i label`` line per row. The caller passes
+    relu(Z) or parent probabilities, and the fine label of every row in
+    ``truth`` (every CLI dataset carries ``t_star``). Intended for small
+    subsets; the matrix is quadratic in the number of rows.
     """
     rows = check_activities(rows)
     sim = rows @ rows.T
     m = sim.shape[0]
+    truth = np.asarray(truth)
+    if truth.shape[0] != m:
+        raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
     with open(str(path), "w") as f:
-        if truth is not None:
-            truth = np.asarray(truth)
-            if truth.shape[0] != m:
-                raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
-            for i in range(m):
-                f.write(f"# vertex {i + 1} {int(truth[i])}\n")
+        for i in range(m):
+            f.write(f"# vertex {i + 1} {int(truth[i])}\n")
         for i in range(m):
             for j in range(i + 1, m):
                 if sim[i, j] > threshold:
@@ -240,21 +245,18 @@ def export_embeddings(z, annotations, truth, path) -> None:
     """Write one CSV row per example: n Z-values, node, parent, sub, truth.
 
     ``annotations`` is the ``(node, parent, sub)`` array triple of
-    ``assign_annotations``. Values carry 12 significant digits so a
-    round-trip parse reproduces them. ``truth`` may be None, in which case
-    the column holds -1.
+    ``assign_annotations`` and ``truth`` the fine labels, which the caller
+    passes for every row: every CLI dataset carries ``t_star``. Values carry
+    12 significant digits so a round-trip parse reproduces them.
     """
     z = np.asarray(z, dtype=np.float64)
     m, n = z.shape
     node, parent, sub = annotations
     if len(node) != m:
         raise ValueError(f"{len(node)} annotations for {m} rows")
-    if truth is None:
-        truth = np.full(m, -1, dtype=np.int64)
-    else:
-        truth = np.asarray(truth)
-        if truth.shape[0] != m:
-            raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
+    truth = np.asarray(truth)
+    if truth.shape[0] != m:
+        raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
     labels = np.column_stack([node, parent, sub, truth]).astype(np.int64).tolist()
     with open(str(path), "w") as f:
         f.write(",".join([f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]) + "\n")

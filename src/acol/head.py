@@ -73,23 +73,18 @@ def head_forward(z, head: AcolHead):
 def supervised_grad(z, t, head: AcolHead):
     """Mean negative log parent probability and its exact gradient at Z.
 
-    ``t`` holds 1-based parent labels. Returns ``(loss, d_z, parent_probs)``:
-    ``d_z`` differentiates through the pooling sum and the softmax, and its
-    rows sum to zero; ``parent_probs`` are the pooled probabilities of
-    ``head_forward``. Where the probability floor is active the loss is
-    flat, so those rows contribute zero gradient.
+    ``t`` holds 1-based parent labels, which the caller keeps in 1..n_parents
+    (``network.train`` checks them all once). Returns ``(loss, d_z,
+    parent_probs)``: ``d_z`` differentiates through the pooling sum and the
+    softmax, and its rows sum to zero; ``parent_probs`` are the pooled
+    probabilities of ``head_forward``. Where the probability floor is active
+    the loss is flat, so those rows contribute zero gradient.
     """
     z = as_matrix(z, "Z")
     t = np.asarray(t)
     m = z.shape[0]
     if t.shape != (m,):
         raise ValueError(f"labels have shape {t.shape}, expected ({m},)")
-    bad = np.nonzero((t < 1) | (t > head.n_parents))[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"parent label {t[i]} at example {i} outside 1..{head.n_parents}"
-        )
 
     probs, parent_probs = head_forward(z, head)
     rows = np.arange(m)

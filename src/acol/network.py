@@ -35,6 +35,8 @@ CHECKPOINT_TAG = "acol checkpoint v1"
 
 @dataclass
 class DenseLayer:
+    """One layer's weights and bias, or their gradients or momentum velocity."""
+
     weights: np.ndarray  # (fan_in, fan_out)
     bias: np.ndarray     # (fan_out,)
 
@@ -51,12 +53,6 @@ class Model:
     @property
     def layer_sizes(self) -> list[int]:
         return [self.layers[0].weights.shape[0]] + [l.weights.shape[1] for l in self.layers]
-
-
-@dataclass
-class LayerGrads:
-    weights: np.ndarray
-    bias: np.ndarray
 
 
 @dataclass
@@ -121,7 +117,7 @@ def forward(model: Model, x) -> list[np.ndarray]:
     return outputs
 
 
-def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
+def backward(model: Model, outputs, d_z) -> list[DenseLayer]:
     """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
 
     A relu output is > 0 exactly where its pre-activation is, so it serves
@@ -133,7 +129,7 @@ def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
         raise ValueError(f"cache holds {len(outputs) - 1} layers, model has {len(model.layers)}")
     d_out = as_matrix(d_z, "dZ")
     last = len(model.layers) - 1
-    grads: list[LayerGrads | None] = [None] * len(model.layers)
+    grads: list[DenseLayer | None] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         a_in, a_out = outputs[i], outputs[i + 1]
@@ -142,7 +138,7 @@ def backward(model: Model, outputs, d_z) -> list[LayerGrads]:
                 f"stale cache at layer {i}: gradient shape {d_out.shape} vs activations {a_out.shape}"
             )
         d_pre = d_out * (a_out > 0) if i < last else d_out
-        grads[i] = LayerGrads(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
+        grads[i] = DenseLayer(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
         if i > 0:
             d_out = d_pre @ layer.weights.T
     return grads
@@ -226,7 +222,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
     rng = np.random.default_rng(cfg.seed)
     velocity = [
-        LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
+        DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
     ]
     records: list[EpochRecord] = []
     best_acc = -np.inf

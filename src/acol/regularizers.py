@@ -45,15 +45,14 @@ class GarTerms:
 
 
 def check_activities(b) -> np.ndarray:
-    """Validate an activity matrix: 2-D, nonnegative, at least 2 columns."""
+    """Validate an activity matrix: 2-D, at least 1 row and 2 columns. Its
+    callers pass relu(Z) or pooled softmax probabilities, never negative."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"activity matrix must be 2-D, got shape {b.shape}")
     m, n = b.shape
     if m < 1 or n < 2:
         raise ValueError(f"activity matrix needs m >= 1 rows and n >= 2 columns, got {b.shape}")
-    if b.size and b.min() < 0:
-        raise ValueError("activity matrix has negative entries; it must be the image of relu")
     return b
 
 

@@ -133,12 +133,12 @@ def test_validate_rules():
         ("train.validation_size = -5", "train.validation_size must be >= 0, got -5"),
         ("train.batch_size = 1", "train.batch_size must be >= 2, got 1"),
         ("seed = -1", "seed must be >= 0, got -1"),
-        ("train.lr = -1", "train.lr must be > 0, got -1.0"),
-        ("train.lr = 0", "train.lr must be > 0, got 0.0"),
-        ("train.lr = nan", "train.lr must be > 0, got nan"),
+        ("train.lr = -1", "train.lr must be finite and > 0, got -1.0"),
+        ("train.lr = 0", "train.lr must be finite and > 0, got 0.0"),
+        ("train.lr = nan", "train.lr must be finite and > 0, got nan"),
         ("train.momentum = 1", "train.momentum must be in [0, 1), got 1.0"),
         ("train.momentum = -0.1", "train.momentum must be in [0, 1), got -0.1"),
-        ("train.lr = inf", "train.lr must be finite, got inf"),
+        ("train.lr = inf", "train.lr must be finite and > 0, got inf"),
         ("dataset.separation = 0", "dataset.separation must be finite and > 0, got 0.0"),
         ("dataset.separation = nan", "dataset.separation must be finite and > 0, got nan"),
         ("dataset.feature_scale = nan", "dataset.feature_scale must be finite and >= 0, got nan"),
@@ -695,6 +695,36 @@ def test_cli_sweep_scores_a_scenario_without_eval_rows_as_nan(tmp_path, capsys):
     assert [r["m_eval"] for r in rows[:2]] == ["40", "0"]
     assert [rows[1][key] for key in ("parent_acc", "acc", "first_parent_acc", "kmeans_acc")] == ["nan"] * 4
     assert "m_eval=0 parent_acc=nan acc=nan first_parent_acc=nan kmeans_acc=nan" in captured.out
+
+
+def _too_few_nines_config(tmp_path, extra=""):
+    """head.k = 5 over a test pair of 40 zeros and 3 nines: parent 2 of the
+    threshold partition has fewer rows than a per-parent k-means needs."""
+    train_pair = _write_square_pair(tmp_path, "train", 2, np.arange(120) % 10)
+    cfg = _idx_config(tmp_path, train_pair, _write_square_pair(tmp_path, "few", 2, [0] * 40 + [9] * 3))
+    cfg.write_text(cfg.read_text() + "head.k = 5\n" + extra)
+    return cfg
+
+
+def test_cli_sweep_scores_a_parent_with_fewer_rows_than_k_as_nan_kmeans(tmp_path, capsys):
+    cfg = _too_few_nines_config(tmp_path, "scenario.mode = inter-parent\nscenario.exclusions = none;9\n")
+    out = tmp_path / "run"
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((out / "scenarios.csv").open()))
+    assert [r["m_eval"] for r in rows[:2]] == ["43", "40"]
+    assert rows[0]["kmeans_acc"] == "nan" and not math.isnan(float(rows[1]["kmeans_acc"]))
+    assert rows[0]["acc"] != "nan"
+
+
+def test_cli_baseline_stops_before_clustering_a_parent_with_fewer_rows_than_k(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("acol.evaluation.kmeans", lambda *args, **kwargs: pytest.fail("k-means ran"))
+    out = tmp_path / "run"
+    assert cli.main(["baseline", "--config", str(_too_few_nines_config(tmp_path)), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parent 2 has 3 rows, fewer than head.k = 5\n"
+    assert not out.exists()
 
 
 def test_cli_scoring_commands_read_only_the_test_pool(tmp_path, capsys):

@@ -393,12 +393,6 @@ def test_split_validation_partitions_dataset():
     assert not np.array_equal(val, val3)
 
 
-def test_split_validation_rejects_oversize():
-    with pytest.raises(ValueError) as err:
-        split_validation(20, size=20, seed=0)
-    assert str(err.value) == "validation size 20 must be smaller than the dataset (20)"
-
-
 def test_labeled_dataset_len():
     data = LabeledDataset(X=np.zeros((7, 2)), t=np.ones(7, dtype=np.int64))
     assert len(data) == 7

@@ -8,6 +8,7 @@ import pytest
 from acol.datasets import synthetic_blobs
 from acol.evaluation import (
     _max_weight_matching,
+    _plus_plus_centers,
     _sq_dist_to,
     _within_ss,
     clustering_accuracy,
@@ -253,6 +254,10 @@ def _oracle_cases():
     # leaves a cluster empty
     empty = np.vstack([np.zeros((8, 2)), [[1e6, 0.0], [1e6, 1e-9]]])
     cases.append(("empty-cluster-k3", empty, 3, 0, 10))
+    # the same at 1e8 with a pair 0.5 apart, beside spread rows: the re-seed
+    # must take the row farthest from its center, not any row
+    spread = np.vstack([np.random.default_rng(44).normal(size=(6, 2)), [[1e8, 0.0], [1e8, 0.5]]])
+    cases.append(("empty-cluster-spread-k3", spread, 3, 4, 1))
     return cases
 
 
@@ -277,6 +282,16 @@ def test_kmeans_oracle_cases_cover_both_edge_branches(monkeypatch):
     oracle_kmeans(x, k, seed=seed, restarts=restarts)
     monkeypatch.undo()
     assert calls
+
+
+def test_plus_plus_seeding_redraws_a_uniform_row_when_no_distance_is_left():
+    """With every row on a center, the next center is a uniform draw, as in
+    the oracle. kmeans' labels cannot show which row was drawn: every
+    restart then scores 0 and the first one is kept."""
+    x = np.array([[0.0], [1.0], [1.0], [1.0]])
+    for seed in range(10):
+        expected = _oracle_plus_plus_centers(x, 3, np.random.default_rng(seed))
+        assert np.array_equal(_plus_plus_centers(x, 3, np.random.default_rng(seed), np.empty_like(x)), expected)
 
 
 def test_in_place_distances_round_like_the_expressions_they_replace():
@@ -396,15 +411,6 @@ def test_export_graph_recomputes_oracle(tmp_path):
     assert all(i < j for i, j in edges)
 
 
-def test_export_graph_without_truth(tmp_path):
-    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    path = tmp_path / "g.edges"
-    export_graph(rows, 0.5, path)
-    text = path.read_text()
-    assert "#" not in text
-    assert text.strip() == "1 2 1"
-
-
 def test_export_graph_truth_length_mismatch(tmp_path):
     with pytest.raises(ValueError, match="truth labels"):
         export_graph(np.ones((3, 2)), 0.0, tmp_path / "g", truth=np.array([1, 2]))
@@ -426,13 +432,5 @@ def test_export_embeddings_round_trip(tmp_path):
         back = np.array([float(v) for v in cells[: head.n]])
         assert np.allclose(back, z[i], rtol=1e-11)
         assert [int(c) for c in cells[head.n :]] == [node[i], parent[i], sub[i], truth[i]]
-
-
-def test_export_embeddings_without_truth(tmp_path):
-    head = AcolHead(2, 1)
-    z = np.array([[0.5, -0.5]])
-    path = tmp_path / "e.csv"
-    export_embeddings(z, assign_annotations(z, head), None, path)
-    assert path.read_text().splitlines()[1].endswith(",-1")
     with pytest.raises(ValueError, match="annotations"):
-        export_embeddings(z, (np.array([], dtype=np.int64),) * 3, None, path)
+        export_embeddings(z, (np.array([], dtype=np.int64),) * 3, truth, path)

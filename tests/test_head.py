@@ -136,12 +136,10 @@ def test_supervised_grad_floor_region_is_flat():
 
 
 def test_supervised_grad_label_validation():
+    # the label range is network.train's check, see
+    # test_network::test_train_rejects_parent_labels_outside_the_head
     head = AcolHead(2, 2)
     z = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="example 1"):
-        supervised_grad(z, np.array([1, 3, 2]), head)
-    with pytest.raises(ValueError, match="outside 1..2"):
-        supervised_grad(z, np.array([0, 1, 1]), head)
     with pytest.raises(ValueError, match="shape"):
         supervised_grad(z, np.array([1, 2]), head)
 

@@ -22,7 +22,6 @@ from acol.network import (
     CHECKPOINT_TAG,
     DenseLayer,
     EpochRecord,
-    LayerGrads,
     Model,
     TrainReport,
     backward,
@@ -464,7 +463,7 @@ def _frozen_train(model, data, cfg):
     m = len(train_data)
     rng = np.random.default_rng(cfg.seed)
     velocity = [
-        LayerGrads(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
+        DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
     ]
     records = []
     best_acc, best_epoch, best_layers = -np.inf, 0, copy.deepcopy(model.layers)
@@ -596,7 +595,7 @@ def test_train_hands_the_freed_validation_pages_back():
     "change, message",
     [
         ({"batch_size": 1}, "train.batch_size must be >= 2, got 1"),
-        ({"learning_rate": 0.0}, "train.lr must be > 0, got 0.0"),
+        ({"learning_rate": 0.0}, "train.lr must be finite and > 0, got 0.0"),
         ({"momentum": 1.0}, "train.momentum must be in [0, 1), got 1.0"),
         ({"validation_size": -5}, "train.validation_size must be >= 0, got -5"),
         ({"c_alpha": -0.1}, "gar.c_alpha must be finite and >= 0, got -0.1"),
@@ -622,6 +621,17 @@ def test_train_rejects_a_head_parent_without_rows():
     with pytest.raises(ValueError) as err:
         train(model, data, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
     assert str(err.value) == "head.n_p = 3, but parent 1 has no rows"
+
+
+@pytest.mark.parametrize("label", [0, 3])
+def test_train_rejects_parent_labels_outside_the_head(label):
+    """The one range check of the parent labels: supervised_grad relies on it."""
+    data = toy_data()
+    data.t[7] = label
+    head = AcolHead(2, 2)
+    with pytest.raises(ValueError) as err:
+        train(init_model([4, 8, head.n], head, seed=0), data, ExperimentConfig(epochs=1, validation_size=0))
+    assert str(err.value) == "parent labels must lie in 1..2"
 
 
 def test_train_rejects_bad_labels_and_oversized_batch():

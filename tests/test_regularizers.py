@@ -202,8 +202,6 @@ def test_check_activities_rejects_bad_inputs():
         check_activities(np.ones(4))
     with pytest.raises(ValueError, match="n >= 2"):
         check_activities(np.ones((3, 1)))
-    with pytest.raises(ValueError, match="negative"):
-        check_activities(np.array([[1.0, -0.5]]))
 
 
 def test_coefficients_validate():
