@@ -9,20 +9,20 @@ Subcommands:
     export-graph  similarity edge list of a trained model's activities
 
 Every run is driven by a config file (see ``acol.config``); ``--seed`` and
-``--out`` override the config. Each subcommand prints a one-line
-machine-parsable ``key=value`` summary to stdout unless ``--quiet``.
+``--out`` override the config. Each subcommand returns its summary, and
+``main`` prints it to stdout as one machine-parsable ``<command> key=value``
+line unless ``--quiet``.
 """
 
 import argparse
-import csv
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets, evaluation, network
-from .config import ExperimentConfig, load_config, save_config
+from .config import ExperimentConfig, format_key_values, load_config, save_config
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
 from .linalg import relu
@@ -117,27 +117,8 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
         "nodes": nodes,
     }
     first = data.t == 1
-    if first.any():
-        result["first_parent_acc"] = evaluation.clustering_accuracy(
-            nodes[first], data.t_star[first]
-        ).accuracy
+    result["first_parent_acc"] = evaluation.clustering_accuracy(nodes[first], data.t_star[first]).accuracy
     return result
-
-
-def write_metrics_csv(report: network.TrainReport, path) -> None:
-    """One row per epoch under the names of ``EpochRecord``'s fields; values
-    via repr so reruns are byte-identical."""
-    names = [f.name for f in fields(network.EpochRecord)]
-    with open(str(path), "w") as f:
-        f.write(",".join(names) + "\n")
-        for r in report.records:
-            f.write(",".join(repr(getattr(r, name)) for name in names) + "\n")
-
-
-def _write_summary(path, entries: dict) -> None:
-    with open(str(path), "w") as f:
-        for key, value in entries.items():
-            f.write(f"{key} = {value}\n")
 
 
 def _summary_line(command: str, entries: dict) -> str:
@@ -161,7 +142,8 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
 
     model, report = fit(cfg, train_data, cfg.seed)
     network.save_checkpoint(model, out / "model.ckpt", epoch=report.selected_epoch)
-    write_metrics_csv(report, out / "metrics.csv")
+    names = [f.name for f in fields(network.EpochRecord)]
+    evaluation.write_csv(out / "metrics.csv", names, map(astuple, report.records))
 
     result = score(model, eval_data)
     evaluation.export_embeddings(
@@ -177,10 +159,9 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
         "parent_acc": result["parent_acc"],
         "acc": result["acc"],
     }
-    _write_summary(out / "summary.txt", summary)
+    (out / "summary.txt").write_text(format_key_values(summary))
     save_config(cfg, out / "config.txt")
-    if not args.quiet:
-        print(_summary_line("train", {k: v for k, v in summary.items() if k != "partition"}))
+    del summary["partition"]  # summary.txt only
     return summary
 
 
@@ -221,9 +202,7 @@ def run_eval(cfg: ExperimentConfig, args) -> dict:
     }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_summary(out / "eval_summary.txt", summary)
-    if not args.quiet:
-        print(_summary_line("eval", summary))
+    (out / "eval_summary.txt").write_text(format_key_values(summary))
     return summary
 
 
@@ -238,7 +217,7 @@ def _scenario_partitions(cfg: ExperimentConfig, fine_labels) -> list[datasets.Pa
     raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
 
 
-def run_scenarios(cfg: ExperimentConfig, args) -> list[dict]:
+def run_scenarios(cfg: ExperimentConfig, args) -> dict:
     """Partition sweep; each scenario trains afresh with seed base+index.
 
     The k-means baseline clusters the identical test subset that the model
@@ -270,35 +249,23 @@ def run_scenarios(cfg: ExperimentConfig, args) -> list[dict]:
             "m_eval": len(eval_data),
             "parent_acc": result["parent_acc"],
             "acc": result["acc"],
-            "first_parent_acc": result.get("first_parent_acc", float("nan")),
+            "first_parent_acc": result["first_parent_acc"],
             "kmeans_acc": kmeans_acc,
         }
         rows.append(row)
         if not args.quiet:
             print(_summary_line("scenario", row))
 
-    accs = np.array([r["acc"] for r in rows])
-    base = np.array([r["kmeans_acc"] for r in rows])
-    aggregate = {
-        "worst": (float(accs.min()), float(base.min())),
-        "median": (float(np.median(accs)), float(np.median(base))),
-        "best": (float(accs.max()), float(base.max())),
-        "mean": (float(accs.mean()), float(base.mean())),
-    }
-
-    # the columns are the row's keys; csv quotes the description, which holds
-    # commas, and writes floats via repr
-    with open(out / "scenarios.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]), restval="", lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-        for name, (acc, kacc) in aggregate.items():
-            writer.writerow({"scenario": name, "description": "aggregate", "acc": acc, "kmeans_acc": kacc})
-
-    if not args.quiet:
-        means = dict(zip(("acc_mean", "kmeans_mean"), aggregate["mean"]))
-        print(_summary_line("scenarios", {"mode": cfg.scenario_mode, "count": len(rows), **means}))
-    return rows
+    # each aggregate row reduces a column over the scenarios that scored a
+    # number, and reads nan where none did; stdout takes the last, the mean
+    columns = [np.array([r[key] for r in rows]) for key in ("acc", "kmeans_acc")]
+    columns = [c[~np.isnan(c)] for c in columns]
+    header, table = list(rows[0]), list(rows)
+    for name, reduce in (("worst", np.min), ("median", np.median), ("best", np.max), ("mean", np.mean)):
+        acc, kacc = (float(reduce(c)) if c.size else float("nan") for c in columns)
+        table.append({"scenario": name, "description": "aggregate", "acc": acc, "kmeans_acc": kacc})
+    evaluation.write_csv(out / "scenarios.csv", header, ([r.get(k, "") for k in header] for r in table))
+    return {"mode": cfg.scenario_mode, "count": len(rows), "acc_mean": acc, "kmeans_mean": kacc}
 
 
 def run_baseline(cfg: ExperimentConfig, args) -> dict:
@@ -306,10 +273,7 @@ def run_baseline(cfg: ExperimentConfig, args) -> dict:
     _, _, data = _eval_inputs(cfg, None)
     nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
-    summary = {"m": len(data), "k": cfg.k, "acc": acc}
-    if not args.quiet:
-        print(_summary_line("baseline", summary))
-    return summary
+    return {"m": len(data), "k": cfg.k, "acc": acc}
 
 
 def run_export_graph(cfg: ExperimentConfig, args) -> dict:
@@ -326,10 +290,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "graph.edges"
     evaluation.export_graph(rows, args.threshold, path, truth=data.t_star[:take])
-    summary = {"rows": take, "source": args.source, "threshold": args.threshold, "path": str(path)}
-    if not args.quiet:
-        print(_summary_line("export-graph", summary))
-    return summary
+    return {"rows": take, "source": args.source, "threshold": args.threshold, "path": str(path)}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -367,13 +328,15 @@ def main(argv=None) -> int:
             cfg.validate()
         if args.out is None:
             args.out = cfg.output_dir
-        args.run(cfg, args)
+        summary = args.run(cfg, args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:
         print(f"error: out of memory: {e}", file=sys.stderr)
         return 1
+    if not args.quiet:
+        print(_summary_line(args.command, summary))
     return 0
 
 

@@ -172,10 +172,15 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
+def format_key_values(entries: dict) -> str:
+    """One ``key = value`` line per entry, in order; the format of config.txt,
+    summary.txt and eval_summary.txt."""
+    return "".join(f"{key} = {value}\n" for key, value in entries.items())
+
+
 def serialize_config(cfg: ExperimentConfig) -> str:
-    return "".join(
-        f"{f.metadata['key']} = {_format_value(f.type, getattr(cfg, f.name))}\n" for f in fields(cfg)
-    )
+    values = {f.metadata["key"]: _format_value(f.type, getattr(cfg, f.name)) for f in fields(cfg)}
+    return format_key_values(values)
 
 
 def load_config(path) -> ExperimentConfig:

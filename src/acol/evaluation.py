@@ -7,6 +7,7 @@ table. When there are more clusters than labels, unmatched clusters
 contribute nothing.
 """
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,7 +259,15 @@ def export_embeddings(z, annotations, truth, path) -> None:
     if truth.shape[0] != m:
         raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
     labels = np.column_stack([node, parent, sub, truth]).astype(np.int64).tolist()
-    with open(str(path), "w") as f:
-        f.write(",".join([f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]) + "\n")
-        for values, ids in zip(z, labels):
-            f.write(",".join([f"{v:.12g}" for v in values] + [str(i) for i in ids]) + "\n")
+    header = [f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]
+    write_csv(path, header, ([*(f"{v:.12g}" for v in values), *ids] for values, ids in zip(z, labels)))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the header, then each row as it comes, as CSV lines ending in
+    ``\\n``; the csv module quotes only a value holding a comma, a quote or a
+    line break, and writes floats by repr."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

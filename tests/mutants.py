@@ -1,0 +1,120 @@
+"""Mutation check: does tier-1 fail on each listed change to the source?
+
+usage: python3 tests/mutants.py [--list] [NAME ...]
+
+Each mutant is a source file, an exact text that occurs once in it, and the
+text that replaces it. For each one, the repository (without ``.git`` and
+caches) is copied to a temporary directory, the text is replaced in the
+copy, and tier-1 runs there, stopping at its first failure. The mutant is
+``killed`` when tier-1 fails and ``survived`` when it passes; the working
+tree is never changed. An unmutated copy runs first and must pass, or
+nothing else runs. Names pick mutants; no name runs them all. Exits 1 when
+a mutant survived or its text no longer occurs exactly once, 2 when the
+unmutated copy fails, 0 otherwise.
+
+Run by hand; pytest does not collect this file. A survivor is either a
+missing test, which the change that finds it adds, or an equivalent mutant,
+whose reason belongs next to the mutant below.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIPPED = shutil.ignore_patterns(".git", "__pycache__", "_runs", ".hypothesis", ".pytest_cache")
+TIMEOUT_S = 900
+
+# (name, file, old text, new text)
+MUTANTS = (
+    # the stdout summary line and the artifact writers
+    ("quiet-ignored", "src/acol/cli.py",
+     "if not args.quiet:\n        print(_summary_line(args.command",
+     "if True:\n        print(_summary_line(args.command"),
+    ("train-line-keeps-partition", "src/acol/cli.py",
+     '    del summary["partition"]  # summary.txt only\n', ""),
+    ("csv-crlf", "src/acol/evaluation.py", 'lineterminator="\\n"', 'lineterminator="\\r\\n"'),
+    ("key-value-no-spaces", "src/acol/config.py", 'f"{key} = {value}\\n"', 'f"{key}={value}\\n"'),
+    ("aggregates-keep-nan", "src/acol/cli.py",
+     "columns = [c[~np.isnan(c)] for c in columns]", "columns = [c for c in columns]"),
+    ("aggregates-min-max-swapped", "src/acol/cli.py",
+     '("worst", np.min), ("median", np.median), ("best", np.max)',
+     '("worst", np.max), ("median", np.median), ("best", np.min)'),
+    ("first-parent-mask-all-rows", "src/acol/cli.py", "first = data.t == 1", "first = data.t >= 1"),
+    # training
+    ("gar-affinity-grad-sign", "src/acol/regularizers.py",
+     "(d_off * s_diag - s_off * d_diag)", "(d_off * s_diag + s_off * d_diag)"),
+    ("pooling-blocked", "src/acol/head.py",
+     "np.tile(np.eye(self.n_parents), (self.k, 1))", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
+    ("relu-mask-dropped", "src/acol/network.py", "d_out * (a_out > 0)", "d_out * (a_out >= 0)"),
+    ("momentum-step-before-velocity", "src/acol/network.py",
+     "vel.weights -= g.weights\n                    layer.weights += vel.weights",
+     "layer.weights += vel.weights\n                    vel.weights -= g.weights"),
+    ("snapshot-earliest-on-ties", "src/acol/network.py", "if val_acc >= best_acc:", "if val_acc > best_acc:"),
+    # scoring, k-means and readers
+    ("hungarian-row-potential-sign", "src/acol/evaluation.py",
+     "u[row_of[used]] += delta", "u[row_of[used]] -= delta"),
+    ("kmeans-reseed-nearest", "src/acol/evaluation.py",
+     "worst = np.argmax(np.min(dist_sq, axis=1))", "worst = np.argmin(np.min(dist_sq, axis=1))"),
+    ("kmeans-zero-distance-draw-row-0", "src/acol/evaluation.py",
+     "centers[i] = x[rng.integers(m)]\n            continue", "centers[i] = x[0]\n            continue"),
+    ("idx-magic-unchecked", "src/acol/datasets.py",
+     "if len(buf) >= 4 and (found", "if len(buf) >= 4 and False and (found"),
+    ("idx-long-payload-accepted", "src/acol/datasets.py",
+     "if len(buf) - header != expected:", "if len(buf) - header < expected:"),
+    ("checkpoint-long-payload-accepted", "src/acol/network.py",
+     "if len(payload) != expected:", "if len(payload) < expected:"),
+)
+
+
+def run(name: str, rel: str, old: str, new: str) -> str:
+    """``killed``, ``survived`` or ``stale`` (old text not found exactly once)."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=SKIPPED)
+        path = copy / rel
+        text = path.read_text()
+        if text.count(old) != 1:
+            return "stale"
+        path.write_text(text.replace(old, new))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   "--continue-on-collection-errors"]
+        try:
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed"  # a hang is a failure
+        return "survived" if done.returncode == 0 else "killed"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="print the mutant names and exit")
+    args = parser.parse_args(argv)
+    known = {m[0]: m for m in MUTANTS}
+    if args.list:
+        print("\n".join(known))
+        return 0
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    if run("control", "pyproject.toml", "[project]", "[project]") != "survived":
+        print("tier-1 fails on the unmutated copy; no mutant was run")
+        return 2
+    failed = False
+    for name in args.names or list(known):
+        start = time.monotonic()
+        outcome = run(*known[name])
+        failed |= outcome != "killed"
+        print(f"{outcome:8} {name} ({time.monotonic() - start:.0f} s)", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -290,6 +290,23 @@ def test_cli_train_writes_artifacts(tmp_path, fast_cfg, capsys):
     assert len((out / "metrics.csv").read_text().splitlines()) == 9  # header + 8 epochs
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "scenarios", "baseline", "export-graph"])
+def test_cli_prints_its_summary_line_last_unless_quiet(tmp_path, capsys, command):
+    """The last stdout line is the command's summary; --quiet leaves stdout
+    empty, the per-scenario lines included."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(FAST_SYNTH + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n")
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "fit"), "--quiet"]) == 0
+    argv = [command, "--config", str(cfg)]
+    if command in ("eval", "export-graph"):
+        argv += ["--checkpoint", str(tmp_path / "fit" / "model.ckpt")]
+    capsys.readouterr()
+    assert cli.main([*argv, "--out", str(tmp_path / "loud")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{command} ")
+    assert cli.main([*argv, "--out", str(tmp_path / "quiet"), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_train_metrics_are_byte_identical_across_runs(tmp_path, fast_cfg):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert cli.main(["train", "--config", str(fast_cfg), "--out", str(out1), "--quiet"]) == 0
@@ -715,6 +732,23 @@ def test_cli_sweep_scores_a_parent_with_fewer_rows_than_k_as_nan_kmeans(tmp_path
     assert [r["m_eval"] for r in rows[:2]] == ["43", "40"]
     assert rows[0]["kmeans_acc"] == "nan" and not math.isnan(float(rows[1]["kmeans_acc"]))
     assert rows[0]["acc"] != "nan"
+
+
+@pytest.mark.parametrize("exclusions", ["none;9", "none"])
+def test_cli_sweep_aggregates_skip_nan_scenarios(tmp_path, capsys, exclusions):
+    """Scenario 0 reads kmeans_acc nan; each aggregate row takes the column
+    over the scenarios that scored a number, and reads nan when none did."""
+    cfg = _too_few_nines_config(tmp_path, f"scenario.mode = inter-parent\nscenario.exclusions = {exclusions}\n")
+    out = tmp_path / "run"
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "scenarios.csv").open()))
+    scored, aggregates = rows[:-4], rows[-4:]
+    numbers = [r["kmeans_acc"] for r in scored if r["kmeans_acc"] != "nan"]
+    assert len(numbers) == len(scored) - 1
+    expected = numbers[0] if numbers else "nan"
+    assert [r["kmeans_acc"] for r in aggregates] == [expected] * 4
+    assert "nan" not in [r["acc"] for r in aggregates]
+    assert f"kmeans_mean={float(expected):.6f}" in capsys.readouterr().out
 
 
 def test_cli_baseline_stops_before_clustering_a_parent_with_fewer_rows_than_k(tmp_path, capsys, monkeypatch):

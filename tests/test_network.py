@@ -735,6 +735,11 @@ def test_checkpoint_rejects_corruption(tmp_path):
     with pytest.raises(ValueError, match="payload"):
         load_checkpoint(short)
 
+    long = tmp_path / "long.ckpt"
+    long.write_bytes(blob + bytes(8))
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(long)
+
     headerless = tmp_path / "headerless.ckpt"
     headerless.write_bytes(blob.replace(b"\n\n", b"\n", 1))
     with pytest.raises(ValueError):
