@@ -104,6 +104,8 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     """Annotations plus metrics of a frozen model on one dataset, which must
     carry its fine labels ``t_star``."""
+    if data.t_star is None:
+        raise ValueError("score needs the fine labels t_star of the dataset")
     z = network.forward(model, data.X)[-1]
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]

@@ -38,12 +38,18 @@ class LabeledDataset:
 
     ``t`` holds 1-based parent classes and is the only label ever seen by
     training. ``t_star``, when present, is the fine ground truth kept for
-    evaluation only.
+    evaluation only. Each has one entry per row of ``X``, checked here.
     """
 
     X: np.ndarray                 # float64, (m, d), values in [0, 1] for image data
     t: np.ndarray                 # int64, (m,)
     t_star: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name, labels in (("t", self.t), ("t_star", self.t_star)):
+            if labels is not None and np.shape(labels) != (len(self.X),):
+                found = f"{len(labels)} entries" if np.ndim(labels) == 1 else f"shape {np.shape(labels)}"
+                raise ValueError(f"{len(self.X)} rows of X, but {found} in {name}")
 
     def __len__(self) -> int:
         return self.X.shape[0]

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import check_activities
-
 
 @dataclass
 class ClusterMapping:
@@ -27,17 +25,13 @@ class ClusterMapping:
 def clustering_accuracy(assignments, truth) -> ClusterMapping:
     """Best one-to-one accuracy between cluster assignments and true labels.
 
-    Works on arbitrary (hashable-as-int) label values and allows more
-    clusters than labels. The matching maximizes the total count on the
-    contingency table, which equals an exhaustive search over injective
-    mappings. The accuracy is NaN for no rows.
+    The caller passes two equal-length vectors of int-valued labels; there
+    may be more clusters than labels. The matching maximizes the total count
+    on the contingency table, which equals an exhaustive search over
+    injective mappings. The accuracy is NaN for no rows.
     """
     assignments = np.asarray(assignments)
     truth = np.asarray(truth)
-    if assignments.shape != truth.shape or assignments.ndim != 1:
-        raise ValueError(
-            f"assignments and truth must be equal-length vectors, got {assignments.shape} vs {truth.shape}"
-        )
     m = assignments.shape[0]
     clusters, a_idx = np.unique(assignments, return_inverse=True)
     labels, t_idx = np.unique(truth, return_inverse=True)
@@ -98,13 +92,8 @@ def _max_weight_matching(table: np.ndarray):
 
 
 def parent_hits(parent_probs, t) -> int:
-    """Number of rows whose argmax parent (ties to lowest index) equals t."""
-    parent_probs = np.asarray(parent_probs, dtype=np.float64)
-    t = np.asarray(t)
-    if parent_probs.ndim != 2 or parent_probs.shape[0] != t.shape[0]:
-        raise ValueError(
-            f"probability rows {parent_probs.shape} do not match {t.shape[0]} labels"
-        )
+    """Number of rows whose argmax parent (ties to lowest index) equals t;
+    the caller passes an m x n_parents array and m labels."""
     return int(np.count_nonzero(np.argmax(parent_probs, axis=1) + 1 == t))
 
 
@@ -227,12 +216,8 @@ def export_graph(rows, threshold: float, path, truth) -> None:
     ``truth`` (every CLI dataset carries ``t_star``). Intended for small
     subsets; the matrix is quadratic in the number of rows.
     """
-    rows = check_activities(rows)
     sim = rows @ rows.T
     m = sim.shape[0]
-    truth = np.asarray(truth)
-    if truth.shape[0] != m:
-        raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
     with open(str(path), "w") as f:
         for i in range(m):
             f.write(f"# vertex {i + 1} {int(truth[i])}\n")
@@ -245,19 +230,14 @@ def export_graph(rows, threshold: float, path, truth) -> None:
 def export_embeddings(z, annotations, truth, path) -> None:
     """Write one CSV row per example: n Z-values, node, parent, sub, truth.
 
-    ``annotations`` is the ``(node, parent, sub)`` array triple of
-    ``assign_annotations`` and ``truth`` the fine labels, which the caller
+    ``annotations`` is the ``(node, parent, sub)`` triple of
+    ``assign_annotations`` on z and ``truth`` the fine labels, which the caller
     passes for every row: every CLI dataset carries ``t_star``. Values carry
     12 significant digits so a round-trip parse reproduces them.
     """
     z = np.asarray(z, dtype=np.float64)
-    m, n = z.shape
+    n = z.shape[1]
     node, parent, sub = annotations
-    if len(node) != m:
-        raise ValueError(f"{len(node)} annotations for {m} rows")
-    truth = np.asarray(truth)
-    if truth.shape[0] != m:
-        raise ValueError(f"{truth.shape[0]} truth labels for {m} rows")
     labels = np.column_stack([node, parent, sub, truth]).astype(np.int64).tolist()
     header = [f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]
     write_csv(path, header, ([*(f"{v:.12g}" for v in values), *ids] for values, ids in zip(z, labels)))

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, softmax_rows
+from .linalg import softmax_rows
 
 # Floor applied to parent probabilities before the log; avoids -inf loss on
 # saturated wrong predictions.
@@ -58,14 +58,11 @@ def node_to_parent_sub(node, n_parents: int):
 
 
 def head_forward(z, head: AcolHead):
-    """Forward pass of the head on pre-softmax activities Z (m x n).
+    """Head forward pass; the caller passes the m x head.n Z of ``network.forward``.
 
     Returns ``(probs, parent_probs)``: the softmax over all n nodes and the
     pooled m x n_parents parent probabilities (rows sum to 1).
     """
-    z = as_matrix(z, "Z")
-    if z.shape[1] != head.n:
-        raise ValueError(f"Z has {z.shape[1]} columns, head expects n = {head.n}")
     probs = softmax_rows(z)
     return probs, probs @ head.pooling
 
@@ -73,19 +70,14 @@ def head_forward(z, head: AcolHead):
 def supervised_grad(z, t, head: AcolHead):
     """Mean negative log parent probability and its exact gradient at Z.
 
-    ``t`` holds 1-based parent labels, which the caller keeps in 1..n_parents
-    (``network.train`` checks them all once). Returns ``(loss, d_z,
-    parent_probs)``: ``d_z`` differentiates through the pooling sum and the
-    softmax, and its rows sum to zero; ``parent_probs`` are the pooled
-    probabilities of ``head_forward``. Where the probability floor is active
-    the loss is flat, so those rows contribute zero gradient.
+    The caller passes the Z of ``network.forward`` and ``t``, one 1-based
+    parent label in 1..n_parents per row (``network.train`` checks them all).
+    Returns ``(loss, d_z, parent_probs)``: ``d_z`` differentiates through the
+    pooling sum and the softmax, and its rows sum to zero; ``parent_probs``
+    are the pooled probabilities of ``head_forward``. Where the probability
+    floor is active the loss is flat, so those rows contribute zero gradient.
     """
-    z = as_matrix(z, "Z")
-    t = np.asarray(t)
     m = z.shape[0]
-    if t.shape != (m,):
-        raise ValueError(f"labels have shape {t.shape}, expected ({m},)")
-
     probs, parent_probs = head_forward(z, head)
     rows = np.arange(m)
     p = parent_probs[rows, t - 1]
@@ -101,10 +93,7 @@ def supervised_grad(z, t, head: AcolHead):
 
 
 def assign_annotations(z, head: AcolHead):
-    """Per-example ``(node, parent, sub)`` int arrays: argmax node of Z, ties
-    to the lowest index."""
-    z = as_matrix(z, "Z")
-    if z.shape[1] != head.n:
-        raise ValueError(f"Z has {z.shape[1]} columns, head expects n = {head.n}")
+    """Per-example ``(node, parent, sub)`` int arrays: argmax node of the Z of
+    ``network.forward``, which the caller passes, ties to the lowest index."""
     node = np.argmax(z, axis=1) + 1  # argmax takes the first maximum
     return (node, *node_to_parent_sub(node, head.n_parents))

@@ -12,13 +12,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def relu(z) -> np.ndarray:
-    """Entry-wise max(0, z)."""
-    return np.maximum(0.0, as_matrix(z))
+    """Entry-wise max(0, z) of a float64 matrix, such as ``network.forward``'s Z."""
+    return np.maximum(0.0, z)
 
 
 def softmax_rows(z) -> np.ndarray:
-    """Row-wise softmax, stable under large inputs via row-max subtraction."""
-    z = as_matrix(z)
+    """Row-wise softmax of a float64 matrix, stable via row-max subtraction."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

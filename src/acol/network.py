@@ -120,23 +120,17 @@ def forward(model: Model, x) -> list[np.ndarray]:
 def backward(model: Model, outputs, d_z) -> list[DenseLayer]:
     """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
 
-    A relu output is > 0 exactly where its pre-activation is, so it serves
-    as the mask. Gradients are unnormalized: any 1/batch factors must
-    already be inside d_z. The gradient at the model input is not formed,
-    since nothing reads it.
+    The caller passes the outputs of one forward() of this model and a d_z
+    shaped like Z. A relu output is > 0 exactly where its pre-activation is,
+    so it serves as the mask. Gradients are unnormalized: any 1/batch factors
+    must already be inside d_z. The gradient at the model input is not formed.
     """
-    if len(outputs) != len(model.layers) + 1:
-        raise ValueError(f"cache holds {len(outputs) - 1} layers, model has {len(model.layers)}")
-    d_out = as_matrix(d_z, "dZ")
+    d_out = d_z
     last = len(model.layers) - 1
     grads: list[DenseLayer | None] = [None] * len(model.layers)
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         a_in, a_out = outputs[i], outputs[i + 1]
-        if d_out.shape != a_out.shape:
-            raise ValueError(
-                f"stale cache at layer {i}: gradient shape {d_out.shape} vs activations {a_out.shape}"
-            )
         d_pre = d_out * (a_out > 0) if i < last else d_out
         grads[i] = DenseLayer(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
         if i > 0:
@@ -277,11 +271,8 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
                 val_parent_acc=val_acc,
             )
         )
-        if val_data is not None:
-            if val_acc >= best_acc:
-                best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
-        else:
-            best_epoch, best_layers = epoch, copy.deepcopy(model.layers)
+        if val_data is None or val_acc >= best_acc:
+            best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
 
     model.layers = best_layers
     # glibc keeps the pages of freed validation buffers in its heap; whether the

@@ -45,8 +45,8 @@ class GarTerms:
 
 
 def check_activities(b) -> np.ndarray:
-    """Validate an activity matrix: 2-D, at least 1 row and 2 columns. Its
-    callers pass relu(Z) or pooled softmax probabilities, never negative."""
+    """Validate the activity matrix given to the ``affinity`` and ``balance``
+    references: 2-D, at least 1 row and 2 columns."""
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ValueError(f"activity matrix must be 2-D, got shape {b.shape}")
@@ -97,19 +97,18 @@ def balance(b) -> float:
 def gar_value_and_grad(b, coeffs: GarCoefficients):
     """All three terms, the combined loss, and its gradient in one pass.
 
-    Returns ``(terms, grad)`` where ``grad`` is the analytic gradient of
-    ``terms.loss`` with respect to every entry of B. Both ratios are scale
+    The caller passes B = relu(Z), float64 with m >= 1 rows and n >= 2
+    columns. Returns ``(terms, grad)`` where ``grad`` is the analytic
+    gradient of ``terms.loss`` at every entry of B. Both ratios are scale
     invariant, so they are evaluated on B / max(B), which keeps the squared
-    sums representable for any activity scale; the gradient carries the
-    1/max(B) chain factor back. The column co-activation matrix B^T B is
-    formed once and serves both the value and the gradient.
+    sums representable for any scale; the gradient carries the 1/max(B)
+    chain factor back. B^T B is formed once for the value and the gradient.
 
     Gradient: d/dB [sum_{i!=j} N_ij] = 2 B (11^T - I), d/dB [trace N] = 2B,
     the chain rule through v_j = sum_i B_ij^2 for the balance ratio, and the
     quotient rule for both ratios. A degenerate (all-zero) B has affinity
     and balance 0 and a zero gradient.
     """
-    b = check_activities(b)
     n = b.shape[1]
     with np.errstate(over="ignore"):  # inf when the true value exceeds float64
         fro = float(np.sum(b * b))

@@ -55,7 +55,7 @@ MUTANTS = (
     ("momentum-step-before-velocity", "src/acol/network.py",
      "vel.weights -= g.weights\n                    layer.weights += vel.weights",
      "layer.weights += vel.weights\n                    vel.weights -= g.weights"),
-    ("snapshot-earliest-on-ties", "src/acol/network.py", "if val_acc >= best_acc:", "if val_acc > best_acc:"),
+    ("snapshot-earliest-on-ties", "src/acol/network.py", "or val_acc >= best_acc:", "or val_acc > best_acc:"),
     # scoring, k-means and readers
     ("hungarian-row-potential-sign", "src/acol/evaluation.py",
      "u[row_of[used]] += delta", "u[row_of[used]] -= delta"),
@@ -69,6 +69,17 @@ MUTANTS = (
      "if len(buf) - header != expected:", "if len(buf) - header < expected:"),
     ("checkpoint-long-payload-accepted", "src/acol/network.py",
      "if len(payload) != expected:", "if len(payload) < expected:"),
+    # the checks that each hold a shape fact alone: nothing downstream repeats them
+    ("dataset-row-count-unchecked", "src/acol/datasets.py",
+     "if labels is not None and np.shape(labels)", "if False and np.shape(labels)"),
+    ("forward-width-unchecked", "src/acol/network.py",
+     "if a.shape[1] != model.layers[0].weights.shape[0]:", "if False:"),
+    ("checkpoint-last-width-unchecked", "src/acol/network.py",
+     "if sizes[-1] != head.n:\n        raise ValueError(f\"{path}", "if False:\n        raise ValueError(f\"{path}"),
+    ("init-head-width-unchecked", "src/acol/network.py",
+     "if sizes[-1] != head.n:\n        raise ValueError(f\"final", "if False:\n        raise ValueError(f\"final"),
+    ("label-range-admits-0", "src/acol/network.py", "if data.t.min() < 1 or", "if data.t.min() < 0 or"),
+    ("score-without-fine-labels", "src/acol/cli.py", "if data.t_star is None:", "if False:"),
 )
 
 

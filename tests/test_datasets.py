@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acol import cli
+from acol import cli, network
 from acol.config import ExperimentConfig
 from acol.datasets import (
     IMAGES_MAGIC,
@@ -30,6 +30,7 @@ from acol.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from acol.head import AcolHead
 
 
 def make_image_bytes(pixels):
@@ -397,3 +398,31 @@ def test_labeled_dataset_len():
     data = LabeledDataset(X=np.zeros((7, 2)), t=np.ones(7, dtype=np.int64))
     assert len(data) == 7
     assert data.t_star is None
+
+
+@pytest.mark.parametrize("labels", [130, 70])
+def test_fit_rejects_parent_labels_that_miss_the_rows_of_x(labels):
+    """The one row-count check of a dataset, made where it is built. Without
+    it 130 labels for 100 rows trained normally and 70 failed with an
+    IndexError deep inside a batch."""
+    cfg = ExperimentConfig(epochs=1, batch_size=16, validation_size=0)
+    with pytest.raises(ValueError) as err:
+        cli.fit(cfg, LabeledDataset(X=np.zeros((100, 8)), t=np.arange(labels) % 2 + 1), 0)
+    assert str(err.value) == f"100 rows of X, but {labels} entries in t"
+
+
+@pytest.mark.parametrize(
+    "t_star, found",
+    [(np.ones(130, dtype=np.int64), "130 entries"), (np.ones((100, 1), dtype=np.int64), "shape (100, 1)")],
+)
+def test_labeled_dataset_rejects_fine_labels_that_miss_the_rows_of_x(t_star, found):
+    with pytest.raises(ValueError) as err:
+        LabeledDataset(X=np.zeros((100, 8)), t=np.ones(100, dtype=np.int64), t_star=t_star)
+    assert str(err.value) == f"100 rows of X, but {found} in t_star"
+
+
+def test_score_names_missing_fine_labels():
+    head = AcolHead(2, 3)
+    model = network.init_model([8, head.n], head, seed=0)
+    with pytest.raises(ValueError, match="t_star"):
+        cli.score(model, LabeledDataset(X=np.zeros((5, 8)), t=np.ones(5, dtype=np.int64)))

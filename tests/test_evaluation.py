@@ -98,11 +98,6 @@ def test_accuracy_more_clusters_than_labels():
     assert len(result.mapping) == 2
 
 
-def test_accuracy_input_validation():
-    with pytest.raises(ValueError, match="equal-length"):
-        clustering_accuracy(np.array([1, 2]), np.array([1, 2, 3]))
-
-
 def test_accuracy_of_no_rows_is_nan():
     """Like ``parent_accuracy``: a scenario whose filter drops every eval row
     scores NaN instead of dividing by zero."""
@@ -169,8 +164,6 @@ def test_parent_accuracy_argmax_rule():
     t = np.array([1, 2, 1])
     assert parent_accuracy(probs, t) == 1.0
     assert parent_accuracy(probs, np.array([2, 2, 2])) == pytest.approx(1 / 3)
-    with pytest.raises(ValueError, match="labels"):
-        parent_accuracy(probs, np.array([1, 2]))
 
 
 # --- k-means ----------------------------------------------------------------
@@ -411,11 +404,6 @@ def test_export_graph_recomputes_oracle(tmp_path):
     assert all(i < j for i, j in edges)
 
 
-def test_export_graph_truth_length_mismatch(tmp_path):
-    with pytest.raises(ValueError, match="truth labels"):
-        export_graph(np.ones((3, 2)), 0.0, tmp_path / "g", truth=np.array([1, 2]))
-
-
 def test_export_embeddings_round_trip(tmp_path):
     head = AcolHead(2, 2)
     rng = np.random.default_rng(42)
@@ -432,5 +420,3 @@ def test_export_embeddings_round_trip(tmp_path):
         back = np.array([float(v) for v in cells[: head.n]])
         assert np.allclose(back, z[i], rtol=1e-11)
         assert [int(c) for c in cells[head.n :]] == [node[i], parent[i], sub[i], truth[i]]
-    with pytest.raises(ValueError, match="annotations"):
-        export_embeddings(z, (np.array([], dtype=np.int64),) * 3, truth, path)

@@ -76,12 +76,6 @@ def test_head_forward_shapes_and_pooled_sum():
     assert np.allclose(parent_probs[:, 1], probs[:, [1, 3, 5]].sum(axis=1), atol=1e-12)
 
 
-def test_head_forward_rejects_wrong_width():
-    head = AcolHead(2, 3)
-    with pytest.raises(ValueError, match="head expects n = 6"):
-        head_forward(np.zeros((2, 5)), head)
-
-
 def test_supervised_loss_hand_value():
     head = AcolHead(2, 1)  # k=1 reduces to plain softmax cross-entropy
     z = np.array([[np.log(3.0), 0.0]])  # probs (0.75, 0.25)
@@ -133,15 +127,6 @@ def test_supervised_grad_floor_region_is_flat():
     # and stays finite / identical slightly deeper into the region
     loss2, _, _ = supervised_grad(np.array([[-90.0, 90.0]]), np.array([1]), head)
     assert loss2 == pytest.approx(loss, abs=1e-9)
-
-
-def test_supervised_grad_label_validation():
-    # the label range is network.train's check, see
-    # test_network::test_train_rejects_parent_labels_outside_the_head
-    head = AcolHead(2, 2)
-    z = np.zeros((3, 4))
-    with pytest.raises(ValueError, match="shape"):
-        supervised_grad(z, np.array([1, 2]), head)
 
 
 def test_assign_annotations_mapping_and_ties():

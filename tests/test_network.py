@@ -107,9 +107,11 @@ def test_forward_hand_computation():
 
 
 def test_forward_rejects_wrong_feature_count():
-    model = small_model()
-    with pytest.raises(ValueError, match="features"):
-        forward(model, np.zeros((2, 7)))
+    """Where data first meets a model: the one check of the feature count."""
+    model = small_model(sizes=(4, 5, 4))
+    with pytest.raises(ValueError) as err:
+        forward(model, np.zeros((2, 9)))
+    assert str(err.value) == "input has 9 features, first layer expects 4"
 
 
 def _reference_outputs(model, x):
@@ -154,15 +156,6 @@ def test_backward_single_linear_layer_closed_form():
     grads = backward(model, forward(model, x), d_z)
     assert np.allclose(grads[0].weights, x.T @ d_z, atol=1e-12)
     assert np.allclose(grads[0].bias, d_z.sum(axis=0), atol=1e-12)
-
-
-def test_backward_stale_cache_detected():
-    model = small_model()
-    outputs = forward(model, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="stale cache"):
-        backward(model, outputs, np.zeros((5, 4)))
-    with pytest.raises(ValueError, match="cache holds"):
-        backward(model, outputs[:2], np.zeros((4, 4)))
 
 
 def _frozen_pre_activation_backward(model, caches, d_z):
@@ -744,6 +737,17 @@ def test_checkpoint_rejects_corruption(tmp_path):
     headerless.write_bytes(blob.replace(b"\n\n", b"\n", 1))
     with pytest.raises(ValueError):
         load_checkpoint(headerless)
+
+
+def test_checkpoint_last_layer_must_be_the_head_width(tmp_path):
+    """The reader's one check that Z is as wide as the head: nothing downstream repeats it."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    blob = path.read_bytes().replace(b"layer_sizes: 3,5,4\n", b"layer_sizes: 3,4,5\n", 1)
+    path.write_bytes(blob.replace(b"k: 2\n", b"k: 3\n", 1))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: header mismatch, last layer 5 vs head n 6"
 
 
 def test_checkpoint_rejects_nonfinite_parameters(tmp_path):
