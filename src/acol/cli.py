@@ -25,7 +25,6 @@ from . import datasets, evaluation, network
 from .config import ExperimentConfig, format_key_values, load_config, save_config
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
-from .linalg import relu
 
 # Test-noise stream for synthetic data; keeps test blobs disjoint from
 # training blobs while sharing the same (deterministic) centers.
@@ -50,12 +49,12 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
         images, labels = (cfg.test_images, cfg.test_labels) if test else (cfg.images, cfg.labels)
         if not (images and labels):
             return None
-        raw = datasets.load_idx(images, labels)
-        if len(raw.labels) == 0:
+        pixels, fine = datasets.load_idx(images, labels)
+        if len(fine) == 0:
             raise ValueError(f"{images}: the IDX pair has no rows")
         if not test and cfg.train_limit > 0:
-            raw = datasets.RawDigits(raw.pixels[: cfg.train_limit], raw.labels[: cfg.train_limit])
-        pool = FinePool(X=datasets.images_to_features(raw.pixels), fine=raw.labels)
+            pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]
+        pool = FinePool(X=datasets.images_to_features(pixels), fine=fine)
     scale = cfg.resolved_feature_scale()
     if scale != 1.0:
         pool = FinePool(X=pool.X * scale, fine=pool.fine)
@@ -113,13 +112,13 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     result = {
         "m": len(data),
         "parent_acc": evaluation.parent_accuracy(parent_probs, data.t),
-        "acc": evaluation.clustering_accuracy(nodes, data.t_star).accuracy,
+        "acc": evaluation.clustering_accuracy(nodes, data.t_star),
         "z": z,
         "annotations": annotations,
         "nodes": nodes,
     }
     first = data.t == 1
-    result["first_parent_acc"] = evaluation.clustering_accuracy(nodes[first], data.t_star[first]).accuracy
+    result["first_parent_acc"] = evaluation.clustering_accuracy(nodes[first], data.t_star[first])
     return result
 
 
@@ -243,7 +242,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         except ValueError:  # a parent has fewer rows than head.k: no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
-            kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star).accuracy
+            kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star)
         row = {
             "scenario": index,
             "description": partition.describe(),
@@ -274,7 +273,7 @@ def run_baseline(cfg: ExperimentConfig, args) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
     _, _, data = _eval_inputs(cfg, None)
     nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
-    acc = evaluation.clustering_accuracy(nodes, data.t_star).accuracy
+    acc = evaluation.clustering_accuracy(nodes, data.t_star)
     return {"m": len(data), "k": cfg.k, "acc": acc}
 
 
@@ -287,7 +286,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
     model, _, data = _eval_inputs(cfg, args.checkpoint)
     take = min(args.limit, len(data))
     z = network.forward(model, data.X[:take])[-1]
-    rows = relu(z) if args.source == "activities" else head_forward(z, model.head)[1]
+    rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "graph.edges"

@@ -25,14 +25,6 @@ class IdxFormatError(ValueError):
 
 
 @dataclass
-class RawDigits:
-    """A parsed IDX image/label pair, kept byte-exact for re-serialization."""
-
-    pixels: np.ndarray  # uint8, (m, rows, cols)
-    labels: np.ndarray  # int64, (m,)
-
-
-@dataclass
 class LabeledDataset:
     """Features plus coarse parent labels, with optional hidden fine labels.
 
@@ -140,15 +132,15 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
     _write_idx(path, LABELS_MAGIC, np.asarray(labels).astype(np.uint8))
 
 
-def load_idx(images_path, labels_path) -> RawDigits:
-    """Load a matching IDX image/label pair."""
+def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Load a matching IDX image/label pair as ``(pixels, labels)``."""
     pixels = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if pixels.shape[0] != labels.shape[0]:
         raise IdxFormatError(
             f"image/label count mismatch: {pixels.shape[0]} images vs {labels.shape[0]} labels"
         )
-    return RawDigits(pixels=pixels, labels=labels)
+    return pixels, labels
 
 
 def images_to_features(pixels: np.ndarray) -> np.ndarray:

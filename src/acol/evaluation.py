@@ -8,21 +8,11 @@ contribute nothing.
 """
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass
-class ClusterMapping:
-    """Optimal one-to-one cluster-to-label mapping and its accuracy."""
-
-    mapping: dict[int, int]   # matched cluster id -> true label
-    unmatched: list[int]      # cluster ids left without a label
-    accuracy: float
-
-
-def clustering_accuracy(assignments, truth) -> ClusterMapping:
+def clustering_accuracy(assignments, truth) -> float:
     """Best one-to-one accuracy between cluster assignments and true labels.
 
     The caller passes two equal-length vectors of int-valued labels; there
@@ -38,10 +28,7 @@ def clustering_accuracy(assignments, truth) -> ClusterMapping:
     table = np.zeros((len(clusters), len(labels)), dtype=np.int64)
     np.add.at(table, (a_idx, t_idx), 1)
     rows, cols = _max_weight_matching(table)
-    mapping = {int(clusters[r]): int(labels[c]) for r, c in zip(rows, cols)}
-    unmatched = [int(c) for c in clusters if int(c) not in mapping]
-    accuracy = float(table[rows, cols].sum()) / m if m else float("nan")
-    return ClusterMapping(mapping=mapping, unmatched=unmatched, accuracy=accuracy)
+    return float(table[rows, cols].sum()) / m if m else float("nan")
 
 
 def _max_weight_matching(table: np.ndarray):

@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import softmax_rows
-
 # Floor applied to parent probabilities before the log; avoids -inf loss on
 # saturated wrong predictions.
 PROB_FLOOR = 1e-12
@@ -60,10 +58,12 @@ def node_to_parent_sub(node, n_parents: int):
 def head_forward(z, head: AcolHead):
     """Head forward pass; the caller passes the m x head.n Z of ``network.forward``.
 
-    Returns ``(probs, parent_probs)``: the softmax over all n nodes and the
-    pooled m x n_parents parent probabilities (rows sum to 1).
+    Returns ``(probs, parent_probs)``: the softmax over all n nodes, stable
+    via row-max subtraction, and the pooled m x n_parents parent
+    probabilities (rows sum to 1).
     """
-    probs = softmax_rows(z)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
     return probs, probs @ head.pooling
 
 

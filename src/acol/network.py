@@ -27,7 +27,6 @@ import numpy as np
 from . import datasets, evaluation
 from .config import ExperimentConfig
 from .head import AcolHead, head_forward, supervised_grad
-from .linalg import as_matrix, relu, require_finite
 from .regularizers import GarCoefficients, gar_value_and_grad
 
 CHECKPOINT_TAG = "acol checkpoint v1"
@@ -101,7 +100,9 @@ def forward(model: Model, x) -> list[np.ndarray]:
     Each layer's output is computed in one buffer: ``a @ W``, then the bias
     added and relu applied in place.
     """
-    a = as_matrix(x, "X")
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"X must be 2-D, got shape {a.shape}")
     if a.shape[1] != model.layers[0].weights.shape[0]:
         raise ValueError(
             f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
@@ -149,7 +150,7 @@ def combined_step(model: Model, x, t, coeffs: GarCoefficients):
     outputs = forward(model, x)
     z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
-    terms, gar_d_z = gar_value_and_grad(relu(z), coeffs)
+    terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), coeffs)
     d_z = d_z + gar_d_z * (z > 0)
     grads = backward(model, outputs, d_z)
     return sup_loss + terms.loss, grads, sup_loss, terms, evaluation.parent_hits(parent_probs, t)
@@ -370,10 +371,8 @@ def load_checkpoint(path):
         weights = params[offset : offset + fan_in * fan_out]
         bias = params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out]
         offset += (fan_in + 1) * fan_out
-        layers.append(
-            DenseLayer(
-                weights=require_finite(weights, f"{path}: layer {i} weights").reshape(fan_in, fan_out).copy(),
-                bias=require_finite(bias, f"{path}: layer {i} bias").copy(),
-            )
-        )
+        for name, block in (("weights", weights), ("bias", bias)):
+            if not np.all(np.isfinite(block)):
+                raise ValueError(f"{path}: layer {i} {name} contains non-finite entries")
+        layers.append(DenseLayer(weights=weights.reshape(fan_in, fan_out).copy(), bias=bias.copy()))
     return Model(layers=layers, head=head, rng_seed=seed), epoch

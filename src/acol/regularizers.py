@@ -26,11 +26,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GarCoefficients:
-    """Weights of the three regularization terms."""
+    """Weights of the three regularization terms; the ``gar.*`` config keys hold the defaults."""
 
-    c_alpha: float = 0.1
-    c_beta: float = 0.1
-    c_f: float = 0.0003
+    c_alpha: float
+    c_beta: float
+    c_f: float
 
 
 @dataclass(frozen=True)

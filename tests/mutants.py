@@ -80,6 +80,18 @@ MUTANTS = (
      "if sizes[-1] != head.n:\n        raise ValueError(f\"final", "if False:\n        raise ValueError(f\"final"),
     ("label-range-admits-0", "src/acol/network.py", "if data.t.min() < 1 or", "if data.t.min() < 0 or"),
     ("score-without-fine-labels", "src/acol/cli.py", "if data.t_star is None:", "if False:"),
+    # the numpy calls that replaced one-caller wrappers, and the plain values returned
+    ("softmax-row-max-shift-dropped", "src/acol/head.py",
+     "e = np.exp(z - z.max(axis=1, keepdims=True))", "e = np.exp(z)"),
+    ("checkpoint-finiteness-unchecked", "src/acol/network.py", "if not np.all(np.isfinite(block)):", "if False:"),
+    ("forward-rank-unchecked", "src/acol/network.py", "if a.ndim != 2:", "if False:"),
+    ("accuracy-of-no-rows-zero", "src/acol/evaluation.py", 'if m else float("nan")', "if m else 0.0"),
+    ("accuracy-numpy-scalar", "src/acol/evaluation.py",
+     "return float(table[rows, cols].sum()) / m", "return table[rows, cols].sum() / m"),
+    ("idx-count-mismatch-unchecked", "src/acol/datasets.py",
+     "if pixels.shape[0] != labels.shape[0]:", "if False:"),
+    ("train-limit-ignored", "src/acol/cli.py",
+     "pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]", "pass"),
 )
 
 

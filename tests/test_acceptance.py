@@ -154,7 +154,7 @@ def test_acceptance_matching_accuracy_equals_exhaustive():
         m = int(rng.integers(2, 51))
         nodes = rng.integers(1, int(rng.integers(1, 7)) + 1, size=m)
         truth = rng.integers(1, int(rng.integers(1, 7)) + 1, size=m)
-        fast = clustering_accuracy(nodes, truth).accuracy
+        fast = clustering_accuracy(nodes, truth)
         worst_gap = max(worst_gap, abs(fast - _exhaustive_accuracy(nodes, truth)))
     elapsed = time.time() - start
     _report(
@@ -250,7 +250,7 @@ def test_acceptance_digit_subclasses_beat_kmeans():
     cfg = _mnist_config(n_parents=2, k=5)
     result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), cfg.seed)
     baseline_nodes = kmeans_per_parent(test_data.X, test_data.t, cfg.k, seed=cfg.seed)
-    kmeans_acc = clustering_accuracy(baseline_nodes, test_data.t_star).accuracy
+    kmeans_acc = clustering_accuracy(baseline_nodes, test_data.t_star)
     error = 1.0 - result["acc"]
     elapsed = time.time() - start
     _report(
@@ -336,10 +336,10 @@ def test_acceptance_idx_bit_exact_and_failure_modes(tmp_path):
     img_a, lab_a = tmp_path / "a_imgs.idx", tmp_path / "a_labs.idx"
     write_idx_images(pixels, img_a)
     write_idx_labels(labels, lab_a)
-    raw = load_idx(img_a, lab_a)
+    read_pixels, read_labels = load_idx(img_a, lab_a)
     img_b, lab_b = tmp_path / "b_imgs.idx", tmp_path / "b_labs.idx"
-    write_idx_images(raw.pixels, img_b)
-    write_idx_labels(raw.labels, lab_b)
+    write_idx_images(read_pixels, img_b)
+    write_idx_labels(read_labels, lab_b)
     exact = (
         img_a.read_bytes() == img_b.read_bytes()
         and lab_a.read_bytes() == lab_b.read_bytes()

@@ -60,16 +60,15 @@ def tiny_idx(tmp_path):
 
 def test_load_idx_pair(tiny_idx):
     ip, lp, pixels, labels = tiny_idx
-    raw = load_idx(ip, lp)
-    assert np.array_equal(raw.pixels, pixels)
-    assert np.array_equal(raw.labels, labels.astype(np.int64))
-    assert raw.labels.dtype == np.int64
+    read_pixels, read_labels = load_idx(ip, lp)
+    assert np.array_equal(read_pixels, pixels)
+    assert np.array_equal(read_labels, labels.astype(np.int64))
+    assert read_labels.dtype == np.int64
 
 
 def test_images_to_features_scaling(tiny_idx):
     ip, lp, _, _ = tiny_idx
-    raw = load_idx(ip, lp)
-    x = images_to_features(raw.pixels)
+    x = images_to_features(load_idx(ip, lp)[0])
     assert x.shape == (2, 4)
     assert np.array_equal(x[0], np.array([0.0, 1.0, 1.0, 0.0]))
     assert np.array_equal(x[1], np.array([1.0, 1.0, 0.0, 0.0]))
@@ -144,8 +143,8 @@ def test_idx_readers_accept_a_pair_with_no_rows(tmp_path):
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx_images(np.zeros((0, 28, 28), dtype=np.uint8), ip)
     write_idx_labels(np.zeros(0, dtype=np.uint8), lp)
-    raw = load_idx(ip, lp)
-    assert raw.pixels.shape == (0, 28, 28) and raw.labels.shape == (0,)
+    pixels, labels = load_idx(ip, lp)
+    assert pixels.shape == (0, 28, 28) and labels.shape == (0,)
 
 
 def test_idx_negative_sizes_are_rejected(tmp_path):

@@ -76,6 +76,32 @@ def test_head_forward_shapes_and_pooled_sum():
     assert np.allclose(parent_probs[:, 1], probs[:, [1, 3, 5]].sum(axis=1), atol=1e-12)
 
 
+def test_head_forward_softmax_properties():
+    head = AcolHead(7, 1)
+    rng = np.random.default_rng(2)
+    for _ in range(10):
+        z = rng.normal(scale=3.0, size=(5, head.n))
+        p = head_forward(z, head)[0]
+        assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(p > 0.0)
+        # invariant to a per-row shift
+        shifted = head_forward(z + rng.normal(size=(5, 1)), head)[0]
+        assert np.allclose(p, shifted, atol=1e-12)
+
+
+def test_head_forward_softmax_stable_for_large_inputs():
+    p = head_forward(np.array([[1000.0, 1001.0], [-1000.0, -999.0]]), AcolHead(2, 1))[0]
+    assert np.all(np.isfinite(p))
+    expect = 1.0 / (1.0 + np.e)
+    assert np.allclose(p[:, 0], expect, atol=1e-12)
+
+
+def test_head_forward_softmax_matches_direct_formula_small_values():
+    z = np.array([[0.1, 0.2, -0.3]])
+    direct = np.exp(z) / np.exp(z).sum()
+    assert np.allclose(head_forward(z, AcolHead(3, 1))[0], direct, atol=1e-14)
+
+
 def test_supervised_loss_hand_value():
     head = AcolHead(2, 1)  # k=1 reduces to plain softmax cross-entropy
     z = np.array([[np.log(3.0), 0.0]])  # probs (0.75, 0.25)

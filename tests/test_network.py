@@ -17,7 +17,6 @@ from acol.config import ExperimentConfig
 from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
 from acol import network
 from acol.head import AcolHead, head_forward
-from acol.linalg import relu
 from acol.network import (
     CHECKPOINT_TAG,
     DenseLayer,
@@ -114,12 +113,21 @@ def test_forward_rejects_wrong_feature_count():
     assert str(err.value) == "input has 9 features, first layer expects 4"
 
 
+def test_forward_rejects_other_ranks_and_coerces_to_float64():
+    model = small_model(sizes=(4, 5, 4))
+    for x, shape in ((np.ones(4), "(4,)"), (np.ones((2, 4, 2)), "(2, 4, 2)")):
+        with pytest.raises(ValueError) as err:
+            forward(model, x)
+        assert str(err.value) == f"X must be 2-D, got shape {shape}"
+    assert forward(model, [[1, 2, 3, 4]])[0].dtype == np.float64
+
+
 def _reference_outputs(model, x):
     """Out-of-place ``relu(a @ W + b)`` chain: the outputs forward() must give."""
     outputs = [x]
     for i, layer in enumerate(model.layers):
         pre = outputs[-1] @ layer.weights + layer.bias
-        outputs.append(relu(pre) if i < len(model.layers) - 1 else pre)
+        outputs.append(np.maximum(0.0, pre) if i < len(model.layers) - 1 else pre)
     return outputs
 
 
@@ -189,7 +197,7 @@ def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
             pre[::4, :2] = 0.0  # exact zeros of both signs in every layer
             pre[1::4, :2] = -0.0
             pres.append(pre)
-            outputs.append(relu(pre) if i < len(model.layers) - 1 else pre)
+            outputs.append(np.maximum(0.0, pre) if i < len(model.layers) - 1 else pre)
         expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
         got = backward(model, outputs, d_z)
         for g, (w, b) in zip(got, expected):
@@ -251,7 +259,7 @@ def test_regularizer_gradient_respects_relu_mask():
     # the gar grad at z <= 0 contribute nothing
     from acol.regularizers import gar_value_and_grad
 
-    masked = gar_value_and_grad(relu(z), coeffs)[1] * (z > 0)
+    masked = gar_value_and_grad(np.maximum(0.0, z), coeffs)[1] * (z > 0)
     assert np.allclose(
         grads_full[0].weights - grads_sup[0].weights, x.T @ masked, atol=1e-10
     )
@@ -757,6 +765,17 @@ def test_checkpoint_rejects_nonfinite_parameters(tmp_path):
     save_checkpoint(model, path)
     with pytest.raises(ValueError, match="non-finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_infinite_parameters(tmp_path):
+    path = tmp_path / "inf.ckpt"
+    for bad in (np.inf, -np.inf):
+        for name in ("weights", "bias"):
+            model = small_model(seed=0)
+            getattr(model.layers[0], name).flat[0] = bad
+            save_checkpoint(model, path)
+            with pytest.raises(ValueError, match="non-finite"):
+                load_checkpoint(path)
 
 
 def test_checkpoint_non_finite_error_names_the_file_and_the_layer(tmp_path):

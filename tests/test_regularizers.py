@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from acol.config import ExperimentConfig
 from acol.regularizers import (
     GarCoefficients,
     affinity,
@@ -12,6 +13,8 @@ from acol.regularizers import (
 )
 
 HAND_B = np.array([[1.0, 1.0], [0.0, 2.0]])
+_DEFAULTS = ExperimentConfig()
+DEFAULT_COEFFS = GarCoefficients(_DEFAULTS.c_alpha, _DEFAULTS.c_beta, _DEFAULTS.c_f)
 
 
 def terms_of(b, coeffs):
@@ -99,7 +102,7 @@ def test_scaling_invariance_of_ratio_terms():
             assert affinity(scale * b) == pytest.approx(affinity(b), rel=1e-10)
             assert balance(scale * b) == pytest.approx(balance(b), rel=1e-10)
         # Frobenius term is NOT scale invariant; it anchors the magnitude
-        coeffs = GarCoefficients()
+        coeffs = DEFAULT_COEFFS
         assert terms_of(2.0 * b, coeffs).frobenius_sq == pytest.approx(
             4.0 * terms_of(b, coeffs).frobenius_sq, rel=1e-12
         )
@@ -127,7 +130,7 @@ def test_degenerate_zero_matrix_flags_and_zero_grad():
     b = np.zeros((4, 3))
     assert affinity(b) == 0.0
     assert balance(b) == 0.0
-    coeffs = GarCoefficients()
+    coeffs = DEFAULT_COEFFS
     terms, g = gar_value_and_grad(b, coeffs)
     assert terms.degenerate
     assert terms.affinity == 0.0 and terms.balance == 0.0 and terms.frobenius_sq == 0.0
@@ -139,7 +142,7 @@ def test_degenerate_zero_matrix_flags_and_zero_grad():
 def test_single_active_entry_not_degenerate():
     b = np.zeros((3, 3))
     b[1, 2] = 0.5
-    terms = terms_of(b, GarCoefficients())
+    terms = terms_of(b, DEFAULT_COEFFS)
     assert not terms.degenerate
     assert affinity(b) == 0.0  # one column alone has no off-diagonal mass
     assert balance(b) == 0.0  # v has a single nonzero entry
@@ -148,7 +151,7 @@ def test_single_active_entry_not_degenerate():
 
 def test_fused_ratios_equal_definitional_references():
     rng = np.random.default_rng(15)
-    coeffs = GarCoefficients()
+    coeffs = DEFAULT_COEFFS
     for _ in range(500):
         m = int(rng.integers(1, 20))
         n = int(rng.integers(2, 10))
@@ -202,9 +205,3 @@ def test_check_activities_rejects_bad_inputs():
         check_activities(np.ones(4))
     with pytest.raises(ValueError, match="n >= 2"):
         check_activities(np.ones((3, 1)))
-
-
-def test_coefficients_validate():
-    # the ranges are config rules, see test_network::test_train_rejects_config_values_under_their_key
-    defaults = GarCoefficients()
-    assert (defaults.c_alpha, defaults.c_beta, defaults.c_f) == (0.1, 0.1, 0.0003)
