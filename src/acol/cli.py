@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, evaluation, network
-from .config import ExperimentConfig, format_key_values, load_config, save_config
+from .config import ExperimentConfig, format_key_values, load_config, serialize_config
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
 
@@ -36,10 +36,10 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
     an idx config without a test pair is None.
 
     Synthetic pools take their fine labels from the cluster ids; an IDX pair
-    with no rows is rejected. Features are multiplied by the configured
-    feature scale, so training, evaluation, and baselines all see the same
-    preprocessing, and are then marked read-only: datasets built from the
-    pool may share them.
+    with no rows or no pixels is rejected. Features are multiplied by the
+    configured feature scale, so training, evaluation, and baselines all see
+    the same preprocessing, and are then marked read-only: datasets built
+    from the pool may share them.
     """
     if cfg.dataset_type == "synthetic":
         per_cluster = cfg.test_per_cluster if test else cfg.per_cluster
@@ -52,6 +52,8 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
         pixels, fine = datasets.load_idx(images, labels)
         if len(fine) == 0:
             raise ValueError(f"{images}: the IDX pair has no rows")
+        if pixels.size == 0:
+            raise ValueError(f"{images}: the images have no pixels")
         if not test and cfg.train_limit > 0:
             pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]
         pool = FinePool(X=datasets.images_to_features(pixels), fine=fine)
@@ -161,7 +163,7 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
         "acc": result["acc"],
     }
     (out / "summary.txt").write_text(format_key_values(summary))
-    save_config(cfg, out / "config.txt")
+    (out / "config.txt").write_text(serialize_config(cfg))
     del summary["partition"]  # summary.txt only
     return summary
 

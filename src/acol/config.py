@@ -187,8 +187,3 @@ def load_config(path) -> ExperimentConfig:
     with open(str(path)) as f:
         return parse_config(f.read())
 
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(str(path), "w") as f:
-        f.write(serialize_config(cfg))
-

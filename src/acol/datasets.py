@@ -12,7 +12,7 @@ IDX layout (all integers big-endian):
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,10 +168,7 @@ def interparent_partition(dropped=()) -> ParentPartition:
     dropped = frozenset(int(d) for d in dropped)
     if not dropped <= set(range(5, 10)):
         raise ValueError(f"can only drop digits 5-9, got {sorted(dropped)}")
-    return ParentPartition(
-        mapping={d: (1 if d < 5 else 2) for d in range(10)},
-        exclude=dropped,
-    )
+    return replace(threshold_partition(5), exclude=dropped)
 
 
 def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDataset:

@@ -27,7 +27,7 @@ import numpy as np
 from . import datasets, evaluation
 from .config import ExperimentConfig
 from .head import AcolHead, head_forward, supervised_grad
-from .regularizers import GarCoefficients, gar_value_and_grad
+from .regularizers import gar_value_and_grad
 
 CHECKPOINT_TAG = "acol checkpoint v1"
 
@@ -139,8 +139,9 @@ def backward(model: Model, outputs, d_z) -> list[DenseLayer]:
     return grads
 
 
-def combined_step(model: Model, x, t, coeffs: GarCoefficients):
-    """One forward/backward evaluation of the combined objective.
+def combined_step(model: Model, x, t, cfg: ExperimentConfig):
+    """One forward/backward evaluation of the combined objective, weighted by
+    ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows.
 
     Returns ``(loss, grads, sup_loss, terms, hits)`` where grads mirror the
     layer parameters and ``hits`` counts the rows whose argmax parent under
@@ -150,7 +151,7 @@ def combined_step(model: Model, x, t, coeffs: GarCoefficients):
     outputs = forward(model, x)
     z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
-    terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), coeffs)
+    terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))
     d_z = d_z + gar_d_z * (z > 0)
     grads = backward(model, outputs, d_z)
     return sup_loss + terms.loss, grads, sup_loss, terms, evaluation.parent_hits(parent_probs, t)
@@ -233,9 +234,8 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
                 rows = len(idx)
-                scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
                 loss, grads, sup_loss, terms, batch_hits = combined_step(
-                    model, data.X[idx], data.t[idx], scaled
+                    model, data.X[idx], data.t[idx], cfg
                 )
                 if not np.isfinite(loss):
                     raise ValueError(

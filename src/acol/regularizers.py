@@ -25,15 +25,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class GarCoefficients:
-    """Weights of the three regularization terms; the ``gar.*`` config keys hold the defaults."""
-
-    c_alpha: float
-    c_beta: float
-    c_f: float
-
-
-@dataclass(frozen=True)
 class GarTerms:
     """One evaluation of all terms on a single activity matrix."""
 
@@ -94,7 +85,7 @@ def balance(b) -> float:
     return off / ((n - 1) * diag)
 
 
-def gar_value_and_grad(b, coeffs: GarCoefficients):
+def gar_value_and_grad(b, c_alpha: float, c_beta: float, c_f: float):
     """All three terms, the combined loss, and its gradient in one pass.
 
     The caller passes B = relu(Z), float64 with m >= 1 rows and n >= 2
@@ -141,10 +132,10 @@ def gar_value_and_grad(b, coeffs: GarCoefficients):
         # against the relative v scaling except for one net 1/peak
         dbeta_dv = ((2.0 * v_total - 2.0 * v) * t_diag - t_off * 2.0 * v) / ((n - 1) * t_diag * t_diag)
         d_balance = dbeta_dv[None, :] * (2.0 * sb) / peak
-        grad = coeffs.c_alpha * d_affinity - coeffs.c_beta * d_balance + 2.0 * coeffs.c_f * b
+        grad = c_alpha * d_affinity - c_beta * d_balance + 2.0 * c_f * b
 
-    loss = coeffs.c_alpha * alpha + coeffs.c_beta * (1.0 - beta)
-    if coeffs.c_f != 0.0:  # avoid 0 * inf when the Frobenius term overflows
-        loss += coeffs.c_f * fro
+    loss = c_alpha * alpha + c_beta * (1.0 - beta)
+    if c_f != 0.0:  # avoid 0 * inf when the Frobenius term overflows
+        loss += c_f * fro
     terms = GarTerms(affinity=alpha, balance=beta, frobenius_sq=fro, loss=float(loss), degenerate=degenerate)
     return terms, grad

@@ -5,7 +5,8 @@ usage: python3 tests/mutants.py [--list] [NAME ...]
 Each mutant is a source file, an exact text that occurs once in it, and the
 text that replaces it. For each one, the repository (without ``.git`` and
 caches) is copied to a temporary directory, the text is replaced in the
-copy, and tier-1 runs there, stopping at its first failure. The mutant is
+copy, and tier-1 runs there, less ``tests/test_mutants.py`` (which checks
+that each old text is present), stopping at its first failure. The mutant is
 ``killed`` when tier-1 fails and ``survived`` when it passes; the working
 tree is never changed. An unmutated copy runs first and must pass, or
 nothing else runs. Names pick mutants; no name runs them all. Exits 1 when
@@ -92,22 +93,32 @@ MUTANTS = (
      "if pixels.shape[0] != labels.shape[0]:", "if False:"),
     ("train-limit-ignored", "src/acol/cli.py",
      "pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]", "pass"),
+    # the one training step, the zero-pixel check and the shared digit split
+    ("step-c-f-unscaled", "src/acol/network.py", "cfg.c_f / len(x))", "cfg.c_f)"),
+    ("zero-pixel-images-accepted", "src/acol/cli.py", "if pixels.size == 0:", "if False:"),
+    ("interparent-keeps-dropped-digits", "src/acol/datasets.py",
+     "replace(threshold_partition(5), exclude=dropped)", "threshold_partition(5)"),
 )
+
+
+def applies(rel: str, old: str) -> bool:
+    """True when ``old`` occurs exactly once in ``rel`` under the repository root."""
+    return (ROOT / rel).read_text().count(old) == 1
 
 
 def run(name: str, rel: str, old: str, new: str) -> str:
     """``killed``, ``survived`` or ``stale`` (old text not found exactly once)."""
+    if not applies(rel, old):
+        return "stale"
     with tempfile.TemporaryDirectory(prefix=f"mutant-{name}-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=SKIPPED)
         path = copy / rel
-        text = path.read_text()
-        if text.count(old) != 1:
-            return "stale"
-        path.write_text(text.replace(old, new))
+        path.write_text(path.read_text().replace(old, new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+        # test_mutants checks each old text in the copy, where the mutant has replaced it
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--continue-on-collection-errors"]
+                   "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
         try:
             done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:

@@ -29,7 +29,7 @@ from acol.datasets import (
 from acol.evaluation import clustering_accuracy, kmeans_per_parent
 from acol.head import AcolHead, node_to_parent_sub
 from acol.network import combined_step, init_model
-from acol.regularizers import GarCoefficients, affinity, balance
+from acol.regularizers import affinity, balance
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -62,7 +62,7 @@ def _smooth_instance(seed: int, step: float):
         hidden_pre = [a @ layer.weights + layer.bias for a, layer in zip(outputs[:-2], model.layers)]
         margins = [np.abs(pre).min() for pre in hidden_pre] + [np.abs(outputs[-1]).min()]
         if min(margins) > 100.0 * step:
-            return model, x, t, m
+            return model, x, t
         if attempt > 200:
             raise AssertionError(f"no kink-free instance found for seed {seed}")
 
@@ -74,19 +74,18 @@ def test_acceptance_gradients_match_central_differences():
     checked = 0
     step = 1e-5
     for seed in range(20):
-        model, x, t, m = _smooth_instance(seed, step)
-        # same per-batch scaling of the activity-size term as the trainer
-        coeffs = GarCoefficients(0.1, 0.1, 0.0003 / m)
-        _, grads, _, _, _ = combined_step(model, x, t, coeffs)
+        model, x, t = _smooth_instance(seed, step)
+        cfg = ExperimentConfig(c_alpha=0.1, c_beta=0.1, c_f=0.0003)
+        _, grads, _, _, _ = combined_step(model, x, t, cfg)
         for layer, grad in zip(model.layers, grads):
             for arr, g in ((layer.weights, grad.weights), (layer.bias, grad.bias)):
                 flat, analytic = arr.ravel(), np.asarray(g, dtype=float).ravel()
                 for i in range(flat.size):
                     kept = flat[i]
                     flat[i] = kept + step
-                    up = combined_step(model, x, t, coeffs)[0]
+                    up = combined_step(model, x, t, cfg)[0]
                     flat[i] = kept - step
-                    down = combined_step(model, x, t, coeffs)[0]
+                    down = combined_step(model, x, t, cfg)[0]
                     flat[i] = kept
                     fd = (up - down) / (2.0 * step)
                     if abs(analytic[i]) < 1e-8 and abs(fd) < 1e-8:

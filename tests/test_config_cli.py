@@ -20,7 +20,6 @@ from acol.config import (
     ExperimentConfig,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from acol.datasets import (
@@ -84,7 +83,7 @@ def test_serialize_parse_round_trip():
 
 def test_save_load_round_trip(tmp_path):
     cfg = parse_config(FAST_SYNTH)
-    save_config(cfg, tmp_path / "c.txt")
+    (tmp_path / "c.txt").write_text(serialize_config(cfg))
     assert load_config(tmp_path / "c.txt") == cfg
 
 
@@ -685,16 +684,27 @@ def test_cli_rejects_a_checkpoint_of_another_width(tmp_path, capsys, command):
     assert not (out / command).exists()
 
 
-@pytest.mark.parametrize("command", ["train", "baseline"])
-def test_cli_rejects_an_idx_pair_with_no_rows(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, side, rows, message",
+    [
+        pytest.param("train", 2, 0, "the IDX pair has no rows", id="train"),
+        pytest.param("baseline", 2, 0, "the IDX pair has no rows", id="baseline"),
+        pytest.param("train", 0, 300, "the images have no pixels", id="train-no-pixels"),
+        pytest.param("baseline", 0, 300, "the images have no pixels", id="baseline-no-pixels"),
+    ],
+)
+def test_cli_rejects_an_idx_pair_with_no_rows(tmp_path, capsys, command, side, rows, message):
+    """A pair of 0x0 images is rejected too: unchecked, it trained a head
+    whose every row landed on one node, and exited 0."""
     train_pair = _write_pattern_pair(tmp_path, "train", 120, seed=1)
-    empty = _write_square_pair(tmp_path, "empty", 2, [])
-    cfg = _idx_config(tmp_path, train_pair, empty)
+    empty = _write_square_pair(tmp_path, "empty", side, np.arange(rows) % 10)
+    # 0-pixel test images next to 4-pixel training ones would fail the width check instead
+    cfg = _idx_config(tmp_path, train_pair if side else empty, empty)
     out = tmp_path / "run"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {empty[0]}: the IDX pair has no rows\n"
+    assert captured.err == f"error: {empty[0]}: {message}\n"
     assert not out.exists()
 
 

@@ -32,7 +32,7 @@ from acol.network import (
     save_checkpoint,
     train,
 )
-from acol.regularizers import GarCoefficients
+from acol.regularizers import gar_value_and_grad
 
 
 def small_model(seed=0, sizes=(3, 5, 4), n_p=2, k=2):
@@ -213,7 +213,7 @@ def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
 
 def test_combined_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    coeffs = GarCoefficients(0.1, 0.1, 0.0003)
+    cfg = ExperimentConfig(c_alpha=0.1, c_beta=0.1, c_f=0.0003)
     for trial in range(5):
         n_p = int(rng.integers(2, 4))
         k = int(rng.integers(1, 4))
@@ -223,7 +223,7 @@ def test_combined_gradient_matches_finite_differences():
         m = int(rng.integers(3, 9))
         x = rng.normal(size=(m, sizes[0]))
         t = rng.integers(1, n_p + 1, size=m)
-        _, grads, _, _, _ = combined_step(model, x, t, coeffs)
+        _, grads, _, _, _ = combined_step(model, x, t, cfg)
         eps = 1e-6
         for layer, g in zip(model.layers, grads):
             for arr, garr in ((layer.weights, g.weights), (layer.bias, g.bias)):
@@ -232,9 +232,9 @@ def test_combined_gradient_matches_finite_differences():
                     idx = it.multi_index
                     old = arr[idx]
                     arr[idx] = old + eps
-                    lp = combined_step(model, x, t, coeffs)[0]
+                    lp = combined_step(model, x, t, cfg)[0]
                     arr[idx] = old - eps
-                    lm = combined_step(model, x, t, coeffs)[0]
+                    lm = combined_step(model, x, t, cfg)[0]
                     arr[idx] = old
                     fd = (lp - lm) / (2 * eps)
                     if abs(fd) < 1e-8 and abs(garr[idx]) < 1e-8:
@@ -251,15 +251,13 @@ def test_regularizer_gradient_respects_relu_mask():
     x = rng.normal(size=(6, 3))
     t = rng.integers(1, 3, size=6)
     z = forward(model, x)[-1]
-    coeffs = GarCoefficients(0.5, 0.5, 0.01)
-    _, grads_full, _, _, _ = combined_step(model, x, t, coeffs)
-    _, grads_sup, _, _, _ = combined_step(model, x, t, GarCoefficients(0.0, 0.0, 0.0))
+    cfg = ExperimentConfig(c_alpha=0.5, c_beta=0.5, c_f=0.01)
+    _, grads_full, _, _, _ = combined_step(model, x, t, cfg)
+    _, grads_sup, _, _, _ = combined_step(model, x, t, ExperimentConfig(c_alpha=0.0, c_beta=0.0, c_f=0.0))
     # reconstruct d_z difference through the single linear layer: columns of
     # the weight gradient difference are x^T @ (masked gar grad); entries of
     # the gar grad at z <= 0 contribute nothing
-    from acol.regularizers import gar_value_and_grad
-
-    masked = gar_value_and_grad(np.maximum(0.0, z), coeffs)[1] * (z > 0)
+    masked = gar_value_and_grad(np.maximum(0.0, z), 0.5, 0.5, 0.01 / len(x))[1] * (z > 0)
     assert np.allclose(
         grads_full[0].weights - grads_sup[0].weights, x.T @ masked, atol=1e-10
     )
@@ -325,8 +323,7 @@ def _out_of_place_momentum_replay(model, data, cfg):
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / len(idx))
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
             for i, (layer, g) in enumerate(zip(replay.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
                 v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
@@ -354,9 +351,7 @@ def test_train_momentum_zero_equals_plain_sgd():
         order = rng.permutation(m)
         for start in range(0, m, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            rows = len(idx)
-            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
             for layer, g in zip(replay.layers, grads):
                 layer.weights += -cfg.learning_rate * g.weights
                 layer.bias += -cfg.learning_rate * g.bias
@@ -422,8 +417,7 @@ def _replayed_train_parent_accs(model, data, cfg):
             idx = order[start : start + cfg.batch_size]
             _, parent_probs = head_forward(forward(replay, data.X[idx])[-1], replay.head)
             hits += int(np.sum(np.argmax(parent_probs, axis=1) + 1 == data.t[idx]))
-            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / len(idx))
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], scaled)
+            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
             for i, (layer, g) in enumerate(zip(replay.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
                 v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
@@ -475,8 +469,7 @@ def _frozen_train(model, data, cfg):
             idx = order[start : start + cfg.batch_size]
             x_b, t_b = train_data.X[idx], train_data.t[idx]
             rows = len(idx)
-            scaled = GarCoefficients(cfg.c_alpha, cfg.c_beta, cfg.c_f / rows)
-            _, grads, sup_loss, terms, _ = combined_step(model, x_b, t_b, scaled)
+            _, grads, sup_loss, terms, _ = combined_step(model, x_b, t_b, cfg)
             for layer, vel, g in zip(model.layers, velocity, grads):
                 vel.weights *= cfg.momentum
                 g.weights *= cfg.learning_rate

@@ -5,7 +5,6 @@ import pytest
 
 from acol.config import ExperimentConfig
 from acol.regularizers import (
-    GarCoefficients,
     affinity,
     balance,
     check_activities,
@@ -14,15 +13,15 @@ from acol.regularizers import (
 
 HAND_B = np.array([[1.0, 1.0], [0.0, 2.0]])
 _DEFAULTS = ExperimentConfig()
-DEFAULT_COEFFS = GarCoefficients(_DEFAULTS.c_alpha, _DEFAULTS.c_beta, _DEFAULTS.c_f)
+DEFAULT_COEFFS = (_DEFAULTS.c_alpha, _DEFAULTS.c_beta, _DEFAULTS.c_f)
 
 
 def terms_of(b, coeffs):
-    return gar_value_and_grad(b, coeffs)[0]
+    return gar_value_and_grad(b, *coeffs)[0]
 
 
 def grad_of(b, coeffs):
-    return gar_value_and_grad(b, coeffs)[1]
+    return gar_value_and_grad(b, *coeffs)[1]
 
 
 def fd_grad(b, coeffs, eps=1e-6):
@@ -68,7 +67,7 @@ def test_balance_hand_value_exact():
 
 
 def test_gar_terms_loss_hand_value():
-    coeffs = GarCoefficients(0.1, 0.1, 0.0003)
+    coeffs = (0.1, 0.1, 0.0003)
     # 0.1/3 + 0.1*(8/13) + 0.0003*6
     expect = 0.1 / 3.0 + 0.1 * (8.0 / 13.0) + 0.0003 * 6.0
     terms = terms_of(HAND_B, coeffs)
@@ -131,10 +130,10 @@ def test_degenerate_zero_matrix_flags_and_zero_grad():
     assert affinity(b) == 0.0
     assert balance(b) == 0.0
     coeffs = DEFAULT_COEFFS
-    terms, g = gar_value_and_grad(b, coeffs)
+    terms, g = gar_value_and_grad(b, *coeffs)
     assert terms.degenerate
     assert terms.affinity == 0.0 and terms.balance == 0.0 and terms.frobenius_sq == 0.0
-    assert terms.loss == pytest.approx(coeffs.c_beta, abs=1e-15)  # only the (1 - 0) term
+    assert terms.loss == pytest.approx(coeffs[1], abs=1e-15)  # only the (1 - 0) term
     assert np.array_equal(g, np.zeros((4, 3)))
     assert np.all(np.isfinite(g))
 
@@ -167,7 +166,7 @@ def test_fused_ratios_equal_definitional_references():
 
 def test_gar_grad_matches_finite_differences():
     rng = np.random.default_rng(13)
-    coeffs = GarCoefficients(0.17, 0.29, 0.003)
+    coeffs = (0.17, 0.29, 0.003)
     for _ in range(20):
         m = int(rng.integers(2, 9))
         n = int(rng.integers(2, 7))
@@ -178,7 +177,7 @@ def test_gar_grad_matches_finite_differences():
 
 
 def test_gar_grad_default_coefficients():
-    coeffs = GarCoefficients(0.1, 0.1, 0.0003)
+    coeffs = (0.1, 0.1, 0.0003)
     g = grad_of(HAND_B, coeffs)
     fd = fd_grad(HAND_B, coeffs)
     assert np.allclose(g, fd, rtol=1e-6, atol=1e-9)
@@ -188,13 +187,13 @@ def test_gar_grad_each_term_in_isolation():
     rng = np.random.default_rng(14)
     b = rng.uniform(0.1, 1.5, size=(5, 4))
     for coeffs in (
-        GarCoefficients(1.0, 0.0, 0.0),
-        GarCoefficients(0.0, 1.0, 0.0),
-        GarCoefficients(0.0, 0.0, 1.0),
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0),
     ):
         assert np.allclose(grad_of(b, coeffs), fd_grad(b, coeffs), rtol=1e-5, atol=1e-8)
     # pure Frobenius gradient has the closed form 2B
-    assert np.allclose(grad_of(b, GarCoefficients(0.0, 0.0, 1.0)), 2.0 * b, atol=1e-12)
+    assert np.allclose(grad_of(b, (0.0, 0.0, 1.0)), 2.0 * b, atol=1e-12)
 
 
 # --- input validation -------------------------------------------------------
