@@ -112,12 +112,10 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     nodes = annotations[0]
     _, parent_probs = head_forward(z, model.head)
     result = {
-        "m": len(data),
         "parent_acc": evaluation.parent_accuracy(parent_probs, data.t),
         "acc": evaluation.clustering_accuracy(nodes, data.t_star),
         "z": z,
         "annotations": annotations,
-        "nodes": nodes,
     }
     first = data.t == 1
     result["first_parent_acc"] = evaluation.clustering_accuracy(nodes[first], data.t_star[first])
@@ -156,7 +154,7 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
         "dataset": cfg.dataset_type,
         "partition": partition.describe(),
         "m_train": len(train_data),
-        "m_eval": result["m"],
+        "m_eval": len(eval_data),
         "eval_on": "test" if test_pool is not None else "train",
         "selected_epoch": report.selected_epoch,
         "parent_acc": result["parent_acc"],
@@ -199,7 +197,7 @@ def run_eval(cfg: ExperimentConfig, args) -> dict:
     result = score(model, data)
     summary = {
         "checkpoint_epoch": epoch,
-        "m": result["m"],
+        "m": len(data),
         "parent_acc": result["parent_acc"],
         "acc": result["acc"],
     }

@@ -113,23 +113,30 @@ def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, LABELS_MAGIC, "label").astype(np.int64)
 
 
-def _write_idx(path, magic: int, values: np.ndarray) -> None:
-    """Write uint8 ``values``, whose ndim must be the low byte of ``magic``, as IDX."""
+def _write_idx(path, magic: int, values) -> None:
+    """Write ``values``, integers in 0..255 whose ndim must be the low byte of
+    ``magic``, as IDX; any other value is rejected before the file is opened."""
+    values = np.asarray(values)
     if values.ndim != magic & 0xFF:
         raise ValueError(f"IDX magic {magic:#010x} needs a {magic & 0xFF}-D array, got shape {values.shape}")
+    with np.errstate(invalid="ignore"):  # nan and out-of-range floats: the comparison rejects them
+        as_bytes = values.astype(np.uint8)
+    bad = np.flatnonzero(as_bytes != values)
+    if bad.size:
+        raise ValueError(f"{path}: IDX values must be integers in 0..255, got {values.flat[bad[0]]}")
     with open(str(path), "wb") as f:
         f.write(struct.pack(f">{1 + values.ndim}i", magic, *values.shape))
-        f.write(values.tobytes())
+        f.write(as_bytes.tobytes())
 
 
-def write_idx_images(pixels: np.ndarray, path) -> None:
-    """Serialize a uint8 (m, rows, cols) array back to IDX bytes."""
-    _write_idx(path, IMAGES_MAGIC, np.asarray(pixels, dtype=np.uint8))
+def write_idx_images(pixels, path) -> None:
+    """Serialize (m, rows, cols) pixels in 0..255 back to IDX bytes."""
+    _write_idx(path, IMAGES_MAGIC, pixels)
 
 
-def write_idx_labels(labels: np.ndarray, path) -> None:
-    """Serialize labels back to IDX bytes."""
-    _write_idx(path, LABELS_MAGIC, np.asarray(labels).astype(np.uint8))
+def write_idx_labels(labels, path) -> None:
+    """Serialize labels in 0..255 back to IDX bytes."""
+    _write_idx(path, LABELS_MAGIC, labels)
 
 
 def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:

@@ -143,10 +143,11 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig):
     """One forward/backward evaluation of the combined objective, weighted by
     ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows.
 
-    Returns ``(loss, grads, sup_loss, terms, hits)`` where grads mirror the
-    layer parameters and ``hits`` counts the rows whose argmax parent under
-    the current parameters equals t. The regularization gradient reaches Z
-    only through the relu mask.
+    Returns ``(loss, grads, sums)`` where grads mirror the layer parameters
+    and ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain
+    Python sum over the batch rows; ``train_parent_acc`` counts the rows whose
+    argmax parent under the current parameters equals t. The regularization
+    gradient reaches Z only through the relu mask.
     """
     outputs = forward(model, x)
     z = outputs[-1]
@@ -154,7 +155,13 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig):
     terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))
     d_z = d_z + gar_d_z * (z > 0)
     grads = backward(model, outputs, d_z)
-    return sup_loss + terms.loss, grads, sup_loss, terms, evaluation.parent_hits(parent_probs, t)
+    return sup_loss + terms.loss, grads, {
+        "sup_loss": sup_loss * len(x),
+        "affinity": terms.affinity * len(x),
+        "balance": terms.balance * len(x),
+        "frobenius": terms.frobenius_sq,  # summed over the rows already
+        "train_parent_acc": evaluation.parent_hits(parent_probs, t),
+    }
 
 
 def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
@@ -182,11 +189,11 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     under the parameters their batch was stepped from, equals t. Only the
     validation rows get a pass of their own.
 
-    Raises ``ValueError`` when a parent of the model's head has no row,
-    when ``train.validation_size`` leaves no row or ``train.batch_size``
-    exceeds the rows left for training, naming the epoch and the 1-based
-    batch when a batch loss is not finite, and naming the layer when a
-    parameter is not finite after an epoch.
+    Raises ``ValueError`` when ``train.validation_size`` leaves no row or
+    ``train.batch_size`` exceeds the rows left for training, when a parent
+    of the model's head has no training row, naming the epoch and the
+    1-based batch when a batch loss is not finite, and naming the layer
+    when a parameter is not finite after an epoch.
 
     Returns ``(model, report)``; the given model is updated in place.
     """
@@ -196,9 +203,6 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         raise ValueError("empty dataset")
     if data.t.min() < 1 or data.t.max() > n_p:
         raise ValueError(f"parent labels must lie in 1..{n_p}")
-    empty = np.flatnonzero(np.bincount(data.t, minlength=n_p + 1)[1:] == 0)
-    if empty.size:
-        raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no rows")
 
     if cfg.validation_size >= len(data):
         raise ValueError(
@@ -215,6 +219,9 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
     else:
         train_idx, val_data = np.arange(len(data)), None
+    empty = np.flatnonzero(np.bincount(data.t[train_idx], minlength=n_p + 1)[1:] == 0)
+    if empty.size:
+        raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no training rows")
 
     rng = np.random.default_rng(cfg.seed)
     velocity = [
@@ -227,16 +234,12 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(m)]
-        sup_sum = aff_sum = bal_sum = fro_sum = 0.0
-        hits = 0
+        totals = {}
         # a diverging step overflows; the two finiteness checks report it
         with np.errstate(over="ignore", invalid="ignore"):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
-                rows = len(idx)
-                loss, grads, sup_loss, terms, batch_hits = combined_step(
-                    model, data.X[idx], data.t[idx], cfg
-                )
+                loss, grads, sums = combined_step(model, data.X[idx], data.t[idx], cfg)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
@@ -251,27 +254,15 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
                     g.bias *= cfg.learning_rate
                     vel.bias -= g.bias
                     layer.bias += vel.bias
-                sup_sum += sup_loss * rows
-                aff_sum += terms.affinity * rows
-                bal_sum += terms.balance * rows
-                fro_sum += terms.frobenius_sq  # summed over examples already
-                hits += batch_hits
+                for name, value in sums.items():
+                    totals[name] = totals.get(name, 0.0) + value
         for i, layer in enumerate(model.layers, start=1):
             if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise ValueError(f"training diverged: layer {i} is not finite after epoch {epoch}")
 
         val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
-        records.append(
-            EpochRecord(
-                epoch=epoch,
-                sup_loss=sup_sum / m,
-                affinity=aff_sum / m,
-                balance=bal_sum / m,
-                frobenius=fro_sum / m,
-                train_parent_acc=hits / m,
-                val_parent_acc=val_acc,
-            )
-        )
+        means = {name: total / m for name, total in totals.items()}
+        records.append(EpochRecord(epoch=epoch, **means, val_parent_acc=val_acc))
         if val_data is None or val_acc >= best_acc:
             best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
 

@@ -6,7 +6,9 @@ Each mutant is a source file, an exact text that occurs once in it, and the
 text that replaces it. For each one, the repository (without ``.git`` and
 caches) is copied to a temporary directory, the text is replaced in the
 copy, and tier-1 runs there, less ``tests/test_mutants.py`` (which checks
-that each old text is present), stopping at its first failure. The mutant is
+that each old text is present), stopping at its first failure. Its test
+files run in the order of ``tier1_files``: the mutated module's own tests
+and the golden digests first, the slow acceptance gate last. The mutant is
 ``killed`` when tier-1 fails and ``survived`` when it passes; the working
 tree is never changed. An unmutated copy runs first and must pass, or
 nothing else runs. Names pick mutants; no name runs them all. Exits 1 when
@@ -98,7 +100,31 @@ MUTANTS = (
     ("zero-pixel-images-accepted", "src/acol/cli.py", "if pixels.size == 0:", "if False:"),
     ("interparent-keeps-dropped-digits", "src/acol/datasets.py",
      "replace(threshold_partition(5), exclude=dropped)", "threshold_partition(5)"),
+    # the batch's share of the epoch record, the parent check after the split, the IDX byte range
+    ("record-sup-loss-unscaled", "src/acol/network.py",
+     '"sup_loss": sup_loss * len(x),', '"sup_loss": sup_loss,'),
+    ("record-frobenius-scaled", "src/acol/network.py",
+     '"frobenius": terms.frobenius_sq,', '"frobenius": terms.frobenius_sq * len(x),'),
+    ("record-totals-keep-last-batch", "src/acol/network.py",
+     "totals[name] = totals.get(name, 0.0) + value", "totals[name] = value"),
+    ("parent-check-counts-all-rows", "src/acol/network.py", "np.bincount(data.t[train_idx],", "np.bincount(data.t,"),
+    ("idx-writer-range-unchecked", "src/acol/datasets.py", "if bad.size:", "if False:"),
 )
+
+
+def tier1_files(rel: str) -> list[str]:
+    """Tier-1's test files (``testpaths`` of ``pyproject.toml``) less this
+    module's test, in the order a mutant of ``rel`` runs them: the mutated
+    module's own test file, the golden digests, the rest, and the acceptance
+    gate last. The order only decides how soon a failure is found."""
+    stem = Path(rel).stem
+    own = "tests/test_config_cli.py" if stem in ("cli", "config") else f"tests/test_{stem}.py"
+    first = [f for f in (own, "tests/test_golden_digests.py") if (ROOT / f).exists()]
+    last = ["tests/test_acceptance.py"]
+    found = sorted(
+        p.relative_to(ROOT).as_posix() for d in ("tests", "bench") for p in (ROOT / d).glob("test_*.py")
+    )
+    return first + [f for f in found if f not in first + last + ["tests/test_mutants.py"]] + last
 
 
 def applies(rel: str, old: str) -> bool:
@@ -118,7 +144,7 @@ def run(name: str, rel: str, old: str, new: str) -> str:
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         # test_mutants checks each old text in the copy, where the mutant has replaced it
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--continue-on-collection-errors", "--ignore=tests/test_mutants.py"]
+                   "--continue-on-collection-errors", "--ignore=tests/test_mutants.py", *tier1_files(rel)]
         try:
             done = subprocess.run(command, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:

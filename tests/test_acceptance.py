@@ -76,7 +76,7 @@ def test_acceptance_gradients_match_central_differences():
     for seed in range(20):
         model, x, t = _smooth_instance(seed, step)
         cfg = ExperimentConfig(c_alpha=0.1, c_beta=0.1, c_f=0.0003)
-        _, grads, _, _, _ = combined_step(model, x, t, cfg)
+        _, grads, _ = combined_step(model, x, t, cfg)
         for layer, grad in zip(model.layers, grads):
             for arr, g in ((layer.weights, grad.weights), (layer.bias, grad.bias)):
                 flat, analytic = arr.ravel(), np.asarray(g, dtype=float).ravel()
@@ -181,7 +181,7 @@ def _run_default_synthetic(seed: int):
     cfg = ExperimentConfig(seed=seed)
     cfg.validate()
     result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), seed)
-    nodes = result["nodes"]
+    nodes = result["annotations"][0]
     all_nodes = np.arange(1, cfg.n_parents * cfg.k + 1)
     parents, _ = node_to_parent_sub(all_nodes, cfg.n_parents)
     shares = [

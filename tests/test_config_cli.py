@@ -593,9 +593,9 @@ def _idx_config(tmp_path, train_pair, test_pair=None):
 @pytest.mark.parametrize(
     "command, lines, message",
     [
-        ("train", "head.n_p = 11\n", "head.n_p = 11, but parent 11 has no rows"),
+        ("train", "head.n_p = 11\n", "head.n_p = 11, but parent 11 has no training rows"),
         ("scenarios", "head.n_p = 3\nscenario.mode = inter-parent\n",
-         "head.n_p = 3, but parent 3 has no rows"),
+         "head.n_p = 3, but parent 3 has no training rows"),
     ],
 )
 def test_cli_rejects_a_head_parent_without_rows(tmp_path, capsys, command, lines, message):

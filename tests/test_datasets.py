@@ -102,6 +102,30 @@ def test_idx_round_trip_random_payload(tmp_path):
     assert (tmp_path / "rl2.idx").read_bytes() == lp.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "write, values, bad",
+    [
+        (write_idx_labels, [256, -1, 3], "256"),
+        (write_idx_labels, np.array([3, -1]), "-1"),
+        (write_idx_images, [[[300.7, -1]]], "300.7"),
+        (write_idx_images, [[[2.0, 1.5]]], "1.5"),
+        (write_idx_labels, [0, np.nan], "nan"),
+    ],
+)
+def test_idx_writers_reject_values_outside_a_byte(tmp_path, write, values, bad):
+    """A cast to uint8 would wrap them: 256 read back as 0, -1 as 255, 300.7 as 44."""
+    path = tmp_path / "out.idx"
+    with pytest.raises(ValueError) as err:
+        write(values, path)
+    assert str(err.value) == f"{path}: IDX values must be integers in 0..255, got {bad}"
+    assert not path.exists()
+
+
+def test_idx_writers_accept_integral_floats(tmp_path):
+    write_idx_images([[[0.0, 255.0]]], tmp_path / "i.idx")
+    assert load_idx_images(tmp_path / "i.idx").tolist() == [[[0, 255]]]
+
+
 def test_idx_bad_magic(tmp_path):
     p = tmp_path / "bad.idx"
     p.write_bytes(struct.pack(">iiii", 0x00000999, 1, 2, 2) + bytes(4))

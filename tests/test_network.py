@@ -6,6 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,12 @@ from hypothesis import strategies as st
 from acol.config import ExperimentConfig
 from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
 from acol import network
-from acol.head import AcolHead, head_forward
+from acol.head import AcolHead, head_forward, supervised_grad
 from acol.network import (
     CHECKPOINT_TAG,
     DenseLayer,
     EpochRecord,
     Model,
-    TrainReport,
     backward,
     combined_step,
     forward,
@@ -223,7 +223,7 @@ def test_combined_gradient_matches_finite_differences():
         m = int(rng.integers(3, 9))
         x = rng.normal(size=(m, sizes[0]))
         t = rng.integers(1, n_p + 1, size=m)
-        _, grads, _, _, _ = combined_step(model, x, t, cfg)
+        _, grads, _ = combined_step(model, x, t, cfg)
         eps = 1e-6
         for layer, g in zip(model.layers, grads):
             for arr, garr in ((layer.weights, g.weights), (layer.bias, g.bias)):
@@ -252,8 +252,8 @@ def test_regularizer_gradient_respects_relu_mask():
     t = rng.integers(1, 3, size=6)
     z = forward(model, x)[-1]
     cfg = ExperimentConfig(c_alpha=0.5, c_beta=0.5, c_f=0.01)
-    _, grads_full, _, _, _ = combined_step(model, x, t, cfg)
-    _, grads_sup, _, _, _ = combined_step(model, x, t, ExperimentConfig(c_alpha=0.0, c_beta=0.0, c_f=0.0))
+    _, grads_full, _ = combined_step(model, x, t, cfg)
+    _, grads_sup, _ = combined_step(model, x, t, ExperimentConfig(c_alpha=0.0, c_beta=0.0, c_f=0.0))
     # reconstruct d_z difference through the single linear layer: columns of
     # the weight gradient difference are x^T @ (masked gar grad); entries of
     # the gar grad at z <= 0 contribute nothing
@@ -312,73 +312,6 @@ def test_train_is_deterministic():
     assert [rec.sup_loss for rec in r1.records] == [rec.sup_loss for rec in r2.records]
 
 
-def _out_of_place_momentum_replay(model, data, cfg):
-    """train()'s batch walk with the velocity formed out of place,
-    v = momentum * v - lr * g; returns the replayed copy."""
-    replay = copy.deepcopy(model)
-    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in replay.layers]
-    rng = np.random.default_rng(cfg.seed)
-    m = len(data)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
-            for i, (layer, g) in enumerate(zip(replay.layers, grads)):
-                v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
-                v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
-                velocity[i] = (v_w, v_b)
-                layer.weights += v_w
-                layer.bias += v_b
-    return replay
-
-
-def test_train_momentum_zero_equals_plain_sgd():
-    """Independent plain-SGD replay must match train() exactly at momentum 0."""
-    data = toy_data(seed=3)
-    head = AcolHead(2, 2)
-    cfg = ExperimentConfig(epochs=3, batch_size=16, learning_rate=0.05, momentum=0.0,
-                           seed=7, validation_size=0)
-    model = init_model([4, 8, head.n], head, seed=7)
-    replay = copy.deepcopy(model)
-    with_velocity = _out_of_place_momentum_replay(model, data, cfg)
-
-    model, _ = train(model, data, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    m = len(data)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(m)
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
-            for layer, g in zip(replay.layers, grads):
-                layer.weights += -cfg.learning_rate * g.weights
-                layer.bias += -cfg.learning_rate * g.bias
-
-    for la, lb, lc in zip(model.layers, replay.layers, with_velocity.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
-        assert np.array_equal(la.weights, lc.weights)
-        assert np.array_equal(la.bias, lc.bias)
-
-
-def test_train_momentum_update_equals_out_of_place_reference():
-    """The in-place momentum update rounds exactly like v = mu*v - lr*g."""
-    data = toy_data(seed=6)
-    head = AcolHead(2, 2)
-    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
-                           seed=8, validation_size=0)
-    model = init_model([4, 8, head.n], head, seed=8)
-    replay = _out_of_place_momentum_replay(model, data, cfg)
-
-    model, _ = train(model, data, cfg)
-
-    for la, lb in zip(model.layers, replay.layers):
-        assert np.array_equal(la.weights, lb.weights)
-        assert np.array_equal(la.bias, lb.bias)
-
-
 def test_train_restores_best_validation_snapshot():
     data = toy_data(seed=4)
     head = AcolHead(2, 2)
@@ -399,130 +332,84 @@ def _bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
-def _replayed_train_parent_accs(model, data, cfg):
-    """Per-epoch correct-parent shares of the batches, each counted by its
-    own evaluation forward under the parameters the batch is stepped from;
-    the steps are replayed out of place."""
-    replay = copy.deepcopy(model)
-    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in replay.layers]
-    rows = np.arange(len(data))
-    if cfg.validation_size > 0:
-        rows = np.random.default_rng(cfg.seed).permutation(len(data))[cfg.validation_size :]
+def _hits(z, t, head) -> int:
+    """Rows whose argmax parent of Z equals t."""
+    return int(np.sum(np.argmax(head_forward(z, head)[1], axis=1) + 1 == t))
+
+
+def _reference_train(model, data, cfg):
+    """train() written out of place on a copy of ``model``: the seeded split
+    into copied training and validation parts, v = momentum * v - lr * g,
+    each batch's hits and loss columns recomputed before its step from a
+    forward pass of its own, supervised_grad and gar_value_and_grad, and
+    the latest best-validation epoch kept. Returns
+    ``(layers, records, selected_epoch)``."""
+    model = copy.deepcopy(model)
+    perm = np.random.default_rng(cfg.seed).permutation(len(data))
+    rows = perm[cfg.validation_size :] if cfg.validation_size else np.arange(len(data))
+    part = LabeledDataset(X=data.X[rows], t=data.t[rows])
+    val = LabeledDataset(X=data.X[perm[: cfg.validation_size]], t=data.t[perm[: cfg.validation_size]])
+    velocity = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
     rng = np.random.default_rng(cfg.seed)
-    accs = []
-    for _ in range(cfg.epochs):
-        order = rows[rng.permutation(len(rows))]
-        hits = 0
-        for start in range(0, len(rows), cfg.batch_size):
+    records, best = [], (-np.inf, 0, model.layers)
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(part))
+        sums, hits = [0.0] * 4, 0
+        for start in range(0, len(part), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            _, parent_probs = head_forward(forward(replay, data.X[idx])[-1], replay.head)
-            hits += int(np.sum(np.argmax(parent_probs, axis=1) + 1 == data.t[idx]))
-            _, grads, _, _, _ = combined_step(replay, data.X[idx], data.t[idx], cfg)
-            for i, (layer, g) in enumerate(zip(replay.layers, grads)):
+            x, t = part.X[idx], part.t[idx]
+            z = _reference_outputs(model, x)[-1]
+            hits += _hits(z, t, model.head)
+            sup_loss = supervised_grad(z, t, model.head)[0]
+            terms = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))[0]
+            parts = (sup_loss * len(x), terms.affinity * len(x), terms.balance * len(x), terms.frobenius_sq)
+            sums = [total + value for total, value in zip(sums, parts)]
+            _, grads, _ = combined_step(model, x, t, cfg)
+            for i, (layer, g) in enumerate(zip(model.layers, grads)):
                 v_w = cfg.momentum * velocity[i][0] - cfg.learning_rate * g.weights
                 v_b = cfg.momentum * velocity[i][1] - cfg.learning_rate * g.bias
                 velocity[i] = (v_w, v_b)
                 layer.weights += v_w
                 layer.bias += v_b
-        accs.append(hits / len(rows))
-    return accs
+        val_acc = float("nan")
+        if len(val):
+            val_acc = _hits(_reference_outputs(model, val.X)[-1], val.t, model.head) / len(val)
+        records.append(EpochRecord(epoch, *(total / len(part) for total in sums), hits / len(part), val_acc))
+        if not len(val) or val_acc >= best[0]:
+            best = (val_acc, epoch, copy.deepcopy(model.layers))
+    return best[2], records, best[1]
 
 
-@pytest.mark.parametrize("validation_size", [0, 20])
-def test_train_parent_acc_is_the_running_pre_step_share(validation_size):
-    data = toy_data(seed=9)  # 120 rows: batches of 16 end on a short one either way
-    head = AcolHead(2, 2)
-    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
-                           seed=4, validation_size=validation_size)
-    assert (len(data) - validation_size) % cfg.batch_size != 0
-    model = init_model([4, 8, head.n], head, seed=4)
-    expected = _replayed_train_parent_accs(model, data, cfg)
-
-    _, report = train(model, data, cfg)
-
-    assert [r.train_parent_acc for r in report.records] == expected
-    assert len(set(expected)) > 1
-
-
-def _frozen_train(model, data, cfg):
-    """The training loop as it was when the training accuracy came from a
-    second pass over a copied training part after each epoch; kept to check
-    that the one-pass loop steps the same parameters."""
-    if cfg.validation_size > 0:
-        perm = np.random.default_rng(cfg.seed).permutation(len(data))
-        val_idx, train_idx = perm[: cfg.validation_size], perm[cfg.validation_size :]
-        train_data = LabeledDataset(X=data.X[train_idx], t=data.t[train_idx])
-        val_data = LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
-    else:
-        train_data, val_data = data, None
-    m = len(train_data)
-    rng = np.random.default_rng(cfg.seed)
-    velocity = [
-        DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
-    ]
-    records = []
-    best_acc, best_epoch, best_layers = -np.inf, 0, copy.deepcopy(model.layers)
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(m)
-        sup_sum = aff_sum = bal_sum = fro_sum = 0.0
-        for start in range(0, m, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            x_b, t_b = train_data.X[idx], train_data.t[idx]
-            rows = len(idx)
-            _, grads, sup_loss, terms, _ = combined_step(model, x_b, t_b, cfg)
-            for layer, vel, g in zip(model.layers, velocity, grads):
-                vel.weights *= cfg.momentum
-                g.weights *= cfg.learning_rate
-                vel.weights -= g.weights
-                layer.weights += vel.weights
-                vel.bias *= cfg.momentum
-                g.bias *= cfg.learning_rate
-                vel.bias -= g.bias
-                layer.bias += vel.bias
-            sup_sum += sup_loss * rows
-            aff_sum += terms.affinity * rows
-            bal_sum += terms.balance * rows
-            fro_sum += terms.frobenius_sq
-        train_acc = parent_accuracy_of(model, train_data)
-        val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
-        records.append(EpochRecord(epoch, sup_sum / m, aff_sum / m, bal_sum / m, fro_sum / m,
-                                   train_acc, val_acc))
-        if val_data is not None:
-            if val_acc >= best_acc:
-                best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
-        else:
-            best_epoch, best_layers = epoch, copy.deepcopy(model.layers)
-    model.layers = best_layers
-    return model, TrainReport(records=records, selected_epoch=best_epoch)
-
-
+@pytest.mark.parametrize("momentum", [0.0, 0.9])  # 0.0 is plain SGD: v = -lr * g
 @pytest.mark.parametrize(
     "sizes, validation_size, batch_size",
     [
-        ((4, 8, 4), 20, 16),       # relu, linear; short final batch
+        ((4, 8, 4), 20, 16),       # relu, linear
         ((4, 8, 4), 0, 16),
-        ((4, 6, 8, 4), 24, 32),    # relu, relu, linear
-        ((4, 4), 20, 25),          # a single linear layer
+        ((4, 6, 8, 4), 24, 40),    # relu, relu, linear
+        ((4, 4), 20, 30),          # a single linear layer
     ],
 )
-def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch_size):
-    data = toy_data(seed=2)
-    head = AcolHead(2, 2)
-    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=0.9,
-                           seed=3, validation_size=validation_size)
-    model = init_model(list(sizes), head, seed=3)
-    frozen, frozen_report = _frozen_train(copy.deepcopy(model), data, cfg)
+def test_train_equals_the_out_of_place_reference_bit_for_bit(sizes, validation_size, batch_size, momentum):
+    data = toy_data(seed=9)
+    assert (len(data) - validation_size) % batch_size != 0  # every epoch ends on a short batch
+    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=momentum,
+                           seed=4, validation_size=validation_size)
+    model = init_model(list(sizes), AcolHead(2, 2), seed=4)
+    layers, records, selected = _reference_train(model, data, cfg)
 
     model, report = train(model, data, cfg)
 
-    assert report.selected_epoch == frozen_report.selected_epoch
-    for la, lb in zip(model.layers, frozen.layers):
+    assert report.selected_epoch == selected
+    for la, lb in zip(model.layers, layers, strict=True):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
-    fields = ("epoch", "sup_loss", "affinity", "balance", "frobenius", "val_parent_acc")
-    for new, old in zip(report.records, frozen_report.records, strict=True):
-        for name in fields:
-            assert _bits(getattr(new, name)) == _bits(getattr(old, name)), name
+    for new, old in zip(report.records, records, strict=True):
+        for field in fields(EpochRecord):
+            value = getattr(new, field.name)
+            assert type(value) in (int, float), field.name  # metrics.csv writes repr()
+            assert _bits(value) == _bits(getattr(old, field.name)), field.name
+    assert len({r.train_parent_acc for r in records}) > 1
 
 
 @pytest.mark.parametrize("validation_size", [0, 20])
@@ -610,11 +497,19 @@ def test_train_rejects_a_head_parent_without_rows():
     model = init_model([4, 8, head.n], head, seed=0)
     with pytest.raises(ValueError) as err:
         train(model, data, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
-    assert str(err.value) == "head.n_p = 3, but parent 3 has no rows"
+    assert str(err.value) == "head.n_p = 3, but parent 3 has no training rows"
     data.t[data.t == 1] = 3  # parent 1 is now the empty one
     with pytest.raises(ValueError) as err:
         train(model, data, ExperimentConfig(epochs=1, batch_size=16, validation_size=0))
-    assert str(err.value) == "head.n_p = 3, but parent 1 has no rows"
+    assert str(err.value) == "head.n_p = 3, but parent 1 has no training rows"
+    # parent 2's one row falls in the validation split
+    data = LabeledDataset(X=np.random.default_rng(0).normal(size=(50, 4)), t=np.ones(50, dtype=np.int64))
+    cfg = ExperimentConfig(epochs=2, batch_size=4, validation_size=40, seed=0)
+    data.t[split_validation(len(data), cfg.validation_size, cfg.seed)[1][0]] = 2
+    head = AcolHead(2, 2)
+    with pytest.raises(ValueError) as err:
+        train(init_model([4, 8, head.n], head, seed=0), data, cfg)
+    assert str(err.value) == "head.n_p = 2, but parent 2 has no training rows"
 
 
 @pytest.mark.parametrize("label", [0, 3])
