@@ -380,22 +380,11 @@ def _reference_train(model, data, cfg):
     return best[2], records, best[1]
 
 
-@pytest.mark.parametrize("momentum", [0.0, 0.9])  # 0.0 is plain SGD: v = -lr * g
-@pytest.mark.parametrize(
-    "sizes, validation_size, batch_size",
-    [
-        ((4, 8, 4), 20, 16),       # relu, linear
-        ((4, 8, 4), 0, 16),
-        ((4, 6, 8, 4), 24, 40),    # relu, relu, linear
-        ((4, 4), 20, 30),          # a single linear layer
-    ],
-)
-def test_train_equals_the_out_of_place_reference_bit_for_bit(sizes, validation_size, batch_size, momentum):
-    data = toy_data(seed=9)
-    assert (len(data) - validation_size) % batch_size != 0  # every epoch ends on a short batch
-    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=momentum,
-                           seed=4, validation_size=validation_size)
-    model = init_model(list(sizes), AcolHead(2, 2), seed=4)
+def _assert_train_equals_reference(model, data, cfg):
+    """train() and _reference_train() agree bit for bit on the parameters,
+    every record field (each a plain int or float) and the selected epoch.
+    Returns the records."""
+    assert (len(data) - cfg.validation_size) % cfg.batch_size != 0  # the epoch ends on a short batch
     layers, records, selected = _reference_train(model, data, cfg)
 
     model, report = train(model, data, cfg)
@@ -409,7 +398,57 @@ def test_train_equals_the_out_of_place_reference_bit_for_bit(sizes, validation_s
             value = getattr(new, field.name)
             assert type(value) in (int, float), field.name  # metrics.csv writes repr()
             assert _bits(value) == _bits(getattr(old, field.name)), field.name
+    return report.records
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])  # 0.0 is plain SGD: v = -lr * g
+@pytest.mark.parametrize(
+    "sizes, validation_size, batch_size",
+    [
+        ((4, 8, 4), 20, 16),       # relu, linear
+        ((4, 8, 4), 0, 16),
+        ((4, 6, 8, 4), 24, 40),    # relu, relu, linear
+        ((4, 4), 20, 30),          # a single linear layer
+    ],
+)
+def test_train_equals_the_out_of_place_reference_bit_for_bit(sizes, validation_size, batch_size, momentum):
+    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=momentum,
+                           seed=4, validation_size=validation_size)
+    model = init_model(list(sizes), AcolHead(2, 2), seed=4)
+    records = _assert_train_equals_reference(model, toy_data(seed=9), cfg)
     assert len({r.train_parent_acc for r in records}) > 1
+
+
+def test_train_momentum_update_equals_out_of_place_reference():
+    """The in-place momentum update rounds exactly like v = mu*v - lr*g."""
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=8, validation_size=0)
+    model = init_model([4, 8, 4], AcolHead(2, 2), seed=8)
+    _assert_train_equals_reference(model, toy_data(seed=6), cfg)
+
+
+@pytest.mark.parametrize("validation_size", [0, 20])
+def test_train_parent_acc_is_the_running_pre_step_share(validation_size):
+    """Each batch's hits are counted under the parameters it is stepped from."""
+    cfg = ExperimentConfig(epochs=4, batch_size=28, learning_rate=0.1, momentum=0.5,
+                           seed=1, validation_size=validation_size)
+    model = init_model([4, 8, 4], AcolHead(2, 2), seed=1)
+    records = _assert_train_equals_reference(model, toy_data(seed=5), cfg)
+    assert len({r.train_parent_acc for r in records}) > 1
+
+
+@pytest.mark.parametrize(
+    "sizes, validation_size, batch_size",
+    [
+        ((4, 8, 4), 20, 16),       # relu, linear; short final batch
+        ((4, 8, 4), 0, 16),
+    ],
+)
+def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch_size):
+    cfg = ExperimentConfig(epochs=6, batch_size=batch_size, learning_rate=0.05, momentum=0.9,
+                           seed=3, validation_size=validation_size)
+    model = init_model(list(sizes), AcolHead(2, 2), seed=3)
+    _assert_train_equals_reference(model, toy_data(seed=2), cfg)
 
 
 @pytest.mark.parametrize("validation_size", [0, 20])
