@@ -35,11 +35,11 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
     """The train or the test pool of fine-labeled examples; the test pool of
     an idx config without a test pair is None.
 
-    Synthetic pools take their fine labels from the cluster ids; an IDX pair
-    with no rows or no pixels is rejected. Features are multiplied by the
-    configured feature scale, so training, evaluation, and baselines all see
-    the same preprocessing, and are then marked read-only: datasets built
-    from the pool may share them.
+    Synthetic pools keep their blobs, fine-labeled by cluster id; an IDX pool
+    keeps its uint8 pixels as read, one row per image, and a pair with no rows
+    or no pixels is rejected. Each pool records the configured feature scale
+    for ``features()``, so training, evaluation, and baselines all see the
+    same preprocessing. ``X`` is read-only: datasets may share it.
     """
     if cfg.dataset_type == "synthetic":
         per_cluster = cfg.test_per_cluster if test else cfg.per_cluster
@@ -56,10 +56,8 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
             raise ValueError(f"{images}: the images have no pixels")
         if not test and cfg.train_limit > 0:
             pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]
-        pool = FinePool(X=datasets.images_to_features(pixels), fine=fine)
-    scale = cfg.resolved_feature_scale()
-    if scale != 1.0:
-        pool = FinePool(X=pool.X * scale, fine=pool.fine)
+        pool = FinePool(X=pixels.reshape(len(pixels), -1), fine=fine)
+    pool.scale = cfg.resolved_feature_scale()
     pool.X.flags.writeable = False
     return pool
 
@@ -107,7 +105,7 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     carry its fine labels ``t_star``."""
     if data.t_star is None:
         raise ValueError("score needs the fine labels t_star of the dataset")
-    z = network.forward(model, data.X)[-1]
+    z = network.forward(model, data.features())[-1]
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]
     _, parent_probs = head_forward(z, model.head)
@@ -238,7 +236,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         model, _ = fit(cfg, train_data, seed)
         result = score(model, eval_data)
         try:
-            baseline_nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, seed=seed)
+            baseline_nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, seed=seed)
         except ValueError:  # a parent has fewer rows than head.k: no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
@@ -272,7 +270,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
 def run_baseline(cfg: ExperimentConfig, args) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
     _, _, data = _eval_inputs(cfg, None)
-    nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
+    nodes = evaluation.kmeans_per_parent(data.features(), data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star)
     return {"m": len(data), "k": cfg.k, "acc": acc}
 
@@ -285,7 +283,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
     model, _, data = _eval_inputs(cfg, args.checkpoint)
     take = min(args.limit, len(data))
-    z = network.forward(model, data.X[:take])[-1]
+    z = network.forward(model, data.features(slice(0, take)))[-1]
     rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

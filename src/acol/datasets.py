@@ -26,16 +26,17 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Features plus coarse parent labels, with optional hidden fine labels.
+    """Stored values plus coarse parent labels, with optional hidden fine labels.
 
     ``t`` holds 1-based parent classes and is the only label ever seen by
     training. ``t_star``, when present, is the fine ground truth kept for
     evaluation only. Each has one entry per row of ``X``, checked here.
     """
 
-    X: np.ndarray                 # float64, (m, d), values in [0, 1] for image data
+    X: np.ndarray                 # (m, d): uint8 pixels, or float64 features
     t: np.ndarray                 # int64, (m,)
     t_star: np.ndarray | None = None
+    scale: float = 1.0            # feature multiplier, applied by features()
 
     def __post_init__(self):
         for name, labels in (("t", self.t), ("t_star", self.t_star)):
@@ -46,13 +47,23 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
+    def features(self, rows=slice(None)) -> np.ndarray:
+        """float64 features of ``X[rows]``: ``images_to_features`` of uint8
+        pixels, times ``scale`` unless it is 1; elementwise, so the bits do
+        not depend on which rows are converted together."""
+        x = self.X[rows]
+        if x.dtype == np.uint8:
+            x = images_to_features(x)
+        return x * self.scale if self.scale != 1.0 else x
+
 
 @dataclass
 class FinePool:
-    """Features plus fine labels, before any parent assignment."""
+    """Stored values plus fine labels, before any parent assignment."""
 
-    X: np.ndarray     # float64, (m, d)
-    fine: np.ndarray  # int64, (m,)
+    X: np.ndarray       # (m, d): uint8 pixels, or float64 features
+    fine: np.ndarray    # int64, (m,)
+    scale: float = 1.0  # feature multiplier, passed on by pool_to_dataset
 
 
 @dataclass(frozen=True)
@@ -151,9 +162,8 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def images_to_features(pixels: np.ndarray) -> np.ndarray:
-    """Flatten images row-major and scale to [0, 1] by dividing by 255."""
-    m = pixels.shape[0]
-    return pixels.reshape(m, -1).astype(np.float64) / 255.0
+    """Flatten images row-major and scale to [0, 1] by dividing by 255; 0 images give (0, d)."""
+    return pixels.reshape(len(pixels), math.prod(pixels.shape[1:])).astype(np.float64) / 255.0
 
 
 def threshold_partition(threshold: int = 5) -> ParentPartition:
@@ -184,7 +194,7 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDatase
     Excluded fine labels are dropped; any other unmapped fine label is an
     error. The fine labels are kept as ``t_star`` for evaluation only, in a
     copy that never aliases the pool. When no row is dropped, ``X`` is the
-    pool's own feature matrix, not a copy.
+    pool's own matrix, not a copy; the pool's ``scale`` is passed on.
     """
     keep = ~np.isin(pool.fine, list(partition.exclude))
     if keep.all():
@@ -196,7 +206,7 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDatase
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
     parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
-    return LabeledDataset(X=X, t=parents[inverse], t_star=fine)
+    return LabeledDataset(X=X, t=parents[inverse], t_star=fine, scale=pool.scale)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:

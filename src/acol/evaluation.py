@@ -204,14 +204,12 @@ def export_graph(rows, threshold: float, path, truth) -> None:
     subsets; the matrix is quadratic in the number of rows.
     """
     sim = rows @ rows.T
-    m = sim.shape[0]
+    i, j = np.nonzero(np.triu(sim > threshold, 1))  # row-major, as a loop over i, then j > i
     with open(str(path), "w") as f:
-        for i in range(m):
-            f.write(f"# vertex {i + 1} {int(truth[i])}\n")
-        for i in range(m):
-            for j in range(i + 1, m):
-                if sim[i, j] > threshold:
-                    f.write(f"{i + 1} {j + 1} {sim[i, j]:.6g}\n")
+        for v in range(len(sim)):
+            f.write(f"# vertex {v + 1} {int(truth[v])}\n")
+        for a, b, w in zip(i.tolist(), j.tolist(), sim[i, j].tolist()):
+            f.write(f"{a + 1} {b + 1} {w:.6g}\n")
 
 
 def export_embeddings(z, annotations, truth, path) -> None:

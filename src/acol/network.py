@@ -166,7 +166,7 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig):
 
 def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
     """Fraction of examples whose pooled argmax parent matches t."""
-    _, parent_probs = head_forward(forward(model, data.X)[-1], model.head)
+    _, parent_probs = head_forward(forward(model, data.features())[-1], model.head)
     return evaluation.parent_accuracy(parent_probs, data.t)
 
 
@@ -176,13 +176,14 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     ``cfg`` is validated first, so a bad value is reported under its config
     key; its ``train.*`` and ``gar.*`` values and its seed drive the run.
     Each epoch shuffles the training rows with the seeded stream, walks
-    batches of ``cfg.batch_size`` (final short batch included) gathered
-    straight from ``data.X``, and takes one gradient step per batch. When
-    ``cfg.validation_size`` > 0 that many examples are split off (seeded)
-    before training and the returned model is the parameter snapshot from
-    the epoch with the highest validation parent accuracy (latest on ties,
-    so the regularizers keep refining the latent structure after the
-    supervised task saturates); otherwise the final epoch is kept.
+    batches of ``cfg.batch_size`` (final short batch included), converts
+    each by ``data.features(idx)``, and takes one gradient step per batch.
+    When ``cfg.validation_size`` > 0 that many examples are split off
+    (seeded) and converted once before training, and the returned model is
+    the parameter snapshot from the epoch with the highest validation parent
+    accuracy (latest on ties, so the regularizers keep refining the latent
+    structure after the supervised task saturates); otherwise the final
+    epoch is kept.
 
     Like the loss columns, an epoch's ``train_parent_acc`` is a running
     value over its batches: the share of training rows whose argmax parent,
@@ -216,7 +217,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         )
     if cfg.validation_size > 0:
         train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
-        val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
+        val_data = datasets.LabeledDataset(X=data.features(val_idx), t=data.t[val_idx])
     else:
         train_idx, val_data = np.arange(len(data)), None
     empty = np.flatnonzero(np.bincount(data.t[train_idx], minlength=n_p + 1)[1:] == 0)
@@ -239,7 +240,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
-                loss, grads, sums = combined_step(model, data.X[idx], data.t[idx], cfg)
+                loss, grads, sums = combined_step(model, data.features(idx), data.t[idx], cfg)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"

@@ -109,6 +109,14 @@ MUTANTS = (
      "totals[name] = totals.get(name, 0.0) + value", "totals[name] = value"),
     ("parent-check-counts-all-rows", "src/acol/network.py", "np.bincount(data.t[train_idx],", "np.bincount(data.t,"),
     ("idx-writer-range-unchecked", "src/acol/datasets.py", "if bad.size:", "if False:"),
+    # stored pixels made features one batch at a time, and the edge selection of export-graph
+    ("features-scale-dropped", "src/acol/datasets.py",
+     "return x * self.scale if self.scale != 1.0 else x", "return x"),
+    ("features-divide-by-256", "src/acol/datasets.py", "astype(np.float64) / 255.0", "astype(np.float64) / 256.0"),
+    ("features-uint8-unconverted", "src/acol/datasets.py", "if x.dtype == np.uint8:", "if False:"),
+    ("features-of-no-rows-unshaped", "src/acol/datasets.py", "math.prod(pixels.shape[1:])", "-1"),
+    ("graph-keeps-self-edges", "src/acol/evaluation.py",
+     "np.triu(sim > threshold, 1)", "np.triu(sim > threshold, 0)"),
 )
 
 

@@ -248,7 +248,7 @@ def test_acceptance_digit_subclasses_beat_kmeans():
     start = time.time()
     cfg = _mnist_config(n_parents=2, k=5)
     result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), cfg.seed)
-    baseline_nodes = kmeans_per_parent(test_data.X, test_data.t, cfg.k, seed=cfg.seed)
+    baseline_nodes = kmeans_per_parent(test_data.features(), test_data.t, cfg.k, seed=cfg.seed)
     kmeans_acc = clustering_accuracy(baseline_nodes, test_data.t_star)
     error = 1.0 - result["acc"]
     elapsed = time.time() - start

@@ -2,6 +2,7 @@
 
 import operator
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,68 @@ def test_idx_readers_parse_or_raise_idx_format_error(tmp_path_factory, blob):
         pass
     else:
         assert labels.dtype == np.int64 and labels.tolist() == list(blob[8:])
+
+
+# --- stored values and their features --------------------------------------
+
+FEATURE_ROWS = [slice(None), slice(3, 17), np.array([29, 0, 5, 5, 12]), np.arange(30) % 3 == 0]
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _idx_pool_config(tmp_path, pixels, **entries) -> ExperimentConfig:
+    write_idx_images(pixels, tmp_path / "imgs.idx")
+    write_idx_labels(np.arange(len(pixels)) % 10, tmp_path / "labs.idx")
+    return ExperimentConfig(dataset_type="idx", images=str(tmp_path / "imgs.idx"),
+                            labels=str(tmp_path / "labs.idx"), **entries)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_idx_features_equal_converting_and_scaling_the_whole_pool_first(tmp_path, scale):
+    """A few rows at a time, features() gives the bits of converting every
+    pixel of the pool and multiplying by the feature scale before any row is
+    taken."""
+    pixels = np.random.default_rng(1).integers(0, 256, size=(30, 4, 5), dtype=np.uint8)
+    cfg = _idx_pool_config(tmp_path, pixels, feature_scale=scale)
+    data = pool_to_dataset(cli.load_pool(cfg, test=False), threshold_partition())
+    whole = images_to_features(pixels)
+    if scale != 1.0:
+        whole = whole * scale
+    for rows in FEATURE_ROWS:
+        assert _same_bits(data.features(rows), whole[rows])
+
+
+def test_synthetic_features_equal_scaling_the_whole_pool_first():
+    cfg = ExperimentConfig(per_cluster=5)
+    data = pool_to_dataset(cli.load_pool(cfg, test=False), cli.default_partition(cfg))
+    blobs = synthetic_blobs(cfg.n_parents * cfg.k, cfg.per_cluster, cfg.dim, cfg.separation, cfg.seed)
+    assert data.scale == cfg.resolved_feature_scale() == 0.32
+    for rows in FEATURE_ROWS:
+        assert _same_bits(data.features(rows), (blobs.X * 0.32)[rows])
+
+
+def test_an_idx_pool_holds_its_pixels_and_no_float64_matrix(tmp_path):
+    m, d = 2000, 64
+    pixels = np.random.default_rng(2).integers(0, 256, size=(m, 8, 8), dtype=np.uint8)
+    cfg = _idx_pool_config(tmp_path, pixels)
+    tracemalloc.start()
+    try:
+        pool = cli.load_pool(cfg, test=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool.X.dtype == np.uint8 and pool.X.shape == (m, d) and pool.X.nbytes == m * d
+    assert np.array_equal(pool.X, pixels.reshape(m, d)) and pool.scale == 1.0
+    assert peak < 2 * m * d  # a float64 copy of the pixels takes 8 * m * d
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_a_dataset_without_rows_converts_to_an_empty_float64_matrix(scale):
+    data = LabeledDataset(X=np.zeros((0, 6), dtype=np.uint8), t=np.zeros(0, dtype=np.int64), scale=scale)
+    x = data.features()
+    assert x.dtype == np.float64 and x.shape == (0, 6)
 
 
 # --- parent partitions ------------------------------------------------------

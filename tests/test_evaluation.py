@@ -394,6 +394,21 @@ def test_export_graph_recomputes_oracle(tmp_path):
     assert all(i < j for i, j in edges)
 
 
+@pytest.mark.parametrize("m, threshold", [(15, -1.0), (15, 0.5), (15, 1.0), (15, 9.0), (1, 0.0), (0, 0.0)])
+def test_export_graph_writes_the_lines_of_the_double_loop_in_its_order(tmp_path, m, threshold):
+    rng = np.random.default_rng(43)
+    rows = rng.uniform(0.0, 1.0, size=(m, 3))
+    truth = rng.integers(0, 3, size=m)
+    sim = rows @ rows.T
+    lines = [f"# vertex {i + 1} {int(truth[i])}\n" for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if sim[i, j] > threshold:
+                lines.append(f"{i + 1} {j + 1} {sim[i, j]:.6g}\n")
+    export_graph(rows, threshold, tmp_path / "g.edges", truth=truth)
+    assert (tmp_path / "g.edges").read_text() == "".join(lines)
+
+
 def test_export_embeddings_round_trip(tmp_path):
     head = AcolHead(2, 2)
     rng = np.random.default_rng(42)

@@ -9,12 +9,14 @@ a config of its own). Each file the commands write and each command's
 stdout is hashed with the session's temp dir replaced by a fixed token, and
 the hashes are compared with ``golden_digests.json``.
 
-The bits depend on the BLAS kernel, so the table is keyed by the OpenBLAS
-core name and the numpy version; on a key the table lacks, the test skips
-and names the key. A change that alters bits on purpose regenerates the
-entry of the current key with
+The bits depend on the BLAS kernel and on its thread count, so the table is
+keyed by the OpenBLAS core name, the numpy version and the number of
+OpenBLAS threads; on a key the table lacks, the test skips and names the
+key. A change that alters bits on purpose regenerates the entry of the
+current key, and of each other thread count, with
 
     python3 tests/test_golden_digests.py --write
+    OPENBLAS_NUM_THREADS=1 python3 tests/test_golden_digests.py --write
 """
 
 import contextlib
@@ -49,14 +51,17 @@ DIGITS_CONFIG = {
 
 
 def blas_key() -> str:
-    """``<OpenBLAS core name>/numpy-<version>`` of numpy's bundled OpenBLAS."""
+    """``<OpenBLAS core name>/numpy-<version>/threads-<n>`` of numpy's bundled
+    OpenBLAS, ``n`` being its thread count (``OPENBLAS_NUM_THREADS``)."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
-    core = "unknown-blas"
+    core, threads = "unknown-blas", "unknown"
     if libs:
-        get = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-        get.restype = ctypes.c_char_p
-        core = get().decode("ascii")
-    return f"{core}/numpy-{np.__version__}"
+        lib = ctypes.CDLL(str(libs[0]))
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        core = lib.scipy_openblas_get_corename64_().decode("ascii")
+        threads = lib.scipy_openblas_get_num_threads64_()
+    return f"{core}/numpy-{np.__version__}/threads-{threads}"
 
 
 def _write_config(path: Path, entries: dict) -> str:

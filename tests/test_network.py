@@ -6,7 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acol.config import ExperimentConfig
-from acol.datasets import LabeledDataset, split_validation, synthetic_blobs
+from acol.datasets import LabeledDataset, images_to_features, split_validation, synthetic_blobs
 from acol import network
 from acol.head import AcolHead, head_forward, supervised_grad
 from acol.network import (
@@ -449,6 +449,30 @@ def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch
                            seed=3, validation_size=validation_size)
     model = init_model(list(sizes), AcolHead(2, 2), seed=3)
     _assert_train_equals_reference(model, toy_data(seed=2), cfg)
+
+
+@pytest.mark.parametrize("validation_size", [0, 20])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_train_on_uint8_pixels_equals_train_on_their_float64_features(scale, validation_size):
+    """Converting each batch, and the validation part once, as they are needed
+    gives the bits of training on the whole pool converted beforehand."""
+    pixels = np.random.default_rng(7).integers(0, 256, size=(120, 3, 3), dtype=np.uint8)
+    t = 1 + (pixels[:, 0, 0] > 127).astype(np.int64)
+    converted = images_to_features(pixels)
+    datasets = (
+        LabeledDataset(X=pixels.reshape(120, 9), t=t, scale=scale),
+        LabeledDataset(X=converted * scale if scale != 1.0 else converted, t=t),
+    )
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=2, validation_size=validation_size)
+    model = init_model([9, 8, 4], AcolHead(2, 2), seed=2)
+    (got, got_report), (want, want_report) = (train(copy.deepcopy(model), d, cfg) for d in datasets)
+    assert got_report.selected_epoch == want_report.selected_epoch
+    for la, lb in zip(got.layers, want.layers, strict=True):
+        assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+    bits = [[[_bits(v) for v in astuple(r)] for r in report.records] for report in (got_report, want_report)]
+    assert bits[0] == bits[1] and len(bits[0]) == cfg.epochs
+    assert len({r.train_parent_acc for r in got_report.records}) > 1
 
 
 @pytest.mark.parametrize("validation_size", [0, 20])
