@@ -88,16 +88,13 @@ def default_partition(cfg: ExperimentConfig) -> datasets.ParentPartition:
     return datasets.random_partition(cfg.seed, n_parents=cfg.n_parents)
 
 
-def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset, seed: int):
+def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset):
     """Train a fresh model on ``data`` with the config's head, layers and SGD
-    settings; returns ``network.train``'s ``(model, report)``.
-
-    ``seed`` drives the initialization, the validation split and the batch
-    order.
-    """
+    settings; returns ``network.train``'s ``(model, report)``. ``cfg.seed``
+    drives the initialization, the validation split and the batch order."""
     head = AcolHead(cfg.n_parents, cfg.k)
     sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
-    return network.train(network.init_model(sizes, head, seed), data, replace(cfg, seed=seed))
+    return network.train(network.init_model(sizes, head, cfg.seed), data, cfg)
 
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
@@ -139,7 +136,7 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
     train_data = pool_to_dataset(train_pool, partition)
     eval_data = pool_to_dataset(test_pool, partition) if test_pool is not None else train_data
 
-    model, report = fit(cfg, train_data, cfg.seed)
+    model, report = fit(cfg, train_data)
     network.save_checkpoint(model, out / "model.ckpt", epoch=report.selected_epoch)
     names = [f.name for f in fields(network.EpochRecord)]
     evaluation.write_csv(out / "metrics.csv", names, map(astuple, report.records))
@@ -211,9 +208,7 @@ def _scenario_partitions(cfg: ExperimentConfig, fine_labels) -> list[datasets.Pa
             datasets.random_partition(cfg.seed + i, fine_labels=fine_labels, n_parents=cfg.n_parents)
             for i in range(cfg.scenario_count)
         ]
-    if cfg.scenario_mode == "inter-parent":
-        return [datasets.interparent_partition(group) for group in cfg.exclusion_groups()]
-    raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
+    return [datasets.interparent_partition(group) for group in cfg.exclusion_groups()]
 
 
 def run_scenarios(cfg: ExperimentConfig, args) -> dict:
@@ -222,6 +217,8 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
     The k-means baseline clusters the identical test subset that the model
     is scored on, pre-divided by the same parent labels.
     """
+    if cfg.scenario_mode == "single":
+        raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
     train_pool, test_pool = load_pools(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +230,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         seed = cfg.seed + index
         train_data = pool_to_dataset(train_pool, partition)
         eval_data = pool_to_dataset(eval_pool, partition)
-        model, _ = fit(cfg, train_data, seed)
+        model, _ = fit(replace(cfg, seed=seed), train_data)
         result = score(model, eval_data)
         try:
             baseline_nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, seed=seed)
@@ -324,7 +321,6 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-            cfg.validate()
         if args.out is None:
             args.out = cfg.output_dir
         summary = args.run(cfg, args)

@@ -6,8 +6,9 @@ in field order with full-precision floats, so parse/serialize round-trips
 are lossless.
 
 Each ``ExperimentConfig`` field declares its file key, its default and its
-range rule in one place; parsing, serializing and ``validate`` walk the
-fields, and a value's type is its field's type.
+range rule in one place; parsing, serializing and ``__post_init__``'s checks
+walk the fields, and a value's type is its field's type. A config is frozen
+and checked when it is made: ``dataclasses.replace`` makes a checked copy.
 """
 
 import math
@@ -20,7 +21,7 @@ def _key(name: str, default, rule=None):
     return field(default=default, metadata={"key": name, "rule": rule})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset_type: str = _key("dataset.type", "synthetic")  # synthetic | idx
     images: str = _key("dataset.images", "")  # IDX training pair
@@ -59,7 +60,7 @@ class ExperimentConfig:
     # inter-parent: ;-separated groups of fine labels dropped from parent 2
     scenario_exclusions: str = _key("scenario.exclusions", "none;9;8,9")
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.dataset_type not in ("synthetic", "idx"):
             raise ValueError(f"dataset.type must be 'synthetic' or 'idx', got '{self.dataset_type}'")
         if self.dataset_type == "idx" and not (self.images and self.labels):
@@ -152,7 +153,7 @@ def _format_value(kind: type, value) -> str:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; unknown keys and malformed lines are errors."""
     by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
-    cfg = ExperimentConfig()
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -165,11 +166,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: unknown config key '{key}'")
         f = by_key[key]
         try:
-            setattr(cfg, f.name, _parse_value(f.type, raw.strip()))
+            values[f.name] = _parse_value(f.type, raw.strip())
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for '{key}': {e}") from e
-    cfg.validate()
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def format_key_values(entries: dict) -> str:

@@ -173,8 +173,7 @@ def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
 def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     """Mini-batch SGD with momentum on the combined objective.
 
-    ``cfg`` is validated first, so a bad value is reported under its config
-    key; its ``train.*`` and ``gar.*`` values and its seed drive the run.
+    ``cfg``'s ``train.*`` and ``gar.*`` values and its seed drive the run.
     Each epoch shuffles the training rows with the seeded stream, walks
     batches of ``cfg.batch_size`` (final short batch included), converts
     each by ``data.features(idx)``, and takes one gradient step per batch.
@@ -198,7 +197,6 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
     Returns ``(model, report)``; the given model is updated in place.
     """
-    cfg.validate()
     n_p = model.head.n_parents
     if len(data) == 0:
         raise ValueError("empty dataset")

@@ -117,6 +117,21 @@ MUTANTS = (
     ("features-of-no-rows-unshaped", "src/acol/datasets.py", "math.prod(pixels.shape[1:])", "-1"),
     ("graph-keeps-self-edges", "src/acol/evaluation.py",
      "np.triu(sim > threshold, 1)", "np.triu(sim > threshold, 0)"),
+    # a config is checked once, when it is made, and cannot change afterwards
+    ("config-checked-only-when-parsed", "src/acol/config.py",
+     "def __post_init__(self) -> None:", "def validate(self) -> None:"),
+    ("config-mutable", "src/acol/config.py", "@dataclass(frozen=True)", "@dataclass"),
+    ("scenarios-mode-checked-after-load", "src/acol/cli.py",
+     '    if cfg.scenario_mode == "single":\n'
+     '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'
+     "    train_pool, test_pool = load_pools(cfg)\n",
+     "    train_pool, test_pool = load_pools(cfg)\n"
+     '    if cfg.scenario_mode == "single":\n'
+     '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'),
+    ("fit-init-ignores-seed", "src/acol/cli.py",
+     "network.init_model(sizes, head, cfg.seed)", "network.init_model(sizes, head, 0)"),
+    ("scenarios-fit-base-seed", "src/acol/cli.py",
+     "fit(replace(cfg, seed=seed), train_data)", "fit(cfg, train_data)"),
 )
 
 

@@ -166,12 +166,12 @@ def test_acceptance_matching_accuracy_equals_exhaustive():
 # --- 4: synthetic end-to-end sub-class recovery ------------------------------
 
 
-def _fit_and_score(cfg: ExperimentConfig, partition, seed: int):
+def _fit_and_score(cfg: ExperimentConfig, partition):
     """Train with ``cli.fit`` on the train pool; score on the test pool."""
     train_pool, test_pool = cli.load_pools(cfg)
     train_data = pool_to_dataset(train_pool, partition)
     test_data = pool_to_dataset(test_pool, partition)
-    model, _ = cli.fit(cfg, train_data, seed)
+    model, _ = cli.fit(cfg, train_data)
     return cli.score(model, test_data), test_data
 
 
@@ -179,8 +179,7 @@ def _run_default_synthetic(seed: int):
     """One default-config run; returns (accuracy, per-node shares, seconds)."""
     t0 = time.time()
     cfg = ExperimentConfig(seed=seed)
-    cfg.validate()
-    result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), seed)
+    result, test_data = _fit_and_score(cfg, cli.default_partition(cfg))
     nodes = result["annotations"][0]
     all_nodes = np.arange(1, cfg.n_parents * cfg.k + 1)
     parents, _ = node_to_parent_sub(all_nodes, cfg.n_parents)
@@ -229,7 +228,7 @@ def _mnist_config(**overrides) -> ExperimentConfig:
             f"MNIST IDX files missing under {_MNIST_DIR}: {', '.join(missing)}. "
             "Download the four canonical files (raw, not gzipped) to enable this check."
         )
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dataset_type="idx",
         images=str(_MNIST_DIR / _MNIST_NAMES["images"]),
         labels=str(_MNIST_DIR / _MNIST_NAMES["labels"]),
@@ -238,8 +237,6 @@ def _mnist_config(**overrides) -> ExperimentConfig:
         train_limit=10000,
         **overrides,
     )
-    cfg.validate()
-    return cfg
 
 
 def test_acceptance_digit_subclasses_beat_kmeans():
@@ -247,7 +244,7 @@ def test_acceptance_digit_subclasses_beat_kmeans():
     than per-parent k-means on the same examples."""
     start = time.time()
     cfg = _mnist_config(n_parents=2, k=5)
-    result, test_data = _fit_and_score(cfg, cli.default_partition(cfg), cfg.seed)
+    result, test_data = _fit_and_score(cfg, cli.default_partition(cfg))
     baseline_nodes = kmeans_per_parent(test_data.features(), test_data.t, cfg.k, seed=cfg.seed)
     kmeans_acc = clustering_accuracy(baseline_nodes, test_data.t_star)
     error = 1.0 - result["acc"]
@@ -267,9 +264,9 @@ def test_acceptance_first_parent_accuracy_grows_with_second_parent():
     details = []
     for seed in range(5):
         full_cfg = _mnist_config(n_parents=2, k=5, seed=seed)
-        full_result, _ = _fit_and_score(full_cfg, interparent_partition(()), seed)
+        full_result, _ = _fit_and_score(full_cfg, interparent_partition(()))
         lone_cfg = _mnist_config(n_parents=2, k=5, seed=seed)
-        lone_result, _ = _fit_and_score(lone_cfg, interparent_partition((6, 7, 8, 9)), seed)
+        lone_result, _ = _fit_and_score(lone_cfg, interparent_partition((6, 7, 8, 9)))
         full_acc = full_result["first_parent_acc"]
         lone_acc = lone_result["first_parent_acc"]
         wins += full_acc > lone_acc

@@ -7,7 +7,7 @@ import re
 import resource
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,8 +74,7 @@ def test_serialize_parse_round_trip():
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     # floats survive exactly, including awkward ones
-    cfg.learning_rate = 0.1 + 0.2
-    cfg.separation = 1e-7
+    cfg = replace(cfg, learning_rate=0.1 + 0.2, separation=1e-7)
     again = parse_config(serialize_config(cfg))
     assert again.learning_rate == cfg.learning_rate
     assert again.separation == cfg.separation
@@ -129,6 +128,7 @@ def test_validate_rules():
         ("scenario.count = 0", "scenario.count must be >= 1, got 0"),
         ("head.n_p = 1", "head.n_p must be >= 2, got 1"),
         ("head.k = 0", "head.k must be >= 1, got 0"),
+        ("partition.type = foo", "partition.type must be 'threshold' or 'random', got 'foo'"),
         ("train.validation_size = -5", "train.validation_size must be >= 0, got -5"),
         ("train.batch_size = 1", "train.batch_size must be >= 2, got 1"),
         ("seed = -1", "seed must be >= 0, got -1"),
@@ -268,8 +268,30 @@ def test_config_parser_parses_or_names_the_line_or_the_key(text):
 def test_exclusion_groups_parsing():
     cfg = ExperimentConfig()
     assert cfg.exclusion_groups() == [(), (9,), (8, 9)]
-    cfg.scenario_exclusions = "none;9;8,9;7,8,9"
+    cfg = replace(cfg, scenario_exclusions="none;9;8,9;7,8,9")
     assert cfg.exclusion_groups()[-1] == (7, 8, 9)
+
+
+def test_a_config_is_checked_when_it_is_made_and_cannot_change():
+    """Every way of making a config runs the checks that parsing runs; no
+    reader has to check one again, and none can change one afterwards."""
+    cfg = ExperimentConfig()
+    with pytest.raises(FrozenInstanceError):
+        cfg.dim = 0
+    assert cfg.dim == 8
+    for make, message in [
+        (lambda: replace(cfg, dim=0), "dataset.dim must be >= 1, got 0"),
+        (lambda: replace(cfg, seed=-1), "seed must be >= 0, got -1"),
+        (
+            lambda: ExperimentConfig(dataset_type="idx"),
+            "idx datasets need dataset.images and dataset.labels paths",
+        ),
+        (lambda: ExperimentConfig(per_cluster=0), "dataset.per_cluster must be >= 1, got 0"),
+        (lambda: ExperimentConfig(k=0), "head.k must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
 
 
 # --- CLI --------------------------------------------------------------------
@@ -614,6 +636,22 @@ def test_cli_rejects_a_head_parent_without_rows(tmp_path, capsys, command, lines
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not (out / "model.ckpt").exists() and not (out / "scenarios.csv").exists()
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "idx"])
+def test_cli_scenarios_rejects_the_single_mode_before_reading_data(tmp_path, capsys, dataset):
+    """The mode is checked first: no pool is read, so missing IDX files go
+    unreported, and no output directory is made."""
+    cfg = tmp_path / "cfg.txt"
+    missing = tmp_path / "missing"
+    idx = f"dataset.type = idx\ndataset.images = {missing}-images\ndataset.labels = {missing}-labels\n"
+    cfg.write_text((idx if dataset == "idx" else "") + "scenario.mode = single\n")
+    out = tmp_path / "run"
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario.mode 'single' is not a sweep mode\n"
+    assert not out.exists()
 
 
 def test_load_pools_are_read_only_and_shared_by_datasets(tmp_path, fast_cfg):

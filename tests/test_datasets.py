@@ -122,6 +122,21 @@ def test_idx_writers_reject_values_outside_a_byte(tmp_path, write, values, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "write, values, message",
+    [
+        (write_idx_labels, np.zeros((2, 3)), "IDX magic 0x00000801 needs a 1-D array, got shape (2, 3)"),
+        (write_idx_images, np.zeros((2, 3)), "IDX magic 0x00000803 needs a 3-D array, got shape (2, 3)"),
+    ],
+)
+def test_idx_writers_reject_an_array_of_another_rank(tmp_path, write, values, message):
+    path = tmp_path / "out.idx"
+    with pytest.raises(ValueError) as err:
+        write(values, path)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
 def test_idx_writers_accept_integral_floats(tmp_path):
     write_idx_images([[[0.0, 255.0]]], tmp_path / "i.idx")
     assert load_idx_images(tmp_path / "i.idx").tolist() == [[[0, 255]]]
@@ -493,7 +508,7 @@ def test_fit_rejects_parent_labels_that_miss_the_rows_of_x(labels):
     IndexError deep inside a batch."""
     cfg = ExperimentConfig(epochs=1, batch_size=16, validation_size=0)
     with pytest.raises(ValueError) as err:
-        cli.fit(cfg, LabeledDataset(X=np.zeros((100, 8)), t=np.arange(labels) % 2 + 1), 0)
+        cli.fit(cfg, LabeledDataset(X=np.zeros((100, 8)), t=np.arange(labels) % 2 + 1))
     assert str(err.value) == f"100 rows of X, but {labels} entries in t"
 
 

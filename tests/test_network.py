@@ -513,7 +513,7 @@ def recording(model, x):
     return outputs
 
 network.forward = recording
-cli.fit(cfg, data, cfg.seed)
+cli.fit(cfg, data)
 print(during[-1] - resident())
 """
 
@@ -599,6 +599,14 @@ def test_train_rejects_bad_labels_and_oversized_batch():
     assert str(err.value) == (
         "train.batch_size must be <= 120 (the rows left for training), got 4096"
     )
+
+
+def test_train_rejects_an_empty_dataset():
+    head = AcolHead(2, 2)
+    data = LabeledDataset(X=np.zeros((0, 4)), t=np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError) as err:
+        train(init_model([4, 8, head.n], head, seed=0), data, ExperimentConfig(epochs=1))
+    assert str(err.value) == "empty dataset"
 
 
 @pytest.mark.parametrize(
