@@ -7,7 +7,7 @@ are lossless.
 
 Each ``ExperimentConfig`` field declares its file key, its default and its
 range rule in one place; parsing, serializing and ``__post_init__``'s checks
-walk the fields, and a value's type is its field's type. A config is frozen
+walk the fields, and a value must have its field's type. A config is frozen
 and checked when it is made: ``dataclasses.replace`` makes a checked copy.
 """
 
@@ -19,6 +19,12 @@ def _key(name: str, default, rule=None):
     """A config field read from file key ``name``; ``rule`` is ``(op, bound)``
     with op ``">"`` or ``">="`` (floats must also be finite)."""
     return field(default=default, metadata={"key": name, "rule": rule})
+
+
+# what a field of each type holds (a tuple: ints), and its name in messages;
+# a bool is not a number here
+_TYPES = {int: (int, "an int"), float: ((int, float), "a float"), str: (str, "a str"),
+          tuple: (int, "a tuple of ints")}
 
 
 @dataclass(frozen=True)
@@ -61,6 +67,11 @@ class ExperimentConfig:
     scenario_exclusions: str = _key("scenario.exclusions", "none;9;8,9")
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value, (kinds, name) = getattr(self, f.name), _TYPES[f.type]
+            items = value if f.type is tuple and isinstance(value, tuple) else (value,)
+            if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
+                raise ValueError(f"{f.metadata['key']} must be {name}, got {value!r}")
         if self.dataset_type not in ("synthetic", "idx"):
             raise ValueError(f"dataset.type must be 'synthetic' or 'idx', got '{self.dataset_type}'")
         if self.dataset_type == "idx" and not (self.images and self.labels):

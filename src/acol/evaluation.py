@@ -91,21 +91,10 @@ def parent_accuracy(parent_probs, t) -> float:
     return hits / len(t) if len(t) else float("nan")
 
 
-def _sq_dist_to(x: np.ndarray, center: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Row-wise squared distance of ``x`` to one center, computed in ``buf``."""
-    np.subtract(x, center, out=buf)
-    np.square(buf, out=buf)
-    return np.sum(buf, axis=1)
-
-
-def _within_ss(x: np.ndarray, centers: np.ndarray, labels: np.ndarray, buf: np.ndarray) -> float:
-    """Sum of squared distances of ``x`` to its assigned centers, in ``buf``."""
-    # labels index centers by construction; "clip" skips the copy that the
-    # default mode makes of ``out`` to keep it intact on a bad index
-    np.take(centers, labels, axis=0, out=buf, mode="clip")
-    np.subtract(x, buf, out=buf)
-    np.square(buf, out=buf)
-    return float(np.sum(buf))
+def _sq_diff(x: np.ndarray, c: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """``(x - c) ** 2`` computed in ``buf``, which is returned."""
+    np.subtract(x, c, out=buf)
+    return np.square(buf, out=buf)
 
 
 def _plus_plus_centers(x: np.ndarray, n_clusters: int, rng, buf: np.ndarray) -> np.ndarray:
@@ -116,19 +105,19 @@ def _plus_plus_centers(x: np.ndarray, n_clusters: int, rng, buf: np.ndarray) -> 
     m = x.shape[0]
     centers = np.empty((n_clusters, x.shape[1]))
     centers[0] = x[rng.integers(m)]
-    dist_sq = _sq_dist_to(x, centers[0], buf)
+    dist_sq = np.sum(_sq_diff(x, centers[0], buf), axis=1)
     for i in range(1, n_clusters):
         total = dist_sq.sum()
         if total == 0.0:
             centers[i] = x[rng.integers(m)]
             continue
         centers[i] = x[rng.choice(m, p=dist_sq / total)]
-        dist_sq = np.minimum(dist_sq, _sq_dist_to(x, centers[i], buf))
+        dist_sq = np.minimum(dist_sq, np.sum(_sq_diff(x, centers[i], buf), axis=1))
     return centers
 
 
-def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int = 10):
-    """Lloyd's algorithm with k-means++ seeding; best of ``restarts`` by WSS.
+def kmeans(x, n_clusters: int, seed: int = 0, restarts: int = 10):
+    """Lloyd's algorithm, at most 100 iterations after k-means++ seeding; best of ``restarts`` by WSS.
 
     Deterministic for a fixed seed, whatever the memory layout of ``x``.
     Returns 1-based assignments.
@@ -147,7 +136,7 @@ def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int
     for _ in range(restarts):
         centers = _plus_plus_centers(x, n_clusters, rng, buf)
         labels = None
-        for _ in range(max_iter):
+        for _ in range(100):
             dist_sq = (
                 x_sq
                 - 2.0 * (x @ centers.T)
@@ -165,7 +154,10 @@ def kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restarts: int
                     # re-seed an empty cluster at the point farthest from its center
                     worst = np.argmax(np.min(dist_sq, axis=1))
                     centers[j] = x[worst]
-        wss = _within_ss(x, centers, labels, buf)
+        # labels index centers by construction; "clip" skips the copy that the
+        # default mode makes of ``out`` to keep it intact on a bad index
+        np.take(centers, labels, axis=0, out=buf, mode="clip")
+        wss = float(np.sum(_sq_diff(x, buf, buf)))
         if wss < best_wss:
             best_wss, best_labels = wss, labels
     return best_labels + 1

@@ -1,11 +1,11 @@
 """Auto-clustering output head: duplicated softmax nodes pooled into parents.
 
-The augmented softmax layer has ``n = n_parents * k`` nodes. A fixed pooling
-matrix (k vertically stacked identity blocks) sums the k duplicate
-probabilities of each parent, so node j (1-based) belongs to parent
-``(j-1) % n_parents + 1`` and duplicate ``(j-1) // n_parents + 1``. After
-training the pooling layer is dropped and each example's annotation is read
-directly off the argmax of the pre-softmax activities.
+The augmented softmax layer has ``n = n_parents * k`` nodes. Node j
+(1-based) belongs to parent ``(j-1) % n_parents + 1`` and duplicate
+``(j-1) // n_parents + 1`` (``node_to_parent_sub``), and a fixed pooling
+matrix built from that rule sums the k duplicate probabilities of each
+parent. After training the pooling layer is dropped and each example's
+annotation is read directly off the argmax of the pre-softmax activities.
 """
 
 from dataclasses import dataclass
@@ -22,9 +22,9 @@ PROB_FLOOR = 1e-12
 class AcolHead:
     """Parent count and duplicates per parent.
 
-    ``pooling`` is the fixed n x n_parents matrix of k stacked identity
-    blocks: every row has exactly one 1, every column sums to k. It is built
-    on first use and never updated by training.
+    ``pooling`` is the fixed n x n_parents matrix whose row j - 1 is the
+    one-hot of node j's parent: k stacked identity blocks, every column
+    summing to k. It is built on first use and never updated by training.
     """
 
     n_parents: int
@@ -43,14 +43,15 @@ class AcolHead:
 
     @cached_property
     def pooling(self) -> np.ndarray:
-        return np.tile(np.eye(self.n_parents), (self.k, 1))
+        parents, _ = node_to_parent_sub(np.arange(1, self.n + 1), self.n_parents)
+        return np.eye(self.n_parents)[parents - 1]
 
 
 def node_to_parent_sub(node, n_parents: int):
     """Decompose 1-based node indices (an int or an int array) into (parent, sub).
 
-    Node j belongs to parent ``(j-1) % n_parents + 1``; the same interleave
-    assigns synthetic clusters to parents.
+    Node j belongs to parent ``(j-1) % n_parents + 1``; the pooling matrix
+    and the synthetic clusters' parents use the same interleave.
     """
     return (node - 1) % n_parents + 1, (node - 1) // n_parents + 1
 

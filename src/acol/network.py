@@ -11,14 +11,14 @@ affinity/balance ratios are scale-normalized batch statistics as defined,
 and the squared-Frobenius term is divided by the batch size so its
 coefficient keeps the same meaning across batch sizes.
 
-Checkpoint container: an ASCII header (one ``key: value`` per line,
-terminated by a blank line) followed by raw little-endian float64 blocks,
-one per layer in order, weights (row-major) then bias.
+Checkpoint container: an ASCII header (the tag line, then one ``key: value``
+line per ``HEADER_FIELDS`` entry, then a blank line) followed by raw
+little-endian float64 blocks, one per layer in order, weights (row-major)
+then bias.
 """
 
 import copy
 import ctypes
-import io
 import sys
 from dataclasses import dataclass
 
@@ -30,6 +30,9 @@ from .head import AcolHead, head_forward, supervised_grad
 from .regularizers import gar_value_and_grad
 
 CHECKPOINT_TAG = "acol checkpoint v1"
+# The header fields after the tag line, in the order written, each with the
+# floor of its integers (None: any integer); activations holds names instead.
+HEADER_FIELDS = {"layer_sizes": 1, "activations": None, "n_parents": 2, "k": 1, "seed": None, "epoch": 0}
 
 
 @dataclass
@@ -276,17 +279,11 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write the documented header-plus-float64-blocks container."""
-    header = io.StringIO()
-    header.write(CHECKPOINT_TAG + "\n")
-    header.write("layer_sizes: " + ",".join(str(s) for s in model.layer_sizes) + "\n")
-    header.write("activations: " + ",".join(_layout(len(model.layers))) + "\n")
-    header.write(f"n_parents: {model.head.n_parents}\n")
-    header.write(f"k: {model.head.k}\n")
-    header.write(f"seed: {model.rng_seed}\n")
-    header.write(f"epoch: {epoch}\n")
-    header.write("\n")
+    sizes, layout = ",".join(map(str, model.layer_sizes)), ",".join(_layout(len(model.layers)))
+    values = (sizes, layout, model.head.n_parents, model.head.k, model.rng_seed, epoch)
+    lines = "".join(f"{name}: {value}\n" for name, value in zip(HEADER_FIELDS, values, strict=True))
     with open(str(path), "wb") as f:
-        f.write(header.getvalue().encode("ascii"))
+        f.write(f"{CHECKPOINT_TAG}\n{lines}\n".encode("ascii"))
         for layer in model.layers:
             f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
@@ -297,7 +294,7 @@ def _layout(count: int) -> list[str]:
     return ["relu"] * (count - 1) + ["linear"]
 
 
-def _header_int(path, name: str, text: str, minimum: int | None = None) -> int:
+def _header_int(path, name: str, text: str, minimum: int | None) -> int:
     """One integer of a checkpoint header field; errors name the file and the field."""
     try:
         value = int(text)
@@ -330,17 +327,14 @@ def load_checkpoint(path):
         if not line.isascii():
             raise ValueError(f"{path}: header field '{name}' is not ASCII, value {value.strip()!r}")
         fields[name] = value.strip().decode("ascii")
+    (sizes_name, size_floor), (layout_name, _), *scalars = HEADER_FIELDS.items()
     try:
-        sizes = [_header_int(path, "layer_sizes", s, 1) for s in fields["layer_sizes"].split(",")]
-        activations = fields["activations"].split(",")
-        head = AcolHead(
-            n_parents=_header_int(path, "n_parents", fields["n_parents"], 2),
-            k=_header_int(path, "k", fields["k"], 1),
-        )
-        seed = _header_int(path, "seed", fields["seed"])
-        epoch = _header_int(path, "epoch", fields["epoch"], 0)
+        sizes = [_header_int(path, sizes_name, s, size_floor) for s in fields[sizes_name].split(",")]
+        activations = fields[layout_name].split(",")
+        n_parents, k, seed, epoch = [_header_int(path, name, fields[name], floor) for name, floor in scalars]
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint header missing field {e}") from e
+    head = AcolHead(n_parents, k)
     if sizes[-1] != head.n:
         raise ValueError(f"{path}: header mismatch, last layer {sizes[-1]} vs head n {head.n}")
     if len(activations) != len(sizes) - 1:

@@ -53,7 +53,7 @@ MUTANTS = (
     ("gar-affinity-grad-sign", "src/acol/regularizers.py",
      "(d_off * s_diag - s_off * d_diag)", "(d_off * s_diag + s_off * d_diag)"),
     ("pooling-blocked", "src/acol/head.py",
-     "np.tile(np.eye(self.n_parents), (self.k, 1))", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
+     "np.eye(self.n_parents)[parents - 1]", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
     ("relu-mask-dropped", "src/acol/network.py", "d_out * (a_out > 0)", "d_out * (a_out >= 0)"),
     ("momentum-step-before-velocity", "src/acol/network.py",
      "vel.weights -= g.weights\n                    layer.weights += vel.weights",
@@ -132,6 +132,10 @@ MUTANTS = (
      "network.init_model(sizes, head, cfg.seed)", "network.init_model(sizes, head, 0)"),
     ("scenarios-fit-base-seed", "src/acol/cli.py",
      "fit(replace(cfg, seed=seed), train_data)", "fit(cfg, train_data)"),
+    # the checkpoint header table and the type check of a config built in code
+    ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": None', '"k": 0, "seed": None'),
+    ("config-types-unchecked", "src/acol/config.py",
+     "if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):", "if False:"),
 )
 
 

@@ -6,9 +6,11 @@ need the four canonical MNIST IDX files under data/mnist/ and skip loudly
 when they are absent.
 """
 
+import importlib.util
 import itertools
 import struct
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -212,7 +214,8 @@ def test_acceptance_synthetic_end_to_end():
 
 # --- 5 and 6: MNIST desk-scale checks (need data/mnist/) ----------------------
 
-_MNIST_DIR = Path(__file__).resolve().parent.parent / "data" / "mnist"
+_ROOT = Path(__file__).resolve().parent.parent
+_MNIST_DIR = _ROOT / "data" / "mnist"
 _MNIST_NAMES = {
     "images": "train-images-idx3-ubyte",
     "labels": "train-labels-idx1-ubyte",
@@ -361,4 +364,43 @@ def test_acceptance_idx_bit_exact_and_failure_modes(tmp_path):
         exact,
         f"bytes identical after parse/reserialize: {exact}; "
         "bad magic, truncated payload, count mismatch all rejected",
+    )
+
+
+# --- 9: GAR shapes the sub-classes of generated digits ------------------------
+
+
+def test_acceptance_generated_digit_subclasses_need_gar(tmp_path):
+    """3,000/1,000 digits from bench/digits.py, parents below/above 5, k=5,
+    10 epochs, 3 model seeds: the GAR terms beat all GAR terms off by 0.15 on
+    every seed. ACOL against per-parent k-means is printed, not gated."""
+    start = time.time()
+    spec = importlib.util.spec_from_file_location("bench_digits", _ROOT / "bench" / "digits.py")
+    digits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digits)
+    paths = {}
+    for stem, count, seed, keys in (("train", 3000, 41, ("images", "labels")),
+                                    ("t10k", 1000, 42, ("test_images", "test_labels"))):
+        paths.update(zip(keys, digits.write_pair(count, np.random.default_rng(seed), str(tmp_path / stem))))
+    base = ExperimentConfig(dataset_type="idx", **paths, k=5, epochs=10, validation_size=500)
+    partition = cli.default_partition(base)
+    train_data, test_data = (pool_to_dataset(pool, partition) for pool in cli.load_pools(base))
+    scores = [  # (GAR, GAR off) per model seed
+        tuple(
+            cli.score(cli.fit(replace(base, seed=seed, **terms), train_data)[0], test_data)["acc"]
+            for terms in ({}, {"c_alpha": 0.0, "c_beta": 0.0, "c_f": 0.0})
+        )
+        for seed in range(3)
+    ]
+    gap = min(gar - off for gar, off in scores)
+    nodes = kmeans_per_parent(test_data.features(), test_data.t, base.k, seed=base.seed)
+    kmeans_acc = clustering_accuracy(nodes, test_data.t_star)
+    elapsed = time.time() - start
+    _report(
+        "generated-digit sub-classes, GAR vs GAR off",
+        gap >= 0.15,
+        f"3 seeds, smallest gap {gap:.3f} (target >= 0.15): "
+        + " ".join(f"s{seed}:{gar:.3f}vs{off:.3f}" for seed, (gar, off) in enumerate(scores))
+        + f"; not gated: mean ACOL {np.mean([gar for gar, _ in scores]):.3f}"
+        f" vs per-parent k-means {kmeans_acc:.3f}, {elapsed:.0f}s",
     )

@@ -294,6 +294,34 @@ def test_a_config_is_checked_when_it_is_made_and_cannot_change():
         assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"seed": 1.5}, "seed must be an int, got 1.5"),
+        ({"epochs": 2.0}, "train.epochs must be an int, got 2.0"),
+        ({"dim": 8.7}, "dataset.dim must be an int, got 8.7"),
+        ({"k": True}, "head.k must be an int, got True"),
+        ({"k": "3"}, "head.k must be an int, got '3'"),
+        ({"c_f": False}, "gar.c_f must be a float, got False"),
+        ({"separation": "2"}, "dataset.separation must be a float, got '2'"),
+        ({"dataset_type": None}, "dataset.type must be a str, got None"),
+        ({"hidden": [16]}, "train.hidden must be a tuple of ints, got [16]"),
+        ({"hidden": (16, 8.0)}, "train.hidden must be a tuple of ints, got (16, 8.0)"),
+    ],
+)
+def test_a_config_built_in_code_is_type_checked_under_its_key(tmp_path, change, message):
+    """A value no config file could hold is rejected when the config is made,
+    naming the key, not later inside a loader or as an unhashable config;
+    a float field takes an int, and every parsed file passes."""
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(**change)
+    assert str(err.value) == message
+    assert ExperimentConfig(c_f=1, separation=3).c_f == 1
+    path = tmp_path / "config.txt"
+    path.write_text(serialize_config(ExperimentConfig(hidden=(16, 8))))
+    assert load_config(path).hidden == (16, 8)
+
+
 # --- CLI --------------------------------------------------------------------
 
 

@@ -9,8 +9,7 @@ from acol.datasets import synthetic_blobs
 from acol.evaluation import (
     _max_weight_matching,
     _plus_plus_centers,
-    _sq_dist_to,
-    _within_ss,
+    _sq_diff,
     clustering_accuracy,
     export_embeddings,
     export_graph,
@@ -279,7 +278,8 @@ def test_plus_plus_seeding_redraws_a_uniform_row_when_no_distance_is_left():
 
 def test_in_place_distances_round_like_the_expressions_they_replace():
     # labels rarely expose a last-bit change, so the two in-place reductions
-    # are pinned to their out-of-place expressions byte for byte
+    # k-means makes through _sq_diff (the seeding's row sums and a restart's
+    # WSS) are pinned to their out-of-place expressions byte for byte
     rng = np.random.default_rng(41)
     base = rng.normal(size=(300, 784)) * 3.0
     for x in (base, base[:, :2].copy(), base[::2, ::3].copy()):
@@ -288,8 +288,9 @@ def test_in_place_distances_round_like_the_expressions_they_replace():
         labels = rng.integers(0, 5, size=x.shape[0])
         for c in centers:
             expected = np.sum((x - c) ** 2, axis=1)
-            assert _sq_dist_to(x, c, buf).tobytes() == expected.tobytes()
-        assert _within_ss(x, centers, labels, buf) == float(np.sum((x - centers[labels]) ** 2))
+            assert np.sum(_sq_diff(x, c, buf), axis=1).tobytes() == expected.tobytes()
+        np.take(centers, labels, axis=0, out=buf, mode="clip")
+        assert float(np.sum(_sq_diff(x, buf, buf))) == float(np.sum((x - centers[labels]) ** 2))
 
 
 def test_kmeans_ignores_memory_layout():

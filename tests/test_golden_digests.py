@@ -12,8 +12,14 @@ the hashes are compared with ``golden_digests.json``.
 The bits depend on the BLAS kernel and on its thread count, so the table is
 keyed by the OpenBLAS core name, the numpy version and the number of
 OpenBLAS threads; on a key the table lacks, the test skips and names the
-key. A change that alters bits on purpose regenerates the entry of the
-current key, and of each other thread count, with
+key. Tier-1 checks the current thread count in-process and each other
+thread count the table holds for this core and numpy version in a
+subprocess, by
+
+    OPENBLAS_NUM_THREADS=1 python3 tests/test_golden_digests.py --check
+
+which exits 1 naming each changed file. A change that alters bits on purpose
+regenerates the entry of the current key, and of each other thread count, with
 
     python3 tests/test_golden_digests.py --write
     OPENBLAS_NUM_THREADS=1 python3 tests/test_golden_digests.py --write
@@ -25,6 +31,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -144,28 +152,55 @@ def _table() -> dict:
     return json.loads(TABLE.read_text()) if TABLE.exists() else {}
 
 
+def _changed(expected: dict, got: dict) -> list[str]:
+    return sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
+
+
 @pytest.mark.parametrize("session", sorted(SESSIONS))
 def test_artifacts_match_the_golden_digests(tmp_path, session):
     key = blas_key()
     expected = _table().get(key, {}).get(session)
     if expected is None:
         pytest.skip(f"no golden digests for key '{key}'; run tests/test_golden_digests.py --write")
-    got = SESSIONS[session](tmp_path)
-    changed = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
-    assert changed == []
+    assert _changed(expected, SESSIONS[session](tmp_path)) == []
+
+
+def test_artifacts_match_the_golden_digests_at_the_other_thread_counts():
+    """Each other thread count the table holds for this core and numpy
+    version, checked by ``--check`` in a subprocess on this checkout's src."""
+    key = blas_key()
+    prefix = key.rpartition("/threads-")[0] + "/threads-"
+    others = [k for k in sorted(_table()) if k.startswith(prefix) and k != key]
+    if not others:
+        pytest.skip(f"no golden digests for another thread count of '{prefix}*'")
+    for other in others:
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": other.removeprefix(prefix), "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, __file__, "--check"], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.splitlines()[-1] == f"{other}: match"
 
 
 def main(argv) -> int:
-    if argv != ["--write"]:
-        print("usage: python3 tests/test_golden_digests.py --write", file=sys.stderr)
+    if argv not in (["--write"], ["--check"]):
+        print("usage: python3 tests/test_golden_digests.py --write|--check", file=sys.stderr)
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     table = _table()
     key = blas_key()
+    if argv == ["--check"] and key not in table:
+        print(f"no golden digests for key '{key}'")
+        return 1
     entry = {}
     for name, session in sorted(SESSIONS.items()):
         with tempfile.TemporaryDirectory() as tmp:
             entry[name] = session(Path(tmp))
+    if argv == ["--check"]:
+        changed = [f"{name}/{file}" for name in entry for file in _changed(table[key].get(name, {}), entry[name])]
+        for line in changed:
+            print(f"changed: {line}")
+        print(f"{key}: {'differ' if changed else 'match'}")
+        return 1 if changed else 0
     table[key] = entry
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, entry.values()))} digests for key '{key}' to {TABLE.name}")

@@ -809,7 +809,7 @@ def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, ba
 
 
 
-_HEADER_FIELDS = ("layer_sizes", "activations", "n_parents", "k", "seed", "epoch")
+_HEADER_FIELDS = tuple(network.HEADER_FIELDS)
 _HEADER_VALUES = st.one_of(
     st.integers(min_value=-(10**25), max_value=10**25).map(str),
     st.lists(st.integers(min_value=-3, max_value=10**12), min_size=1, max_size=4).map(
