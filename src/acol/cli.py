@@ -165,7 +165,7 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
-    otherwise) and must match the configured head and the data's width.
+    otherwise) and must match the configured head, seed and data width.
     ``data`` is the test pool, or the train pool when no test pool is
     configured, under ``default_partition``; the other pool is never read.
     """
@@ -176,6 +176,11 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
             raise ValueError(
                 f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
                 f"config (n_p={cfg.n_parents}, k={cfg.k})"
+            )
+        if model.rng_seed != cfg.seed:
+            raise ValueError(
+                f"{checkpoint_path}: trained with seed {model.rng_seed}, but the config's seed is "
+                f"{cfg.seed}; pass --seed {model.rng_seed}"
             )
     pool = load_pool(cfg, test=True) or load_pool(cfg, test=False)
     if model is not None and model.layer_sizes[0] != pool.X.shape[1]:

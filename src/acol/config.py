@@ -94,6 +94,11 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
             if not ok:
                 raise ValueError(f"{key} must be {op} {bound}, got {value}")
+        if self.train_limit and self.dataset_type == "synthetic":
+            raise ValueError(
+                f"dataset.train_limit applies to idx data only, got {self.train_limit} "
+                "with dataset.type = synthetic"
+            )
         if any(width < 1 for width in self.hidden):
             raise ValueError(
                 f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"

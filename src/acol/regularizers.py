@@ -14,9 +14,9 @@ one column per output node), through its column co-activation matrix
 The combined loss is ``c_alpha * affinity + c_beta * (1 - balance)
 + c_f * frobenius_sq``. ``gar_value_and_grad`` evaluates every term, the
 loss and its hand-derived gradient (quotient rule on both ratios) in one
-pass; ``affinity`` and ``balance`` are the definitional references it is
-tested against, and the test suite pins the gradient against central
-finite differences.
+pass. ``tests/test_regularizers.py`` holds the definitional ``affinity`` and
+``balance`` references that its ratios equal bit for bit, and pins the
+gradient against central finite differences.
 """
 
 from dataclasses import dataclass
@@ -33,56 +33,6 @@ class GarTerms:
     frobenius_sq: float
     loss: float
     degenerate: bool
-
-
-def check_activities(b) -> np.ndarray:
-    """Validate the activity matrix given to the ``affinity`` and ``balance``
-    references: 2-D, at least 1 row and 2 columns."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 2:
-        raise ValueError(f"activity matrix must be 2-D, got shape {b.shape}")
-    m, n = b.shape
-    if m < 1 or n < 2:
-        raise ValueError(f"activity matrix needs m >= 1 rows and n >= 2 columns, got {b.shape}")
-    return b
-
-
-def affinity(b) -> float:
-    """Off-diagonal mass of N = B^T B over (n-1) times its trace.
-
-    Returns 0.0 for an all-zero B (degenerate case) instead of dividing
-    by zero. The ratio is scale invariant, so B is normalized by its
-    largest entry first; extreme activity scales cannot overflow.
-    """
-    b = check_activities(b)
-    n = b.shape[1]
-    peak = float(b.max())
-    if peak == 0.0:
-        return 0.0
-    scaled = b / peak
-    coact = scaled.T @ scaled
-    diag = float(np.trace(coact))
-    off = float(coact.sum()) - diag
-    return off / ((n - 1) * diag)
-
-
-def balance(b) -> float:
-    """Off-diagonal mass of v^T v over (n-1) times its diagonal, v = diag(B^T B).
-
-    Returns 0.0 for an all-zero B (degenerate case). Scale invariant, so
-    computed on B normalized by its largest entry (overflow safe).
-    """
-    b = check_activities(b)
-    n = b.shape[1]
-    peak = float(b.max())
-    if peak == 0.0:
-        return 0.0
-    scaled = b / peak
-    v = np.sum(scaled * scaled, axis=0)
-    diag = float(np.sum(v * v))
-    total = float(v.sum())
-    off = total * total - diag
-    return off / ((n - 1) * diag)
 
 
 def gar_value_and_grad(b, c_alpha: float, c_beta: float, c_f: float):
@@ -122,8 +72,8 @@ def gar_value_and_grad(b, c_alpha: float, c_beta: float, c_f: float):
         beta = t_off / ((n - 1) * t_diag)
 
         # affinity gradient with s_diag = ||B||_F^2 (scaled), which equals the
-        # trace in exact arithmetic; the value above keeps the trace, as
-        # affinity() does, so it matches that reference bit for bit
+        # trace in exact arithmetic; the value above keeps the trace, as the
+        # affinity() reference of tests/test_regularizers.py does, bit for bit
         s_diag = float(np.sum(sq))
         d_off = 2.0 * (sb.sum(axis=1, keepdims=True) - sb)  # 2 B (11^T - I)
         d_diag = 2.0 * sb

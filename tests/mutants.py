@@ -136,6 +136,10 @@ MUTANTS = (
     ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": None', '"k": 0, "seed": None'),
     ("config-types-unchecked", "src/acol/config.py",
      "if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):", "if False:"),
+    # eval and export-graph score under the checkpoint's seed; train_limit binds idx data only
+    ("eval-seed-unchecked", "src/acol/cli.py", "if model.rng_seed != cfg.seed:", "if False:"),
+    ("train-limit-synthetic-accepted", "src/acol/config.py",
+     'if self.train_limit and self.dataset_type == "synthetic":', "if False:"),
 )
 
 

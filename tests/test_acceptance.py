@@ -31,7 +31,8 @@ from acol.datasets import (
 from acol.evaluation import clustering_accuracy, kmeans_per_parent
 from acol.head import AcolHead, node_to_parent_sub
 from acol.network import combined_step, init_model
-from acol.regularizers import affinity, balance
+from acol.regularizers import gar_value_and_grad
+from test_evaluation import exhaustive_accuracy
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -105,19 +106,26 @@ def test_acceptance_gradients_match_central_differences():
 # --- 2: regularizer hand values, bounds, scale invariance --------------------
 
 
+def _ratios(b):
+    """(affinity, balance) of the fused pass that every training step runs."""
+    terms = gar_value_and_grad(b, 0.1, 0.1, 0.0003)[0]
+    return terms.affinity, terms.balance
+
+
 def test_acceptance_regularizer_values_and_invariances():
     start = time.time()
-    b = np.array([[1.0, 1.0], [0.0, 2.0]])
-    hand_ok = abs(affinity(b) - 1.0 / 3.0) <= 1e-12 and abs(balance(b) - 5.0 / 13.0) <= 1e-12
+    a_hand, b_hand = _ratios(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    hand_ok = abs(a_hand - 1.0 / 3.0) <= 1e-12 and abs(b_hand - 5.0 / 13.0) <= 1e-12
     bounds_ok = True
     drift = 0.0
     for seed in range(1000):
         rng = np.random.default_rng(seed)
         mat = rng.uniform(0.0, 5.0, size=(int(rng.integers(1, 21)), int(rng.integers(2, 9))))
-        a_val, b_val = affinity(mat), balance(mat)
+        a_val, b_val = _ratios(mat)
         bounds_ok = bounds_ok and 0.0 <= a_val <= 1.0 and 0.0 <= b_val <= 1.0
         for c in (0.5, 3.0):
-            drift = max(drift, abs(affinity(c * mat) - a_val), abs(balance(c * mat) - b_val))
+            a_c, b_c = _ratios(c * mat)
+            drift = max(drift, abs(a_c - a_val), abs(b_c - b_val))
     elapsed = time.time() - start
     _report(
         "affinity 1/3 and balance 5/13 hand values, [0,1] bounds, scale invariance",
@@ -130,23 +138,6 @@ def test_acceptance_regularizer_values_and_invariances():
 # --- 3: matching accuracy equals exhaustive mapping search -------------------
 
 
-def _exhaustive_accuracy(assignments, truth) -> float:
-    clusters = np.unique(assignments)
-    classes = np.unique(truth)
-    table = np.zeros((len(clusters), len(classes)), dtype=np.int64)
-    for ci, c in enumerate(clusters):
-        for li, l in enumerate(classes):
-            table[ci, li] = np.sum((assignments == c) & (truth == l))
-    side = max(len(clusters), len(classes))
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: len(clusters), : len(classes)] = table
-    best = max(
-        sum(padded[i, p[i]] for i in range(side))
-        for p in itertools.permutations(range(side))
-    )
-    return best / len(assignments)
-
-
 def test_acceptance_matching_accuracy_equals_exhaustive():
     start = time.time()
     rng = np.random.default_rng(0)
@@ -156,7 +147,7 @@ def test_acceptance_matching_accuracy_equals_exhaustive():
         nodes = rng.integers(1, int(rng.integers(1, 7)) + 1, size=m)
         truth = rng.integers(1, int(rng.integers(1, 7)) + 1, size=m)
         fast = clustering_accuracy(nodes, truth)
-        worst_gap = max(worst_gap, abs(fast - _exhaustive_accuracy(nodes, truth)))
+        worst_gap = max(worst_gap, abs(fast - exhaustive_accuracy(nodes, truth)))
     elapsed = time.time() - start
     _report(
         "matching accuracy equals exhaustive mapping search",
@@ -367,24 +358,34 @@ def test_acceptance_idx_bit_exact_and_failure_modes(tmp_path):
     )
 
 
-# --- 9: GAR shapes the sub-classes of generated digits ------------------------
+# --- 9 and 10: generated digits, GAR and the transfer between parents ---------
 
 
-def test_acceptance_generated_digit_subclasses_need_gar(tmp_path):
-    """3,000/1,000 digits from bench/digits.py, parents below/above 5, k=5,
-    10 epochs, 3 model seeds: the GAR terms beat all GAR terms off by 0.15 on
-    every seed. ACOL against per-parent k-means is printed, not gated."""
-    start = time.time()
+@pytest.fixture(scope="module")
+def generated_digits(tmp_path_factory):
+    """3,000/1,000 digits from bench/digits.py (generator seeds 41 and 42),
+    made once for checks 9 and 10: ``(config, train pool, test pool)`` with
+    k=5, 10 epochs and 500 validation rows."""
+    work = tmp_path_factory.mktemp("digits")
     spec = importlib.util.spec_from_file_location("bench_digits", _ROOT / "bench" / "digits.py")
     digits = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digits)
     paths = {}
     for stem, count, seed, keys in (("train", 3000, 41, ("images", "labels")),
                                     ("t10k", 1000, 42, ("test_images", "test_labels"))):
-        paths.update(zip(keys, digits.write_pair(count, np.random.default_rng(seed), str(tmp_path / stem))))
+        paths.update(zip(keys, digits.write_pair(count, np.random.default_rng(seed), str(work / stem))))
     base = ExperimentConfig(dataset_type="idx", **paths, k=5, epochs=10, validation_size=500)
+    return (base, *cli.load_pools(base))
+
+
+def test_acceptance_generated_digit_subclasses_need_gar(generated_digits):
+    """Parents below/above 5, 3 model seeds: the GAR terms beat all GAR terms
+    off by 0.15 on every seed. ACOL against per-parent k-means is printed,
+    not gated."""
+    start = time.time()
+    base, *pools = generated_digits
     partition = cli.default_partition(base)
-    train_data, test_data = (pool_to_dataset(pool, partition) for pool in cli.load_pools(base))
+    train_data, test_data = (pool_to_dataset(pool, partition) for pool in pools)
     scores = [  # (GAR, GAR off) per model seed
         tuple(
             cli.score(cli.fit(replace(base, seed=seed, **terms), train_data)[0], test_data)["acc"]
@@ -403,4 +404,33 @@ def test_acceptance_generated_digit_subclasses_need_gar(tmp_path):
         + " ".join(f"s{seed}:{gar:.3f}vs{off:.3f}" for seed, (gar, off) in enumerate(scores))
         + f"; not gated: mean ACOL {np.mean([gar for gar, _ in scores]):.3f}"
         f" vs per-parent k-means {kmeans_acc:.3f}, {elapsed:.0f}s",
+    )
+
+
+def test_acceptance_first_parent_subclasses_fall_as_parent_2_loses_digits(generated_digits):
+    """The abstract's transfer claim with the model seed held fixed: parent 1
+    (digits 0-4) has its sub-classes recovered worse when parent 2 keeps
+    digit 5 alone than when it keeps 5-9, by at least 0.05 on each of 3
+    model seeds."""
+    start = time.time()
+    base, *pools = generated_digits
+    groups = ((), (6, 7, 8, 9))
+    accs = {}  # first-parent acc per dropped group, one per model seed
+    for group in groups:
+        train_data, test_data = (pool_to_dataset(pool, interparent_partition(group)) for pool in pools)
+        accs[group] = [
+            cli.score(cli.fit(replace(base, seed=seed), train_data)[0], test_data)["first_parent_acc"]
+            for seed in range(3)
+        ]
+    pairs = list(zip(*accs.values()))  # (parent 2 keeps 5-9, keeps 5 alone) per model seed
+    falls = [full - lone for full, lone in pairs]
+    elapsed = time.time() - start
+    _report(
+        "first-parent sub-classes fall as parent 2 loses digits",
+        min(falls) >= 0.05,
+        f"3 seeds, smallest fall {min(falls):.3f} (target >= 0.05): "
+        + " ".join(f"s{seed}:{full:.3f}vs{lone:.3f}" for seed, (full, lone) in enumerate(pairs))
+        + "; mean first-parent acc "
+        + ", ".join(f"drops {','.join(map(str, g)) or 'none'} {np.mean(accs[g]):.3f}" for g in groups)
+        + f", {elapsed:.0f}s",
     )

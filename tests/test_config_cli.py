@@ -125,6 +125,10 @@ def test_validate_rules():
         ("dataset.test_per_cluster = 0", "dataset.test_per_cluster must be >= 1, got 0"),
         ("dataset.dim = 0", "dataset.dim must be >= 1, got 0"),
         ("dataset.train_limit = -1", "dataset.train_limit must be >= 0, got -1"),
+        (
+            "dataset.train_limit = 50",
+            "dataset.train_limit applies to idx data only, got 50 with dataset.type = synthetic",
+        ),
         ("scenario.count = 0", "scenario.count must be >= 1, got 0"),
         ("head.n_p = 1", "head.n_p must be >= 2, got 1"),
         ("head.k = 0", "head.k must be >= 1, got 0"),
@@ -177,6 +181,7 @@ def test_validate_rules():
     # the bounds themselves are accepted
     cfg = parse_config("train.epochs = 0\ndataset.train_limit = 0\nscenario.count = 1\n")
     assert (cfg.epochs, cfg.train_limit, cfg.scenario_count) == (0, 0, 1)
+    assert parse_config(IDX_THRESHOLD + "dataset.train_limit = 50\n").train_limit == 50
     cfg = parse_config(
         "train.validation_size = 0\ntrain.batch_size = 2\ntrain.lr = 1e-300\ntrain.momentum = 0\n"
     )
@@ -401,6 +406,22 @@ def test_cli_eval_rejects_head_mismatch(tmp_path, fast_cfg, capsys):
     )
     assert rc == 1
     assert "does not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "export-graph"])
+def test_cli_rejects_a_checkpoint_of_another_seed(tmp_path, fast_cfg, capsys, command):
+    """The seed draws the synthetic pools and a random partition, so a seed
+    other than the checkpoint's would score data that train never saw."""
+    ckpt = tmp_path / "train" / "model.ckpt"
+    trained = ["train", "--config", str(fast_cfg), "--out", str(ckpt.parent), "--seed", "2", "--quiet"]
+    assert cli.main(trained) == 0
+    argv = [command, "--config", str(fast_cfg), "--checkpoint", str(ckpt), "--out", str(tmp_path / command)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: trained with seed 2, but the config's seed is 1; pass --seed 2\n"
+    assert not (tmp_path / command).exists()
+    assert cli.main([*argv, "--seed", "2", "--quiet"]) == 0
 
 
 def test_cli_baseline_on_separable_blobs(tmp_path, fast_cfg, capsys):

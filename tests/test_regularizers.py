@@ -1,22 +1,57 @@
-"""Regularization terms against hand-derived values and finite differences."""
+"""The fused GAR pass against definitional references, hand-derived values
+and finite differences."""
 
 import numpy as np
 import pytest
 
 from acol.config import ExperimentConfig
-from acol.regularizers import (
-    affinity,
-    balance,
-    check_activities,
-    gar_value_and_grad,
-)
+from acol.regularizers import gar_value_and_grad
 
 HAND_B = np.array([[1.0, 1.0], [0.0, 2.0]])
 _DEFAULTS = ExperimentConfig()
 DEFAULT_COEFFS = (_DEFAULTS.c_alpha, _DEFAULTS.c_beta, _DEFAULTS.c_f)
 
 
-def terms_of(b, coeffs):
+# --- definitional references: the oracle of the fused ratios ----------------
+
+
+def affinity(b) -> float:
+    """Off-diagonal mass of N = B^T B over (n-1) times its trace.
+
+    Returns 0.0 for an all-zero B (degenerate case) instead of dividing
+    by zero. The ratio is scale invariant, so B is normalized by its
+    largest entry first; extreme activity scales cannot overflow.
+    """
+    n = b.shape[1]
+    peak = float(b.max())
+    if peak == 0.0:
+        return 0.0
+    scaled = b / peak
+    coact = scaled.T @ scaled
+    diag = float(np.trace(coact))
+    off = float(coact.sum()) - diag
+    return off / ((n - 1) * diag)
+
+
+def balance(b) -> float:
+    """Off-diagonal mass of v^T v over (n-1) times its diagonal, v = diag(B^T B).
+
+    Returns 0.0 for an all-zero B (degenerate case). Scale invariant, so
+    computed on B normalized by its largest entry (overflow safe).
+    """
+    n = b.shape[1]
+    peak = float(b.max())
+    if peak == 0.0:
+        return 0.0
+    scaled = b / peak
+    v = np.sum(scaled * scaled, axis=0)
+    diag = float(np.sum(v * v))
+    total = float(v.sum())
+    off = total * total - diag
+    return off / ((n - 1) * diag)
+
+
+def terms_of(b, coeffs=DEFAULT_COEFFS):
     return gar_value_and_grad(b, *coeffs)[0]
 
 
@@ -78,7 +113,7 @@ def test_gar_terms_loss_hand_value():
     assert not terms.degenerate
 
 
-# --- bounds and invariances on random matrices ----------------------------
+# --- bounds and invariances of the fused pass on random matrices -----------
 
 
 def test_bounds_on_random_nonnegative_matrices():
@@ -86,40 +121,37 @@ def test_bounds_on_random_nonnegative_matrices():
     for _ in range(1000):
         m = int(rng.integers(1, 9))
         n = int(rng.integers(2, 9))
-        b = rng.uniform(0.0, 3.0, size=(m, n))
-        a = affinity(b)
-        be = balance(b)
-        assert 0.0 <= a <= 1.0 + 1e-12
-        assert 0.0 <= be <= 1.0 + 1e-12
+        terms = terms_of(rng.uniform(0.0, 3.0, size=(m, n)))
+        assert 0.0 <= terms.affinity <= 1.0 + 1e-12
+        assert 0.0 <= terms.balance <= 1.0 + 1e-12
 
 
 def test_scaling_invariance_of_ratio_terms():
     rng = np.random.default_rng(12)
     for _ in range(50):
         b = rng.uniform(0.0, 2.0, size=(6, 4)) + 0.01
+        terms = terms_of(b)
         for scale in (0.25, 3.0, 117.5):
-            assert affinity(scale * b) == pytest.approx(affinity(b), rel=1e-10)
-            assert balance(scale * b) == pytest.approx(balance(b), rel=1e-10)
+            scaled = terms_of(scale * b)
+            assert scaled.affinity == pytest.approx(terms.affinity, rel=1e-10)
+            assert scaled.balance == pytest.approx(terms.balance, rel=1e-10)
         # Frobenius term is NOT scale invariant; it anchors the magnitude
-        coeffs = DEFAULT_COEFFS
-        assert terms_of(2.0 * b, coeffs).frobenius_sq == pytest.approx(
-            4.0 * terms_of(b, coeffs).frobenius_sq, rel=1e-12
-        )
+        assert terms_of(2.0 * b).frobenius_sq == pytest.approx(4.0 * terms.frobenius_sq, rel=1e-12)
 
 
 def test_affinity_zero_for_disjoint_columns_one_for_identical():
     disjoint = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
-    assert affinity(disjoint) == 0.0
+    assert terms_of(disjoint).affinity == 0.0
     identical = np.tile(np.array([[1.0], [2.0]]), (1, 3))
-    assert affinity(identical) == pytest.approx(1.0, abs=1e-12)
+    assert terms_of(identical).affinity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_balance_one_for_equal_activity_columns():
     b = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
     # all columns have v_j = 3, perfectly balanced
-    assert balance(b) == pytest.approx(1.0, abs=1e-12)
+    assert terms_of(b).balance == pytest.approx(1.0, abs=1e-12)
     lopsided = np.array([[10.0, 0.1], [10.0, 0.0]])
-    assert balance(lopsided) < 0.01
+    assert terms_of(lopsided).balance < 0.01
 
 
 # --- degenerate all-zero activities ----------------------------------------
@@ -127,8 +159,6 @@ def test_balance_one_for_equal_activity_columns():
 
 def test_degenerate_zero_matrix_flags_and_zero_grad():
     b = np.zeros((4, 3))
-    assert affinity(b) == 0.0
-    assert balance(b) == 0.0
     coeffs = DEFAULT_COEFFS
     terms, g = gar_value_and_grad(b, *coeffs)
     assert terms.degenerate
@@ -141,22 +171,20 @@ def test_degenerate_zero_matrix_flags_and_zero_grad():
 def test_single_active_entry_not_degenerate():
     b = np.zeros((3, 3))
     b[1, 2] = 0.5
-    terms = terms_of(b, DEFAULT_COEFFS)
+    terms = terms_of(b)
     assert not terms.degenerate
-    assert affinity(b) == 0.0  # one column alone has no off-diagonal mass
-    assert balance(b) == 0.0  # v has a single nonzero entry
-    assert terms.affinity == 0.0 and terms.balance == 0.0
+    assert terms.affinity == 0.0  # one column alone has no off-diagonal mass
+    assert terms.balance == 0.0  # v has a single nonzero entry
 
 
 def test_fused_ratios_equal_definitional_references():
     rng = np.random.default_rng(15)
-    coeffs = DEFAULT_COEFFS
     for _ in range(500):
         m = int(rng.integers(1, 20))
         n = int(rng.integers(2, 10))
         b = rng.uniform(0.0, 3.0, size=(m, n)) * (rng.random((m, n)) < rng.uniform(0.1, 1.0))
         b *= 10.0 ** rng.integers(-200, 200)
-        terms = terms_of(b, coeffs)
+        terms = terms_of(b)
         assert terms.affinity == affinity(b)
         assert terms.balance == balance(b)
 
@@ -195,12 +223,3 @@ def test_gar_grad_each_term_in_isolation():
     # pure Frobenius gradient has the closed form 2B
     assert np.allclose(grad_of(b, (0.0, 0.0, 1.0)), 2.0 * b, atol=1e-12)
 
-
-# --- input validation -------------------------------------------------------
-
-
-def test_check_activities_rejects_bad_inputs():
-    with pytest.raises(ValueError, match="2-D"):
-        check_activities(np.ones(4))
-    with pytest.raises(ValueError, match="n >= 2"):
-        check_activities(np.ones((3, 1)))
