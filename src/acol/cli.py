@@ -174,8 +174,8 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
         model, epoch = network.load_checkpoint(checkpoint_path)
         if (model.head.n_parents, model.head.k) != (cfg.n_parents, cfg.k):
             raise ValueError(
-                f"checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) does not match "
-                f"config (n_p={cfg.n_parents}, k={cfg.k})"
+                f"{checkpoint_path}: checkpoint head (n_p={model.head.n_parents}, k={model.head.k}) "
+                f"does not match config (n_p={cfg.n_parents}, k={cfg.k})"
             )
         if model.rng_seed != cfg.seed:
             raise ValueError(
@@ -217,10 +217,10 @@ def _scenario_partitions(cfg: ExperimentConfig, fine_labels) -> list[datasets.Pa
 
 
 def run_scenarios(cfg: ExperimentConfig, args) -> dict:
-    """Partition sweep; each scenario trains afresh with seed base+index.
+    """Partition sweep; each scenario trains afresh with the run's seed.
 
     The k-means baseline clusters the identical test subset that the model
-    is scored on, pre-divided by the same parent labels.
+    is scored on, pre-divided by the same parent labels, with the same seed.
     """
     if cfg.scenario_mode == "single":
         raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
@@ -232,17 +232,16 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
 
     rows = []
     for index, partition in enumerate(partitions):
-        seed = cfg.seed + index
         train_data = pool_to_dataset(train_pool, partition)
         eval_data = pool_to_dataset(eval_pool, partition)
-        model, _ = fit(replace(cfg, seed=seed), train_data)
+        model, _ = fit(cfg, train_data)
         result = score(model, eval_data)
         try:
-            baseline_nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, seed=seed)
+            nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, seed=cfg.seed)
         except ValueError:  # a parent has fewer rows than head.k: no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
-            kmeans_acc = evaluation.clustering_accuracy(baseline_nodes, eval_data.t_star)
+            kmeans_acc = evaluation.clustering_accuracy(nodes, eval_data.t_star)
         row = {
             "scenario": index,
             "description": partition.describe(),
@@ -323,9 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        config = load_config(args.config)
+        cfg = config if args.seed is None else replace(config, seed=args.seed)
         if args.out is None:
             args.out = cfg.output_dir
         summary = args.run(cfg, args)

@@ -200,6 +200,10 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(str(path)) as f:
-        return parse_config(f.read())
+    """``parse_config`` of a file; its errors name the file first."""
+    try:
+        with open(str(path)) as f:
+            return parse_config(f.read())
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
 

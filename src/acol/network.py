@@ -308,9 +308,9 @@ def _header_int(path, name: str, text: str, minimum: int | None) -> int:
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
-    Validates the tag, the header fields (the activations against the fixed
-    relu,...,relu,linear layout), the payload length, and parameter
-    finiteness.
+    Validates the tag, the header lines (each a ``HEADER_FIELDS`` entry,
+    read once; the activations against the fixed relu,...,relu,linear
+    layout), the payload length, and parameter finiteness.
     """
     with open(str(path), "rb") as f:
         blob = f.read()
@@ -326,6 +326,8 @@ def load_checkpoint(path):
         name = key.strip().decode("ascii", "backslashreplace")
         if not line.isascii():
             raise ValueError(f"{path}: header field '{name}' is not ASCII, value {value.strip()!r}")
+        if name not in HEADER_FIELDS or name in fields:
+            raise ValueError(f"{path}: header line '{name}' is not a checkpoint field or repeats one")
         fields[name] = value.strip().decode("ascii")
     (sizes_name, size_floor), (layout_name, _), *scalars = HEADER_FIELDS.items()
     try:

@@ -130,8 +130,6 @@ MUTANTS = (
      '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'),
     ("fit-init-ignores-seed", "src/acol/cli.py",
      "network.init_model(sizes, head, cfg.seed)", "network.init_model(sizes, head, 0)"),
-    ("scenarios-fit-base-seed", "src/acol/cli.py",
-     "fit(replace(cfg, seed=seed), train_data)", "fit(cfg, train_data)"),
     # the checkpoint header table and the type check of a config built in code
     ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": None', '"k": 0, "seed": None'),
     ("config-types-unchecked", "src/acol/config.py",
@@ -140,6 +138,14 @@ MUTANTS = (
     ("eval-seed-unchecked", "src/acol/cli.py", "if model.rng_seed != cfg.seed:", "if False:"),
     ("train-limit-synthetic-accepted", "src/acol/config.py",
      'if self.train_limit and self.dataset_type == "synthetic":', "if False:"),
+    # one model seed per sweep; header lines read once; config errors under the file's path
+    ("scenarios-seed-per-index", "src/acol/cli.py",
+     "model, _ = fit(cfg, train_data)", "model, _ = fit(replace(cfg, seed=cfg.seed + index), train_data)"),
+    ("scenarios-kmeans-seed-per-index", "src/acol/cli.py",
+     "eval_data.t, cfg.k, seed=cfg.seed)", "eval_data.t, cfg.k, seed=cfg.seed + index)"),
+    ("checkpoint-header-extra-line-accepted", "src/acol/network.py",
+     "if name not in HEADER_FIELDS or name in fields:", "if False:"),
+    ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
 )
 
 

@@ -6,7 +6,7 @@ need the four canonical MNIST IDX files under data/mnist/ and skip loudly
 when they are absent.
 """
 
-import importlib.util
+import csv
 import itertools
 import struct
 import time
@@ -33,6 +33,7 @@ from acol.head import AcolHead, node_to_parent_sub
 from acol.network import combined_step, init_model
 from acol.regularizers import gar_value_and_grad
 from test_evaluation import exhaustive_accuracy
+from test_golden_digests import bench_digits
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -367,9 +368,7 @@ def generated_digits(tmp_path_factory):
     made once for checks 9 and 10: ``(config, train pool, test pool)`` with
     k=5, 10 epochs and 500 validation rows."""
     work = tmp_path_factory.mktemp("digits")
-    spec = importlib.util.spec_from_file_location("bench_digits", _ROOT / "bench" / "digits.py")
-    digits = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digits)
+    digits = bench_digits()
     paths = {}
     for stem, count, seed, keys in (("train", 3000, 41, ("images", "labels")),
                                     ("t10k", 1000, 42, ("test_images", "test_labels"))):
@@ -407,23 +406,26 @@ def test_acceptance_generated_digit_subclasses_need_gar(generated_digits):
     )
 
 
-def test_acceptance_first_parent_subclasses_fall_as_parent_2_loses_digits(generated_digits):
-    """The abstract's transfer claim with the model seed held fixed: parent 1
-    (digits 0-4) has its sub-classes recovered worse when parent 2 keeps
-    digit 5 alone than when it keeps 5-9, by at least 0.05 on each of 3
-    model seeds."""
+def test_acceptance_first_parent_subclasses_fall_as_parent_2_loses_digits(generated_digits, tmp_path):
+    """The abstract's transfer claim, run through ``acol scenarios``, which
+    trains every scenario with the run's seed: parent 1 (digits 0-4) has its
+    sub-classes recovered worse when parent 2 keeps digit 5 alone than when
+    it keeps 5-9, by at least 0.05 on each of 3 model seeds."""
     start = time.time()
-    base, *pools = generated_digits
-    groups = ((), (6, 7, 8, 9))
-    accs = {}  # first-parent acc per dropped group, one per model seed
-    for group in groups:
-        train_data, test_data = (pool_to_dataset(pool, interparent_partition(group)) for pool in pools)
-        accs[group] = [
-            cli.score(cli.fit(replace(base, seed=seed), train_data)[0], test_data)["first_parent_acc"]
-            for seed in range(3)
-        ]
-    pairs = list(zip(*accs.values()))  # (parent 2 keeps 5-9, keeps 5 alone) per model seed
+    groups = ("none", "6,7,8,9")  # the digits dropped from parent 2
+    sweep = replace(generated_digits[0], scenario_mode="inter-parent", scenario_exclusions=";".join(groups))
+    config = tmp_path / "sweep.txt"
+    config.write_text(serialize_config(sweep))
+    pairs = []  # (parent 2 keeps 5-9, keeps 5 alone) per model seed
+    for seed in range(3):
+        out = tmp_path / f"seed-{seed}"
+        argv = ["scenarios", "--config", str(config), "--out", str(out), "--seed", str(seed), "--quiet"]
+        assert cli.main(argv) == 0
+        with (out / "scenarios.csv").open(newline="") as f:
+            rows = list(csv.DictReader(f))[: len(groups)]
+        pairs.append(tuple(float(row["first_parent_acc"]) for row in rows))
     falls = [full - lone for full, lone in pairs]
+    means = np.mean(pairs, axis=0)
     elapsed = time.time() - start
     _report(
         "first-parent sub-classes fall as parent 2 loses digits",
@@ -431,6 +433,6 @@ def test_acceptance_first_parent_subclasses_fall_as_parent_2_loses_digits(genera
         f"3 seeds, smallest fall {min(falls):.3f} (target >= 0.05): "
         + " ".join(f"s{seed}:{full:.3f}vs{lone:.3f}" for seed, (full, lone) in enumerate(pairs))
         + "; mean first-parent acc "
-        + ", ".join(f"drops {','.join(map(str, g)) or 'none'} {np.mean(accs[g]):.3f}" for g in groups)
+        + ", ".join(f"drops {group} {mean:.3f}" for group, mean in zip(groups, means))
         + f", {elapsed:.0f}s",
     )

@@ -28,6 +28,7 @@ from acol.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from test_golden_digests import bench_digits
 
 FAST_SYNTH = """
 dataset.type = synthetic
@@ -405,7 +406,9 @@ def test_cli_eval_rejects_head_mismatch(tmp_path, fast_cfg, capsys):
         ["eval", "--config", str(other), "--checkpoint", str(out / "model.ckpt"), "--quiet"]
     )
     assert rc == 1
-    assert "does not match" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {out / 'model.ckpt'}: checkpoint head (n_p=2, k=2) does not match config (n_p=2, k=3)\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["eval", "export-graph"])
@@ -471,6 +474,30 @@ def test_cli_scenarios_csv_reads_back_with_csv_module(tmp_path):
     assert 0.0 <= float(rows[0]["acc"]) <= 1.0  # a number, not a split fragment
 
 
+def test_cli_sweep_scenario_scores_what_train_and_baseline_score(tmp_path, capsys):
+    """Every scenario trains and clusters with the run's seed, so the `none`
+    scenario of an inter-parent sweep, listed second, reproduces `acol train`
+    and `acol baseline` on the threshold partition."""
+    digits, rng, paths = bench_digits(), np.random.default_rng(7), {}
+    for stem, count, keys in (("train", 600, ("images", "labels")),
+                              ("t10k", 200, ("test_images", "test_labels"))):
+        paths.update(zip(keys, digits.write_pair(count, rng, str(tmp_path / stem))))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(serialize_config(ExperimentConfig(
+        dataset_type="idx", **paths, k=5, epochs=2, validation_size=100, seed=7,
+        scenario_mode="inter-parent", scenario_exclusions="9;none",
+    )))
+    lines = {}  # the key=value fields of each stdout line, per command
+    for command in ("train", "baseline", "scenarios"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        out = capsys.readouterr().out
+        lines[command] = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in out.splitlines()]
+    (train,), (baseline,), (_, none, _) = lines.values()
+    assert none["scenario"] == "1" and none["m_eval"] == baseline["m"] == train["m_eval"]
+    assert (none["parent_acc"], none["acc"]) == (train["parent_acc"], train["acc"])
+    assert none["kmeans_acc"] == baseline["acc"]
+
+
 def test_cli_export_graph(tmp_path, fast_cfg, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(fast_cfg), "--out", str(out), "--quiet"]) == 0
@@ -525,6 +552,7 @@ def test_cli_train_imports_no_scipy(tmp_path, fast_cfg):
          "train.validation_size must be < 120 (the rows of the data), got 1000"),
         ("train.batch_size = 4096\n", [],
          "train.batch_size must be <= 200 (the rows left for training), got 4096"),
+        ("seed = 1\nfoo = 2\n", [], "line 2: unknown config key 'foo'"),
     ],
 )
 def test_cli_train_names_the_key_of_a_bad_value(tmp_path, capsys, lines, extra, message):
@@ -533,6 +561,10 @@ def test_cli_train_names_the_key_of_a_bad_value(tmp_path, capsys, lines, extra, 
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out), *extra]) == 1
     captured = capsys.readouterr()
+    try:
+        parse_config(lines)
+    except ValueError:
+        message = f"{cfg}: {message}"  # a value the file itself breaks is named under its path
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
     assert not out.exists() or not any(out.iterdir())

@@ -120,10 +120,16 @@ def synthetic_session(work: Path) -> dict:
     return _run_session(work, commands)
 
 
-def digits_session(work: Path) -> dict:
+def bench_digits():
+    """``bench/digits.py``, the digit generator of the benchmark, as a module."""
     spec = importlib.util.spec_from_file_location("bench_digits", ROOT / "bench" / "digits.py")
     digits = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digits)
+    return digits
+
+
+def digits_session(work: Path) -> dict:
+    digits = bench_digits()
     rng = np.random.default_rng(7)
     entries = dict(DIGITS_CONFIG)
     pairs = (("train", "dataset.images", "dataset.labels"),

@@ -795,6 +795,9 @@ def test_checkpoint_rejects_any_layout_but_relu_then_linear(tmp_path, layout, me
          "header field 'layer_sizes' must be >= 1, got 0"),
         (b"seed: 0\n", b"seed: 0\xe9\n", "header field 'seed' is not ASCII, value b'0\\xe9'"),
         (b"epoch: 0\n", b"epoch: -1\n", "header field 'epoch' must be >= 0, got -1"),
+        (b"epoch: 0\n", b"epoch: 0\nseed: 9\n", "header line 'seed' is not a checkpoint field or repeats one"),
+        (b"epoch: 0\n", b"epoch: 0\nfoo: 1\n", "header line 'foo' is not a checkpoint field or repeats one"),
+        (b"epoch: 0\n", b"epoch: 0\ngarbage\n", "header line 'garbage' is not a checkpoint field or repeats one"),
     ],
 )
 def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, bad, message):
