@@ -94,7 +94,8 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset):
     drives the initialization, the validation split and the batch order."""
     head = AcolHead(cfg.n_parents, cfg.k)
     sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
-    return network.train(network.init_model(sizes, head, cfg.seed), data, cfg)
+    model = replace(network.init_model(sizes, head, cfg.seed), feature_scale=data.scale)
+    return network.train(model, data, cfg)
 
 
 def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
@@ -165,7 +166,7 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
-    otherwise) and must match the configured head, seed and data width.
+    otherwise) and must match the configured head, seed, feature scale and data width.
     ``data`` is the test pool, or the train pool when no test pool is
     configured, under ``default_partition``; the other pool is never read.
     """
@@ -181,6 +182,11 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
             raise ValueError(
                 f"{checkpoint_path}: trained with seed {model.rng_seed}, but the config's seed is "
                 f"{cfg.seed}; pass --seed {model.rng_seed}"
+            )
+        if model.feature_scale != cfg.resolved_feature_scale():
+            raise ValueError(
+                f"{checkpoint_path}: trained with feature scale {model.feature_scale}, "
+                f"but the config's is {cfg.resolved_feature_scale()}"
             )
     pool = load_pool(cfg, test=True) or load_pool(cfg, test=False)
     if model is not None and model.layer_sizes[0] != pool.X.shape[1]:

@@ -29,10 +29,10 @@ from .config import ExperimentConfig
 from .head import AcolHead, head_forward, supervised_grad
 from .regularizers import gar_value_and_grad
 
-CHECKPOINT_TAG = "acol checkpoint v1"
+CHECKPOINT_TAG = "acol checkpoint v2"
 # The header fields after the tag line, in the order written, each with the
-# floor of its integers (None: any integer); activations holds names instead.
-HEADER_FIELDS = {"layer_sizes": 1, "activations": None, "n_parents": 2, "k": 1, "seed": None, "epoch": 0}
+# floor of its integers; None marks feature_scale, the one float, finite and > 0.
+HEADER_FIELDS = {"layer_sizes": 1, "feature_scale": None, "n_parents": 2, "k": 1, "seed": 0, "epoch": 0}
 
 
 @dataclass
@@ -51,6 +51,7 @@ class Model:
     layers: list[DenseLayer]
     head: AcolHead
     rng_seed: int
+    feature_scale: float = 1.0  # the input multiplier of the data it was trained on
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -279,8 +280,8 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write the documented header-plus-float64-blocks container."""
-    sizes, layout = ",".join(map(str, model.layer_sizes)), ",".join(_layout(len(model.layers)))
-    values = (sizes, layout, model.head.n_parents, model.head.k, model.rng_seed, epoch)
+    sizes, scale = ",".join(map(str, model.layer_sizes)), repr(float(model.feature_scale))
+    values = (sizes, scale, model.head.n_parents, model.head.k, model.rng_seed, epoch)
     lines = "".join(f"{name}: {value}\n" for name, value in zip(HEADER_FIELDS, values, strict=True))
     with open(str(path), "wb") as f:
         f.write(f"{CHECKPOINT_TAG}\n{lines}\n".encode("ascii"))
@@ -289,18 +290,13 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
             f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
-def _layout(count: int) -> list[str]:
-    """The activation names of a ``count``-layer model, as the header spells them."""
-    return ["relu"] * (count - 1) + ["linear"]
-
-
-def _header_int(path, name: str, text: str, minimum: int | None) -> int:
+def _header_int(path, name: str, text: str, minimum: int) -> int:
     """One integer of a checkpoint header field; errors name the file and the field."""
     try:
         value = int(text)
     except ValueError:
         raise ValueError(f"{path}: header field '{name}' has non-integer value '{text}'") from None
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ValueError(f"{path}: header field '{name}' must be >= {minimum}, got {value}")
     return value
 
@@ -309,8 +305,7 @@ def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
     Validates the tag, the header lines (each a ``HEADER_FIELDS`` entry,
-    read once; the activations against the fixed relu,...,relu,linear
-    layout), the payload length, and parameter finiteness.
+    read once), the payload length, and parameter finiteness.
     """
     with open(str(path), "rb") as f:
         blob = f.read()
@@ -329,23 +324,24 @@ def load_checkpoint(path):
         if name not in HEADER_FIELDS or name in fields:
             raise ValueError(f"{path}: header line '{name}' is not a checkpoint field or repeats one")
         fields[name] = value.strip().decode("ascii")
-    (sizes_name, size_floor), (layout_name, _), *scalars = HEADER_FIELDS.items()
+    (sizes_name, size_floor), (scale_name, _), *scalars = HEADER_FIELDS.items()
     try:
         sizes = [_header_int(path, sizes_name, s, size_floor) for s in fields[sizes_name].split(",")]
-        activations = fields[layout_name].split(",")
+        text = fields[scale_name]
         n_parents, k, seed, epoch = [_header_int(path, name, fields[name], floor) for name, floor in scalars]
     except KeyError as e:
         raise ValueError(f"{path}: checkpoint header missing field {e}") from e
+    if len(sizes) < 2:
+        raise ValueError(f"{path}: header field '{sizes_name}' needs at least 2 entries, got {len(sizes)}")
+    try:
+        scale = float(text)
+    except ValueError:
+        scale = float("nan")  # not a number: rejected with the rest below
+    if not 0 < scale < np.inf:
+        raise ValueError(f"{path}: header field '{scale_name}' must be a finite float > 0, got '{text}'")
     head = AcolHead(n_parents, k)
     if sizes[-1] != head.n:
         raise ValueError(f"{path}: header mismatch, last layer {sizes[-1]} vs head n {head.n}")
-    if len(activations) != len(sizes) - 1:
-        raise ValueError(f"{path}: header mismatch between layer_sizes and activations")
-    for i, (act, want) in enumerate(zip(activations, _layout(len(activations))), 1):
-        if act != want:
-            raise ValueError(
-                f"{path}: header field 'activations' has value '{act}' at layer {i}, expected '{want}'"
-            )
 
     payload = blob[sep + 2 :]
     expected = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:])) * 8
@@ -361,4 +357,4 @@ def load_checkpoint(path):
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{path}: layer {i} {name} contains non-finite entries")
         layers.append(DenseLayer(weights=weights.reshape(fan_in, fan_out).copy(), bias=bias.copy()))
-    return Model(layers=layers, head=head, rng_seed=seed), epoch
+    return Model(layers=layers, head=head, rng_seed=seed, feature_scale=scale), epoch

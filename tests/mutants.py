@@ -131,7 +131,7 @@ MUTANTS = (
     ("fit-init-ignores-seed", "src/acol/cli.py",
      "network.init_model(sizes, head, cfg.seed)", "network.init_model(sizes, head, 0)"),
     # the checkpoint header table and the type check of a config built in code
-    ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": None', '"k": 0, "seed": None'),
+    ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": 0', '"k": 0, "seed": 0'),
     ("config-types-unchecked", "src/acol/config.py",
      "if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):", "if False:"),
     # eval and export-graph score under the checkpoint's seed; train_limit binds idx data only
@@ -146,6 +146,14 @@ MUTANTS = (
     ("checkpoint-header-extra-line-accepted", "src/acol/network.py",
      "if name not in HEADER_FIELDS or name in fields:", "if False:"),
     ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
+    # checkpoint v2: no stored layout, one size is no layer, the header's seed floor and feature scale
+    ("checkpoint-one-size-accepted", "src/acol/network.py",
+     'if len(sizes) < 2:\n        raise ValueError(f"{path}', 'if False:\n        raise ValueError(f"{path}'),
+    ("checkpoint-header-seed-floor", "src/acol/network.py", '"seed": 0, "epoch"', '"seed": -1, "epoch"'),
+    ("checkpoint-header-scale-unchecked", "src/acol/network.py", "if not 0 < scale < np.inf:", "if False:"),
+    ("fit-scale-unrecorded", "src/acol/cli.py", "feature_scale=data.scale)", "feature_scale=1.0)"),
+    ("eval-scale-unchecked", "src/acol/cli.py",
+     "if model.feature_scale != cfg.resolved_feature_scale():", "if False:"),
 )
 
 

@@ -427,6 +427,25 @@ def test_cli_rejects_a_checkpoint_of_another_seed(tmp_path, fast_cfg, capsys, co
     assert cli.main([*argv, "--seed", "2", "--quiet"]) == 0
 
 
+@pytest.mark.parametrize("command", ["eval", "export-graph"])
+def test_cli_rejects_a_checkpoint_of_another_feature_scale(tmp_path, fast_cfg, capsys, command):
+    """The scale multiplies every feature the model reads, so a scale other
+    than the checkpoint's would score inputs that train never saw; the
+    synthetic default, 0.32, given explicitly, is the same scale."""
+    ckpt = tmp_path / "train" / "model.ckpt"
+    assert cli.main(["train", "--config", str(fast_cfg), "--out", str(ckpt.parent), "--quiet"]) == 0
+    other = tmp_path / "other.txt"
+    other.write_text(FAST_SYNTH + "dataset.feature_scale = 1.0\n")
+    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / command), "--quiet"]
+    assert cli.main([*argv, "--config", str(other)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: trained with feature scale 0.32, but the config's is 1.0\n"
+    assert not (tmp_path / command).exists()
+    other.write_text(FAST_SYNTH + "dataset.feature_scale = 0.32\n")
+    assert cli.main([*argv, "--config", str(other)]) == 0
+
+
 def test_cli_baseline_on_separable_blobs(tmp_path, fast_cfg, capsys):
     rc = cli.main(["baseline", "--config", str(fast_cfg)])
     assert rc == 0

@@ -656,12 +656,14 @@ def test_checkpoint_round_trip_exact(tmp_path):
     # make parameters less trivial than init
     for layer in model.layers:
         layer.bias += 0.25
+    model.feature_scale = 0.1 + 0.2  # 0.30000000000000004: every bit must survive
     path = tmp_path / "m.ckpt"
     save_checkpoint(model, path, epoch=17)
     loaded, epoch = load_checkpoint(path)
     assert epoch == 17
     assert loaded.head == model.head
     assert loaded.rng_seed == model.rng_seed
+    assert loaded.feature_scale == model.feature_scale
     assert loaded.layer_sizes == model.layer_sizes
     for la, lb in zip(loaded.layers, model.layers):
         assert np.array_equal(la.weights, lb.weights)
@@ -675,8 +677,9 @@ def test_checkpoint_header_is_readable_ascii(tmp_path):
     blob = path.read_bytes()
     header = blob[: blob.find(b"\n\n")].decode("ascii")
     assert header.splitlines()[0] == CHECKPOINT_TAG
-    assert "layer_sizes: 3,5,4" in header
-    assert "epoch: 3" in header
+    assert header.splitlines()[1:] == [
+        "layer_sizes: 3,5,4", "feature_scale: 1.0", "n_parents: 2", "k: 2", "seed: 0", "epoch: 3"
+    ]
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
@@ -752,37 +755,6 @@ def test_checkpoint_non_finite_error_names_the_file_and_the_layer(tmp_path):
     assert str(err.value) == f"{path}: layer 1 weights contains non-finite entries"
 
 
-def test_checkpoint_rejects_unknown_activation(tmp_path):
-    model = small_model(seed=0)
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(model, path)
-    blob = path.read_bytes()
-    assert b"activations: relu,linear\n" in blob
-    bad = tmp_path / "lineax.ckpt"
-    bad.write_bytes(blob.replace(b"activations: relu,linear\n", b"activations: relu,lineax\n", 1))
-    with pytest.raises(ValueError, match=r"lineax\.ckpt: .*'activations'.*'lineax'"):
-        load_checkpoint(bad)
-
-
-@pytest.mark.parametrize(
-    "layout, message",
-    [
-        (b"linear,linear", "header field 'activations' has value 'linear' at layer 1, expected 'relu'"),
-        (b"relu,relu", "header field 'activations' has value 'relu' at layer 2, expected 'linear'"),
-    ],
-)
-def test_checkpoint_rejects_any_layout_but_relu_then_linear(tmp_path, layout, message):
-    """Every layer but the last is relu; a header naming another layout of
-    known activations is rejected, not loaded into a network acol cannot train."""
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(small_model(seed=0), path)
-    bad = tmp_path / "layout.ckpt"
-    bad.write_bytes(path.read_bytes().replace(b"activations: relu,linear\n", b"activations: " + layout + b"\n", 1))
-    with pytest.raises(ValueError) as err:
-        load_checkpoint(bad)
-    assert str(err.value) == f"{bad}: {message}"
-
-
 @pytest.mark.parametrize(
     "line, bad, message",
     [
@@ -793,6 +765,14 @@ def test_checkpoint_rejects_any_layout_but_relu_then_linear(tmp_path, layout, me
          "header field 'layer_sizes' has non-integer value ''"),
         (b"layer_sizes: 3,5,4\n", b"layer_sizes: 3,0,4\n",
          "header field 'layer_sizes' must be >= 1, got 0"),
+        (b"layer_sizes: 3,5,4\n", b"layer_sizes: 4\n",
+         "header field 'layer_sizes' needs at least 2 entries, got 1"),
+        (b"seed: 0\n", b"seed: -1\n", "header field 'seed' must be >= 0, got -1"),
+        *[
+            (b"feature_scale: 1.0\n", b"feature_scale: " + text + b"\n",
+             f"header field 'feature_scale' must be a finite float > 0, got '{text.decode()}'")
+            for text in (b"abc", b"nan", b"inf", b"0.0", b"-1.0")
+        ],
         (b"seed: 0\n", b"seed: 0\xe9\n", "header field 'seed' is not ASCII, value b'0\\xe9'"),
         (b"epoch: 0\n", b"epoch: -1\n", "header field 'epoch' must be >= 0, got -1"),
         (b"epoch: 0\n", b"epoch: 0\nseed: 9\n", "header line 'seed' is not a checkpoint field or repeats one"),
@@ -811,6 +791,29 @@ def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, ba
     assert str(err.value) == f"{path}: {message}"
 
 
+def test_checkpoint_of_one_layer_size_and_no_payload_is_rejected(tmp_path):
+    """One size is no layer: with an empty payload such a header would
+    otherwise load as a model without layers."""
+    path = tmp_path / "m.ckpt"
+    header = f"{CHECKPOINT_TAG}\nlayer_sizes: 6\nfeature_scale: 1.0\nn_parents: 2\nk: 3\nseed: 0\nepoch: 0\n\n"
+    path.write_bytes(header.encode("ascii"))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: header field 'layer_sizes' needs at least 2 entries, got 1"
+
+
+def test_checkpoint_of_format_v1_is_rejected_at_its_tag(tmp_path):
+    """A v1 file (with its 'activations' line and no feature scale) is not read."""
+    path = tmp_path / "v1.ckpt"
+    header = (
+        b"acol checkpoint v1\nlayer_sizes: 3,5,4\nactivations: relu,linear\n"
+        b"n_parents: 2\nk: 2\nseed: 0\nepoch: 0\n\n"
+    )
+    path.write_bytes(header + bytes(8 * (4 * 5 + 6 * 4)))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: not a checkpoint file (missing 'acol checkpoint v2')"
+
 
 _HEADER_FIELDS = tuple(network.HEADER_FIELDS)
 _HEADER_VALUES = st.one_of(
@@ -818,7 +821,7 @@ _HEADER_VALUES = st.one_of(
     st.lists(st.integers(min_value=-3, max_value=10**12), min_size=1, max_size=4).map(
         lambda sizes: ",".join(map(str, sizes))
     ),
-    st.sampled_from(["3,5,4", "relu,linear", "relu", "", "99999999999999999999"]),
+    st.sampled_from(["3,5,4", "0.32", "nan", "1e400", "-0.0", "", "99999999999999999999"]),
     st.text(max_size=8),
 )
 # (field, new value); None drops the field's line
@@ -847,3 +850,4 @@ def test_checkpoint_reader_loads_or_names_the_file(tmp_path_factory, edits):
         assert str(err).startswith(f"{path}: ")
     else:
         assert model.layer_sizes[-1] == model.head.n and epoch >= 0
+        assert np.isfinite(model.feature_scale) and model.feature_scale > 0
