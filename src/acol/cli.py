@@ -37,9 +37,7 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
 
     Synthetic pools keep their blobs, fine-labeled by cluster id; an IDX pool
     keeps its uint8 pixels as read, one row per image, and a pair with no rows
-    or no pixels is rejected. Each pool records the configured feature scale
-    for ``features()``, so training, evaluation, and baselines all see the
-    same preprocessing. ``X`` is read-only: datasets may share it.
+    or no pixels is rejected. ``X`` is read-only: datasets may share it.
     """
     if cfg.dataset_type == "synthetic":
         per_cluster = cfg.test_per_cluster if test else cfg.per_cluster
@@ -57,7 +55,6 @@ def load_pool(cfg: ExperimentConfig, test: bool) -> FinePool | None:
         if not test and cfg.train_limit > 0:
             pixels, fine = pixels[: cfg.train_limit], fine[: cfg.train_limit]
         pool = FinePool(X=pixels.reshape(len(pixels), -1), fine=fine)
-    pool.scale = cfg.resolved_feature_scale()
     pool.X.flags.writeable = False
     return pool
 
@@ -94,7 +91,7 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset):
     drives the initialization, the validation split and the batch order."""
     head = AcolHead(cfg.n_parents, cfg.k)
     sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
-    model = replace(network.init_model(sizes, head, cfg.seed), feature_scale=data.scale)
+    model = replace(network.init_model(sizes, head, cfg.seed), feature_scale=cfg.resolved_feature_scale())
     return network.train(model, data, cfg)
 
 
@@ -166,7 +163,8 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
-    otherwise) and must match the configured head, seed, feature scale and data width.
+    otherwise) and must match the configured head, seed and data width; the
+    model applies its own feature scale.
     ``data`` is the test pool, or the train pool when no test pool is
     configured, under ``default_partition``; the other pool is never read.
     """
@@ -182,11 +180,6 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
             raise ValueError(
                 f"{checkpoint_path}: trained with seed {model.rng_seed}, but the config's seed is "
                 f"{cfg.seed}; pass --seed {model.rng_seed}"
-            )
-        if model.feature_scale != cfg.resolved_feature_scale():
-            raise ValueError(
-                f"{checkpoint_path}: trained with feature scale {model.feature_scale}, "
-                f"but the config's is {cfg.resolved_feature_scale()}"
             )
     pool = load_pool(cfg, test=True) or load_pool(cfg, test=False)
     if model is not None and model.layer_sizes[0] != pool.X.shape[1]:
@@ -213,12 +206,10 @@ def run_eval(cfg: ExperimentConfig, args) -> dict:
     return summary
 
 
-def _scenario_partitions(cfg: ExperimentConfig, fine_labels) -> list[datasets.ParentPartition]:
+def _scenario_partitions(cfg: ExperimentConfig) -> list[datasets.ParentPartition]:
     if cfg.scenario_mode == "random-partitions":
-        return [
-            datasets.random_partition(cfg.seed + i, fine_labels=fine_labels, n_parents=cfg.n_parents)
-            for i in range(cfg.scenario_count)
-        ]
+        labels = sorted(default_partition(cfg).mapping)  # digits 0-9, or the synthetic cluster ids
+        return [datasets.random_partition(cfg.seed + i, labels, cfg.n_parents) for i in range(cfg.scenario_count)]
     return [datasets.interparent_partition(group) for group in cfg.exclusion_groups()]
 
 
@@ -230,11 +221,11 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
     """
     if cfg.scenario_mode == "single":
         raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
+    partitions = _scenario_partitions(cfg)
     train_pool, test_pool = load_pools(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     eval_pool = test_pool if test_pool is not None else train_pool
-    partitions = _scenario_partitions(cfg, sorted(int(v) for v in np.unique(train_pool.fine)))
 
     rows = []
     for index, partition in enumerate(partitions):

@@ -113,6 +113,10 @@ class ExperimentConfig:
                 "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
                 f"got '{self.scenario_exclusions}'"
             )
+        for group in groups if self.scenario_mode == "inter-parent" else ():
+            if set(group) == set(range(5, 10)):
+                text = ",".join(map(str, group))
+                raise ValueError(f"scenario.exclusions group '{text}' drops every digit of parent 2")
 
     def resolved_hidden(self) -> tuple:
         """Hidden widths, with the empty tuple meaning the per-dataset default.

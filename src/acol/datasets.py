@@ -2,7 +2,7 @@
 
 Covers the IDX container format used by MNIST-style digit files, the
 mapping of fine labels onto coarse parent classes, a synthetic Gaussian
-blob generator for desk-scale runs, and seeded train/validation splits.
+blob generator for small desk runs, and seeded train/validation splits.
 
 IDX layout (all integers big-endian):
     images: i32 magic 0x00000803, i32 count, i32 rows, i32 cols, u8 pixels
@@ -36,7 +36,6 @@ class LabeledDataset:
     X: np.ndarray                 # (m, d): uint8 pixels, or float64 features
     t: np.ndarray                 # int64, (m,)
     t_star: np.ndarray | None = None
-    scale: float = 1.0            # feature multiplier, applied by features()
 
     def __post_init__(self):
         for name, labels in (("t", self.t), ("t_star", self.t_star)):
@@ -49,12 +48,10 @@ class LabeledDataset:
 
     def features(self, rows=slice(None)) -> np.ndarray:
         """float64 features of ``X[rows]``: ``images_to_features`` of uint8
-        pixels, times ``scale`` unless it is 1; elementwise, so the bits do
-        not depend on which rows are converted together."""
+        pixels; elementwise, so the bits do not depend on which rows are
+        converted together."""
         x = self.X[rows]
-        if x.dtype == np.uint8:
-            x = images_to_features(x)
-        return x * self.scale if self.scale != 1.0 else x
+        return images_to_features(x) if x.dtype == np.uint8 else x
 
 
 @dataclass
@@ -63,7 +60,6 @@ class FinePool:
 
     X: np.ndarray       # (m, d): uint8 pixels, or float64 features
     fine: np.ndarray    # int64, (m,)
-    scale: float = 1.0  # feature multiplier, passed on by pool_to_dataset
 
 
 @dataclass(frozen=True)
@@ -162,7 +158,7 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def images_to_features(pixels: np.ndarray) -> np.ndarray:
-    """Flatten images row-major and scale to [0, 1] by dividing by 255; 0 images give (0, d)."""
+    """Flatten images row-major and divide by 255 into [0, 1]; 0 images give (0, d)."""
     return pixels.reshape(len(pixels), math.prod(pixels.shape[1:])).astype(np.float64) / 255.0
 
 
@@ -194,7 +190,7 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDatase
     Excluded fine labels are dropped; any other unmapped fine label is an
     error. The fine labels are kept as ``t_star`` for evaluation only, in a
     copy that never aliases the pool. When no row is dropped, ``X`` is the
-    pool's own matrix, not a copy; the pool's ``scale`` is passed on.
+    pool's own matrix, not a copy.
     """
     keep = ~np.isin(pool.fine, list(partition.exclude))
     if keep.all():
@@ -206,7 +202,7 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDatase
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
     parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
-    return LabeledDataset(X=X, t=parents[inverse], t_star=fine, scale=pool.scale)
+    return LabeledDataset(X=X, t=parents[inverse], t_star=fine)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:

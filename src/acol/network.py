@@ -51,7 +51,7 @@ class Model:
     layers: list[DenseLayer]
     head: AcolHead
     rng_seed: int
-    feature_scale: float = 1.0  # the input multiplier of the data it was trained on
+    feature_scale: float = 1.0  # the input multiplier, applied by forward()
 
     @property
     def layer_sizes(self) -> list[int]:
@@ -101,8 +101,9 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
 def forward(model: Model, x) -> list[np.ndarray]:
     """Outputs of the layer chain, ``[X, a_1, ..., Z]``: everything backward() needs.
 
-    Each layer's output is computed in one buffer: ``a @ W``, then the bias
-    added and relu applied in place.
+    ``X`` is the input times ``model.feature_scale``, the one place the
+    scale is applied. Each layer's output is computed in one buffer: ``a @ W``,
+    then the bias added and relu applied in place.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -111,6 +112,8 @@ def forward(model: Model, x) -> list[np.ndarray]:
         raise ValueError(
             f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
         )
+    if model.feature_scale != 1.0:
+        a = a * model.feature_scale
     outputs = [a]
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):

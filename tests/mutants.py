@@ -110,10 +110,9 @@ MUTANTS = (
     ("parent-check-counts-all-rows", "src/acol/network.py", "np.bincount(data.t[train_idx],", "np.bincount(data.t,"),
     ("idx-writer-range-unchecked", "src/acol/datasets.py", "if bad.size:", "if False:"),
     # stored pixels made features one batch at a time, and the edge selection of export-graph
-    ("features-scale-dropped", "src/acol/datasets.py",
-     "return x * self.scale if self.scale != 1.0 else x", "return x"),
     ("features-divide-by-256", "src/acol/datasets.py", "astype(np.float64) / 255.0", "astype(np.float64) / 256.0"),
-    ("features-uint8-unconverted", "src/acol/datasets.py", "if x.dtype == np.uint8:", "if False:"),
+    ("features-uint8-unconverted", "src/acol/datasets.py",
+     "images_to_features(x) if x.dtype == np.uint8 else x", "x"),
     ("features-of-no-rows-unshaped", "src/acol/datasets.py", "math.prod(pixels.shape[1:])", "-1"),
     ("graph-keeps-self-edges", "src/acol/evaluation.py",
      "np.triu(sim > threshold, 1)", "np.triu(sim > threshold, 0)"),
@@ -124,7 +123,9 @@ MUTANTS = (
     ("scenarios-mode-checked-after-load", "src/acol/cli.py",
      '    if cfg.scenario_mode == "single":\n'
      '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'
+     "    partitions = _scenario_partitions(cfg)\n"
      "    train_pool, test_pool = load_pools(cfg)\n",
+     "    partitions = _scenario_partitions(cfg)\n"
      "    train_pool, test_pool = load_pools(cfg)\n"
      '    if cfg.scenario_mode == "single":\n'
      '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'),
@@ -151,9 +152,19 @@ MUTANTS = (
      'if len(sizes) < 2:\n        raise ValueError(f"{path}', 'if False:\n        raise ValueError(f"{path}'),
     ("checkpoint-header-seed-floor", "src/acol/network.py", '"seed": 0, "epoch"', '"seed": -1, "epoch"'),
     ("checkpoint-header-scale-unchecked", "src/acol/network.py", "if not 0 < scale < np.inf:", "if False:"),
-    ("fit-scale-unrecorded", "src/acol/cli.py", "feature_scale=data.scale)", "feature_scale=1.0)"),
-    ("eval-scale-unchecked", "src/acol/cli.py",
-     "if model.feature_scale != cfg.resolved_feature_scale():", "if False:"),
+    ("fit-scale-unrecorded", "src/acol/cli.py",
+     "feature_scale=cfg.resolved_feature_scale())", "feature_scale=1.0)"),
+    # the model applies its own input scale; one rule for a random partition; parent 2 keeps a digit
+    ("forward-scale-dropped", "src/acol/network.py", "if model.feature_scale != 1.0:", "if False:"),
+    ("exclusions-empty-parent-accepted", "src/acol/config.py",
+     "if set(group) == set(range(5, 10)):", "if False:"),
+    ("scenario-random-labels-of-pool", "src/acol/cli.py",
+     "    eval_pool = test_pool if test_pool is not None else train_pool\n",
+     "    eval_pool = test_pool if test_pool is not None else train_pool\n"
+     '    if cfg.scenario_mode == "random-partitions":\n'
+     "        labels = sorted(int(v) for v in np.unique(train_pool.fine))\n"
+     "        partitions = [datasets.random_partition(cfg.seed + i, labels, cfg.n_parents)\n"
+     "                      for i in range(cfg.scenario_count)]\n"),
 )
 
 

@@ -171,6 +171,10 @@ def test_validate_rules():
             "scenario.exclusions can only drop digits 5-9 in inter-parent mode, "
             "got 'none;9;8,10'",
         ),
+        (
+            "scenario.mode = inter-parent\nscenario.exclusions = none;5,6,7,8,9",
+            "scenario.exclusions group '5,6,7,8,9' drops every digit of parent 2",
+        ),
         (IDX_THRESHOLD + "partition.threshold = 0", "partition.threshold must be in 1..9, got 0"),
         (IDX_THRESHOLD + "partition.threshold = 10", "partition.threshold must be in 1..9, got 10"),
         (IDX_THRESHOLD + "partition.threshold = 99", "partition.threshold must be in 1..9, got 99"),
@@ -196,11 +200,11 @@ def test_validate_rules():
     assert (cfg.separation, cfg.feature_scale, cfg.c_alpha, cfg.c_beta, cfg.c_f) == (
         1e-300, 0.0, 0.0, 0.0, 0.0
     )
-    # the 5-9 range binds only the inter-parent sweep
-    cfg = parse_config("scenario.exclusions = 0,1;none\n")
-    assert cfg.exclusion_groups() == [(0, 1), ()]
-    cfg = parse_config("scenario.mode = inter-parent\nscenario.exclusions = 5,6,7,8,9;none\n")
-    assert cfg.exclusion_groups() == [(5, 6, 7, 8, 9), ()]
+    # the 5-9 range, and the digit parent 2 must keep, bind only the inter-parent sweep
+    cfg = parse_config("scenario.exclusions = 0,1;5,6,7,8,9\n")
+    assert cfg.exclusion_groups() == [(0, 1), (5, 6, 7, 8, 9)]
+    cfg = parse_config("scenario.mode = inter-parent\nscenario.exclusions = 5,6,7,8;6,7,8,9;none\n")
+    assert cfg.exclusion_groups() == [(5, 6, 7, 8), (6, 7, 8, 9), ()]
     # partition.threshold binds only the threshold partition of idx data
     for threshold in (1, 9):
         cfg = parse_config(IDX_THRESHOLD + f"partition.threshold = {threshold}\n")
@@ -428,22 +432,26 @@ def test_cli_rejects_a_checkpoint_of_another_seed(tmp_path, fast_cfg, capsys, co
 
 
 @pytest.mark.parametrize("command", ["eval", "export-graph"])
-def test_cli_rejects_a_checkpoint_of_another_feature_scale(tmp_path, fast_cfg, capsys, command):
-    """The scale multiplies every feature the model reads, so a scale other
-    than the checkpoint's would score inputs that train never saw; the
-    synthetic default, 0.32, given explicitly, is the same scale."""
-    ckpt = tmp_path / "train" / "model.ckpt"
-    assert cli.main(["train", "--config", str(fast_cfg), "--out", str(ckpt.parent), "--quiet"]) == 0
+def test_cli_scores_a_checkpoint_with_its_own_feature_scale(tmp_path, fast_cfg, capsys, command):
+    """The model multiplies its inputs by the scale it was trained with, so
+    a config of another scale scores what the training config scores."""
+    train = tmp_path / "train"
+    assert cli.main(["train", "--config", str(fast_cfg), "--out", str(train), "--quiet"]) == 0
     other = tmp_path / "other.txt"
     other.write_text(FAST_SYNTH + "dataset.feature_scale = 1.0\n")
-    argv = [command, "--checkpoint", str(ckpt), "--out", str(tmp_path / command), "--quiet"]
-    assert cli.main([*argv, "--config", str(other)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {ckpt}: trained with feature scale 0.32, but the config's is 1.0\n"
-    assert not (tmp_path / command).exists()
-    other.write_text(FAST_SYNTH + "dataset.feature_scale = 0.32\n")
-    assert cli.main([*argv, "--config", str(other)]) == 0
+    argv = [command, "--checkpoint", str(train / "model.ckpt"), "--quiet"]
+    for name, cfg in (("trained", fast_cfg), ("other", other)):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    if command == "eval":
+        trained, scored = (
+            dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+            for path in (train / "summary.txt", tmp_path / "other" / "eval_summary.txt")
+        )
+        assert (scored["acc"], scored["parent_acc"]) == (trained["acc"], trained["parent_acc"])
+    else:
+        edges = [(tmp_path / name / "graph.edges").read_bytes() for name in ("trained", "other")]
+        assert edges[0] == edges[1]
 
 
 def test_cli_baseline_on_separable_blobs(tmp_path, fast_cfg, capsys):
@@ -471,6 +479,26 @@ def test_cli_scenarios_random_partitions(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert stdout.count("scenario ") == 2
     assert "scenarios mode=random-partitions count=2" in stdout
+
+
+@pytest.mark.parametrize("k, seed", [(5, 1), (2, 9)])
+def test_cli_random_partitions_on_synthetic_data_split_the_cluster_ids(tmp_path, k, seed):
+    """On synthetic data the sweep splits the cluster ids 1..n_p*k near-equally:
+    10 clusters have no digit rule, and seed 9 puts all four of k = 2 in one
+    group when digits 0-9 are split instead."""
+    cfg_path = tmp_path / "cfg.txt"
+    cfg_path.write_text(
+        FAST_SYNTH.replace("head.k = 2", f"head.k = {k}").replace("seed = 1", f"seed = {seed}")
+        + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n"
+    )
+    out = tmp_path / "sweep"
+    assert cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
+    with open(out / "scenarios.csv", newline="") as f:
+        rows = list(csv.DictReader(f))[:2]
+    for row in rows:
+        groups = [set(re.findall(r"\d+", part)) for part in row["description"].split(" vs ")]
+        assert sorted(len(g) for g in groups) == [k, k]
+        assert set.union(*groups) == {str(c) for c in range(1, 2 * k + 1)}
 
 
 def test_cli_scenarios_csv_reads_back_with_csv_module(tmp_path):
@@ -515,6 +543,35 @@ def test_cli_sweep_scenario_scores_what_train_and_baseline_score(tmp_path, capsy
     assert none["scenario"] == "1" and none["m_eval"] == baseline["m"] == train["m_eval"]
     assert (none["parent_acc"], none["acc"]) == (train["parent_acc"], train["acc"])
     assert none["kmeans_acc"] == baseline["acc"]
+
+
+def test_cli_random_partitions_scenario_0_is_the_partition_train_draws(tmp_path, capsys):
+    """`partition.type = random` and the random-partitions sweep split digits
+    0-9 by one rule, so on a pool that holds only digits 0-7, scenario 0
+    (drawn from the run's seed) is `acol train`'s partition and scores what
+    `acol train` scores."""
+    pixels, labels = bench_digits().generate(720, np.random.default_rng(4))
+    keep = labels < 8
+    write_idx_images(pixels[keep], tmp_path / "imgs.idx")
+    write_idx_labels(labels[keep], tmp_path / "labs.idx")
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(serialize_config(ExperimentConfig(
+        dataset_type="idx", images=str(tmp_path / "imgs.idx"), labels=str(tmp_path / "labs.idx"),
+        partition_type="random", k=4, epochs=2, validation_size=100, seed=4,
+        scenario_mode="random-partitions", scenario_count=1,
+    )))
+    lines = {}  # the key=value fields of each stdout line, per command
+    for command in ("train", "scenarios"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        out = capsys.readouterr().out
+        lines[command] = [dict(re.findall(r"(\w+)=(\S+)", line)) for line in out.splitlines()]
+    (train,), (scenario, _) = lines.values()
+    summary = dict(line.split(" = ", 1) for line in (tmp_path / "train" / "summary.txt").read_text().splitlines())
+    with open(tmp_path / "scenarios" / "scenarios.csv", newline="") as f:
+        assert next(csv.DictReader(f))["description"] == summary["partition"]
+    assert scenario["scenario"] == "0"
+    for key in ("m_train", "m_eval", "parent_acc", "acc"):
+        assert scenario[key] == train[key], key
 
 
 def test_cli_export_graph(tmp_path, fast_cfg, capsys):
@@ -739,18 +796,30 @@ def test_cli_rejects_a_head_parent_without_rows(tmp_path, capsys, command, lines
 
 
 @pytest.mark.parametrize("dataset", ["synthetic", "idx"])
-def test_cli_scenarios_rejects_the_single_mode_before_reading_data(tmp_path, capsys, dataset):
-    """The mode is checked first: no pool is read, so missing IDX files go
-    unreported, and no output directory is made."""
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ("scenario.mode = single\n", "scenario.mode 'single' is not a sweep mode"),
+        ("scenario.mode = inter-parent\nscenario.exclusions = none;5,6,7,8,9\n",
+         "{cfg}: scenario.exclusions group '5,6,7,8,9' drops every digit of parent 2"),
+    ],
+    ids=["single", "parent-2-emptied"],
+)
+def test_cli_scenarios_rejects_a_config_it_cannot_sweep_before_reading_data(
+    tmp_path, capsys, dataset, lines, message
+):
+    """The mode is checked first, and the exclusions when the config is made:
+    no pool is read, so missing IDX files go unreported, and no output
+    directory is made."""
     cfg = tmp_path / "cfg.txt"
     missing = tmp_path / "missing"
     idx = f"dataset.type = idx\ndataset.images = {missing}-images\ndataset.labels = {missing}-labels\n"
-    cfg.write_text((idx if dataset == "idx" else "") + "scenario.mode = single\n")
+    cfg.write_text((idx if dataset == "idx" else "") + lines)
     out = tmp_path / "run"
     assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: scenario.mode 'single' is not a sweep mode\n"
+    assert captured.err == f"error: {message.format(cfg=cfg)}\n"
     assert not out.exists()
 
 

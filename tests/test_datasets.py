@@ -245,28 +245,25 @@ def _idx_pool_config(tmp_path, pixels, **entries) -> ExperimentConfig:
                             labels=str(tmp_path / "labs.idx"), **entries)
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-def test_idx_features_equal_converting_and_scaling_the_whole_pool_first(tmp_path, scale):
+def test_idx_features_equal_converting_the_whole_pool_first(tmp_path):
     """A few rows at a time, features() gives the bits of converting every
-    pixel of the pool and multiplying by the feature scale before any row is
-    taken."""
+    pixel of the pool before any row is taken; a configured feature scale is
+    the model's, so it does not change them."""
     pixels = np.random.default_rng(1).integers(0, 256, size=(30, 4, 5), dtype=np.uint8)
-    cfg = _idx_pool_config(tmp_path, pixels, feature_scale=scale)
+    cfg = _idx_pool_config(tmp_path, pixels, feature_scale=0.5)
     data = pool_to_dataset(cli.load_pool(cfg, test=False), threshold_partition())
     whole = images_to_features(pixels)
-    if scale != 1.0:
-        whole = whole * scale
     for rows in FEATURE_ROWS:
         assert _same_bits(data.features(rows), whole[rows])
 
 
-def test_synthetic_features_equal_scaling_the_whole_pool_first():
+def test_synthetic_features_are_the_blobs_of_the_pool():
+    """The synthetic default scale, 0.32, is applied by the model, not here."""
     cfg = ExperimentConfig(per_cluster=5)
     data = pool_to_dataset(cli.load_pool(cfg, test=False), cli.default_partition(cfg))
     blobs = synthetic_blobs(cfg.n_parents * cfg.k, cfg.per_cluster, cfg.dim, cfg.separation, cfg.seed)
-    assert data.scale == cfg.resolved_feature_scale() == 0.32
     for rows in FEATURE_ROWS:
-        assert _same_bits(data.features(rows), (blobs.X * 0.32)[rows])
+        assert _same_bits(data.features(rows), blobs.X[rows])
 
 
 def test_an_idx_pool_holds_its_pixels_and_no_float64_matrix(tmp_path):
@@ -280,13 +277,12 @@ def test_an_idx_pool_holds_its_pixels_and_no_float64_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert pool.X.dtype == np.uint8 and pool.X.shape == (m, d) and pool.X.nbytes == m * d
-    assert np.array_equal(pool.X, pixels.reshape(m, d)) and pool.scale == 1.0
+    assert np.array_equal(pool.X, pixels.reshape(m, d))
     assert peak < 2 * m * d  # a float64 copy of the pixels takes 8 * m * d
 
 
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-def test_a_dataset_without_rows_converts_to_an_empty_float64_matrix(scale):
-    data = LabeledDataset(X=np.zeros((0, 6), dtype=np.uint8), t=np.zeros(0, dtype=np.int64), scale=scale)
+def test_a_dataset_without_rows_converts_to_an_empty_float64_matrix():
+    data = LabeledDataset(X=np.zeros((0, 6), dtype=np.uint8), t=np.zeros(0, dtype=np.int64))
     x = data.features()
     assert x.dtype == np.float64 and x.shape == (0, 6)
 

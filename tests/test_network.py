@@ -6,7 +6,7 @@ import platform
 import struct
 import subprocess
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acol.config import ExperimentConfig
-from acol.datasets import LabeledDataset, images_to_features, split_validation, synthetic_blobs
-from acol import network
+from acol.datasets import LabeledDataset, images_to_features, pool_to_dataset, split_validation, synthetic_blobs
+from acol import cli, network
 from acol.head import AcolHead, head_forward, supervised_grad
 from acol.network import (
     CHECKPOINT_TAG,
@@ -451,28 +451,72 @@ def test_train_steps_like_the_frozen_two_pass_loop(sizes, validation_size, batch
     _assert_train_equals_reference(model, toy_data(seed=2), cfg)
 
 
-@pytest.mark.parametrize("validation_size", [0, 20])
-@pytest.mark.parametrize("scale", [1.0, 0.5])
-def test_train_on_uint8_pixels_equals_train_on_their_float64_features(scale, validation_size):
-    """Converting each batch, and the validation part once, as they are needed
-    gives the bits of training on the whole pool converted beforehand."""
-    pixels = np.random.default_rng(7).integers(0, 256, size=(120, 3, 3), dtype=np.uint8)
-    t = 1 + (pixels[:, 0, 0] > 127).astype(np.int64)
-    converted = images_to_features(pixels)
-    datasets = (
-        LabeledDataset(X=pixels.reshape(120, 9), t=t, scale=scale),
-        LabeledDataset(X=converted * scale if scale != 1.0 else converted, t=t),
-    )
-    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
-                           seed=2, validation_size=validation_size)
-    model = init_model([9, 8, 4], AcolHead(2, 2), seed=2)
-    (got, got_report), (want, want_report) = (train(copy.deepcopy(model), d, cfg) for d in datasets)
+def _assert_same_training(got, want, epochs: int) -> None:
+    """Two ``train`` results agree bit for bit: parameters, every record
+    field and the selected epoch."""
+    (got, got_report), (want, want_report) = got, want
     assert got_report.selected_epoch == want_report.selected_epoch
     for la, lb in zip(got.layers, want.layers, strict=True):
         assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
     bits = [[[_bits(v) for v in astuple(r)] for r in report.records] for report in (got_report, want_report)]
-    assert bits[0] == bits[1] and len(bits[0]) == cfg.epochs
+    assert bits[0] == bits[1] and len(bits[0]) == epochs
     assert len({r.train_parent_acc for r in got_report.records}) > 1
+
+
+def _unscaled_data(kind: str) -> LabeledDataset:
+    """A dataset of uint8 pixels, or of the float64 blobs of the synthetic pool."""
+    if kind == "uint8":
+        pixels = np.random.default_rng(7).integers(0, 256, size=(120, 3, 3), dtype=np.uint8)
+        return LabeledDataset(X=pixels.reshape(120, 9), t=1 + (pixels[:, 0, 0] > 127).astype(np.int64))
+    cfg = ExperimentConfig(per_cluster=20)
+    return pool_to_dataset(cli.load_pool(cfg, test=False), cli.default_partition(cfg))
+
+
+@pytest.mark.parametrize("validation_size", [0, 20])
+def test_train_on_uint8_pixels_equals_train_on_their_float64_features(validation_size):
+    """Converting each batch, and the validation part once, as they are needed
+    gives the bits of training on the whole pool converted beforehand."""
+    data = _unscaled_data("uint8")
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=2, validation_size=validation_size)
+    model = init_model([9, 8, 4], AcolHead(2, 2), seed=2)
+    converted = LabeledDataset(X=images_to_features(data.X), t=data.t)
+    _assert_same_training(*(train(copy.deepcopy(model), d, cfg) for d in (data, converted)), cfg.epochs)
+
+
+SCALED = pytest.mark.parametrize("kind, scale", [("uint8", 0.5), ("synthetic", 0.32)])
+
+
+@SCALED
+def test_forward_of_a_scaled_model_equals_forward_at_scale_1_on_scaled_features(kind, scale):
+    """forward multiplies its input by the model's feature scale: on the
+    unscaled features of a pool it gives every output, the scaled input
+    included, bit for bit as the same weights at scale 1 on features
+    multiplied by the scale beforehand, and leaves its input as it was."""
+    data = _unscaled_data(kind)
+    model = init_model([data.X.shape[1], 8, 4], AcolHead(2, 2), seed=2)
+    scaled = replace(model, feature_scale=scale)
+    for rows in (slice(None), slice(3, 17), np.array([29, 0, 5, 5, 12])):
+        x = data.features(rows)
+        got, want = forward(scaled, x), forward(model, x * scale)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert np.array_equal(x, data.features(rows))
+
+
+@SCALED
+def test_train_of_a_scaled_model_equals_train_at_scale_1_on_scaled_features(kind, scale):
+    """Batches, the validation part and its per-epoch pass all see the
+    model's scale: training at scale s on unscaled features gives the bits of
+    training at scale 1 on features multiplied by s."""
+    data = _unscaled_data(kind)
+    cfg = ExperimentConfig(epochs=4, batch_size=16, learning_rate=0.05, momentum=0.9,
+                           seed=2, validation_size=20)
+    model = init_model([data.X.shape[1], 8, 4], AcolHead(2, 2), seed=2)
+    runs = (
+        train(replace(copy.deepcopy(model), feature_scale=scale), data, cfg),
+        train(copy.deepcopy(model), LabeledDataset(X=data.features() * scale, t=data.t), cfg),
+    )
+    _assert_same_training(*runs, cfg.epochs)
 
 
 @pytest.mark.parametrize("validation_size", [0, 20])
