@@ -227,15 +227,15 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     eval_pool = test_pool if test_pool is not None else train_pool
 
-    rows = []
+    rows, memo = [], {}  # the memo clusters each distinct parent subset once per sweep
     for index, partition in enumerate(partitions):
         train_data = pool_to_dataset(train_pool, partition)
         eval_data = pool_to_dataset(eval_pool, partition)
         model, _ = fit(cfg, train_data)
         result = score(model, eval_data)
         try:
-            nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, seed=cfg.seed)
-        except ValueError:  # a parent has fewer rows than head.k: no baseline, as with no rows
+            nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, cfg.seed, memo)
+        except evaluation.TooFewRowsError:  # no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
             kmeans_acc = evaluation.clustering_accuracy(nodes, eval_data.t_star)

@@ -112,7 +112,8 @@ def _plus_plus_centers(x: np.ndarray, n_clusters: int, rng, buf: np.ndarray) -> 
             centers[i] = x[rng.integers(m)]
             continue
         centers[i] = x[rng.choice(m, p=dist_sq / total)]
-        dist_sq = np.minimum(dist_sq, np.sum(_sq_diff(x, centers[i], buf), axis=1))
+        if i + 1 < n_clusters:  # nothing reads the distances to the last center
+            dist_sq = np.minimum(dist_sq, np.sum(_sq_diff(x, centers[i], buf), axis=1))
     return centers
 
 
@@ -132,55 +133,83 @@ def kmeans(x, n_clusters: int, seed: int = 0, restarts: int = 10):
     # iteration; each in-place step rounds exactly as the expression it replaces
     x_sq = np.sum(x * x, axis=1)[:, None]
     buf = np.empty_like(x)
-    best_labels, best_wss = None, np.inf
-    for _ in range(restarts):
-        centers = _plus_plus_centers(x, n_clusters, rng, buf)
-        labels = None
-        for _ in range(100):
+    # Lloyd draws nothing, so seeding every restart first draws what seeding
+    # each one before its own loop would
+    centers = [_plus_plus_centers(x, n_clusters, rng, buf) for _ in range(restarts)]
+    labels = [None] * restarts
+    running = list(range(restarts))
+    for _ in range(100):
+        # the running restarts iterate in lockstep and share one product: a
+        # product only k columns wide would repack all of x for each restart
+        products = x @ np.concatenate([centers[r] for r in running]).T
+        still_running = []
+        for col, r in enumerate(running):
+            c = centers[r]
             dist_sq = (
                 x_sq
-                - 2.0 * (x @ centers.T)
-                + np.sum(centers * centers, axis=1)[None, :]
+                - 2.0 * products[:, col * n_clusters:(col + 1) * n_clusters]
+                + np.sum(c * c, axis=1)[None, :]
             )
             new_labels = np.argmin(dist_sq, axis=1)
-            if labels is not None and np.array_equal(new_labels, labels):
-                break
-            labels = new_labels
+            if labels[r] is not None and np.array_equal(new_labels, labels[r]):
+                continue
+            labels[r] = new_labels
+            still_running.append(r)
             for j in range(n_clusters):
-                mask = labels == j
+                mask = new_labels == j
                 if mask.any():
-                    centers[j] = x[mask].mean(axis=0)
+                    c[j] = x[mask].mean(axis=0)
                 else:
                     # re-seed an empty cluster at the point farthest from its center
                     worst = np.argmax(np.min(dist_sq, axis=1))
-                    centers[j] = x[worst]
+                    c[j] = x[worst]
+        running = still_running
+        if not running:
+            break
+    best_labels, best_wss = None, np.inf
+    for c, assigned in zip(centers, labels):
         # labels index centers by construction; "clip" skips the copy that the
         # default mode makes of ``out`` to keep it intact on a bad index
-        np.take(centers, labels, axis=0, out=buf, mode="clip")
+        np.take(c, assigned, axis=0, out=buf, mode="clip")
         wss = float(np.sum(_sq_diff(x, buf, buf)))
         if wss < best_wss:
-            best_wss, best_labels = wss, labels
+            best_wss, best_labels = wss, assigned
     return best_labels + 1
 
 
-def kmeans_per_parent(x, t, k: int, seed: int = 0):
+class TooFewRowsError(ValueError):
+    """Raised when a parent has fewer rows than the clusters asked of it."""
+
+
+def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     """Baseline matching the comparison protocol: cluster within each parent.
 
     The data is pre-divided by the provided parent labels, each subset is
     clustered into k clusters, and the clusterings are combined with
     disjoint ids ``(parent-1)*k + local``. A parent with fewer than k rows
-    raises ``ValueError`` before any clustering.
+    raises ``TooFewRowsError`` before any clustering. ``memo``, a dict the
+    caller keeps across calls, holds each parent's clustering under its seed,
+    k and rows, so that a subset met again is not clustered again.
     """
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t)
     parents, counts = np.unique(t, return_counts=True)
     for parent, count in zip(parents, counts):
         if count < k:
-            raise ValueError(f"parent {parent} has {count} rows, fewer than head.k = {k}")
+            raise TooFewRowsError(f"parent {parent} has {count} rows, fewer than head.k = {k}")
+    if memo is not None:
+        import hashlib  # here: at module top it adds ~5 ms to every command's start
     combined = np.zeros(len(t), dtype=np.int64)
     for i, parent in enumerate(parents):
         idx = np.nonzero(t == parent)[0]
-        local = kmeans(x[idx], k, seed=seed + i)
+        rows = np.ascontiguousarray(x[idx])
+        if memo is None:
+            local = kmeans(rows, k, seed=seed + i)
+        else:
+            key = (seed + i, k, rows.shape, hashlib.sha256(rows).hexdigest())
+            if key not in memo:
+                memo[key] = kmeans(rows, k, seed=seed + i)
+            local = memo[key]
         combined[idx] = (int(parent) - 1) * k + local
     return combined
 

@@ -143,7 +143,7 @@ MUTANTS = (
     ("scenarios-seed-per-index", "src/acol/cli.py",
      "model, _ = fit(cfg, train_data)", "model, _ = fit(replace(cfg, seed=cfg.seed + index), train_data)"),
     ("scenarios-kmeans-seed-per-index", "src/acol/cli.py",
-     "eval_data.t, cfg.k, seed=cfg.seed)", "eval_data.t, cfg.k, seed=cfg.seed + index)"),
+     "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed + index, memo)"),
     ("checkpoint-header-extra-line-accepted", "src/acol/network.py",
      "if name not in HEADER_FIELDS or name in fields:", "if False:"),
     ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
@@ -165,6 +165,21 @@ MUTANTS = (
      "        labels = sorted(int(v) for v in np.unique(train_pool.fine))\n"
      "        partitions = [datasets.random_partition(cfg.seed + i, labels, cfg.n_parents)\n"
      "                      for i in range(cfg.scenario_count)]\n"),
+    # restarts seeded first and iterated in lockstep; one clustering per distinct
+    # parent subset in a sweep; only too few rows read as a nan baseline.
+    # Equivalent, so not listed: computing the seeding distances to the last
+    # center too (`if i + 1 < n_clusters:` -> `if True:`) costs time, but
+    # nothing reads them and no draw moves.
+    ("kmeans-restarts-share-centers", "src/acol/evaluation.py",
+     "[_plus_plus_centers(x, n_clusters, rng, buf) for _ in range(restarts)]",
+     "[_plus_plus_centers(x, n_clusters, rng, buf)] * restarts"),
+    ("kmeans-lockstep-columns-of-first-restart", "src/acol/evaluation.py",
+     "products[:, col * n_clusters:(col + 1) * n_clusters]", "products[:, :n_clusters]"),
+    ("kmeans-memo-key-drops-seed", "src/acol/evaluation.py", "key = (seed + i, k, ", "key = (k, "),
+    ("scenarios-kmeans-memo-dropped", "src/acol/cli.py",
+     "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed)"),
+    ("scenarios-kmeans-catches-any-value-error", "src/acol/cli.py",
+     "except evaluation.TooFewRowsError:", "except ValueError:"),
 )
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acol import cli, network
+from acol import cli, evaluation, network
 from acol.config import (
     ExperimentConfig,
     load_config,
@@ -966,6 +966,44 @@ def test_cli_sweep_aggregates_skip_nan_scenarios(tmp_path, capsys, exclusions):
     assert [r["kmeans_acc"] for r in aggregates] == [expected] * 4
     assert "nan" not in [r["acc"] for r in aggregates]
     assert f"kmeans_mean={float(expected):.6f}" in capsys.readouterr().out
+
+
+def test_cli_sweep_stops_on_any_other_k_means_error(tmp_path, capsys, monkeypatch):
+    """Only a parent with too few rows reads as a nan baseline; any other
+    error from k-means is the sweep's error."""
+
+    def boom(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("acol.evaluation.kmeans", boom)
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(FAST_SYNTH + "scenario.mode = random-partitions\nscenario.count = 1\ntrain.epochs = 1\n")
+    out = tmp_path / "run"
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: boom\n")
+    assert not (out / "scenarios.csv").exists()
+
+
+@pytest.mark.parametrize("sweep, calls", [
+    ({"scenario_mode": "inter-parent", "scenario_exclusions": "none;9;8,9"}, 4),
+    ({"scenario_mode": "random-partitions", "scenario_count": 2}, 4),
+], ids=["inter-parent", "random-partitions"])
+def test_cli_sweep_clusters_each_distinct_parent_subset_once(tmp_path, monkeypatch, sweep, calls):
+    """Parent 1 (digits 0-4) keeps its rows and its seed in every
+    inter-parent scenario, so the sweep clusters it once: 1 + 3 calls, not
+    6. Each random partition gives both parents new rows: 2 per scenario."""
+    digits, rng, paths = bench_digits(), np.random.default_rng(8), {}
+    for stem, count, keys in (("train", 300, ("images", "labels")),
+                              ("t10k", 150, ("test_images", "test_labels"))):
+        paths.update(zip(keys, digits.write_pair(count, rng, str(tmp_path / stem))))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(serialize_config(ExperimentConfig(
+        dataset_type="idx", **paths, k=5, epochs=1, validation_size=50, seed=2, **sweep,
+    )))
+    kmeans, rows = evaluation.kmeans, []
+    monkeypatch.setattr("acol.evaluation.kmeans", lambda x, *a, **kw: rows.append(len(x)) or kmeans(x, *a, **kw))
+    assert cli.main(["scenarios", "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    assert len(rows) == calls
 
 
 def test_cli_baseline_stops_before_clustering_a_parent_with_fewer_rows_than_k(tmp_path, capsys, monkeypatch):

@@ -218,7 +218,7 @@ def oracle_kmeans(x, n_clusters: int, seed: int = 0, max_iter: int = 100, restar
 
 
 def _oracle_cases():
-    """(name, x, k, seed, restarts) for 21 mixes of shape, width, seed and k."""
+    """(name, x, k, seed, restarts) for 25 mixes of shape, width, seed and k."""
     rng = np.random.default_rng(40)
     cases = []
     for seed in (0, 1, 2):
@@ -240,6 +240,12 @@ def _oracle_cases():
     # must take the row farthest from its center, not any row
     spread = np.vstack([np.random.default_rng(44).normal(size=(6, 2)), [[1e8, 0.0], [1e8, 0.5]]])
     cases.append(("empty-cluster-spread-k3", spread, 3, 4, 1))
+    # pixel-like subsets on either side of m*d*k = 1e6: below it, a restart's
+    # k columns of the shared product can differ from its own narrow product
+    # in the last bit
+    for m, k in ((300, 3), (510, 5)):
+        big = np.where(rng.random((m, 784)) < 0.2, rng.random((m, 784)), 0.0)
+        cases += [(f"pixels-{m}x784-k{k}-s{s}", big, k, s, 10) for s in (8, 9)]
     return cases
 
 
@@ -264,6 +270,26 @@ def test_kmeans_oracle_cases_cover_both_edge_branches(monkeypatch):
     oracle_kmeans(x, k, seed=seed, restarts=restarts)
     monkeypatch.undo()
     assert calls
+
+
+def test_restarts_are_seeded_in_order_from_one_stream(monkeypatch):
+    """All restarts are seeded before they iterate together: restart r starts
+    from the r-th seeding of the oracle's one generator."""
+    x = np.random.default_rng(45).normal(size=(90, 6))
+    seeded = []
+
+    def record(*args):
+        centers = _plus_plus_centers(*args)
+        seeded.append(centers.copy())
+        return centers
+
+    monkeypatch.setattr("acol.evaluation._plus_plus_centers", record)
+    labels = kmeans(x, 4, seed=3, restarts=5)
+    rng = np.random.default_rng(3)
+    assert len(seeded) == 5
+    for got in seeded:
+        assert got.tobytes() == _oracle_plus_plus_centers(x, 4, rng).tobytes()
+    assert np.array_equal(labels, oracle_kmeans(x, 4, seed=3, restarts=5))
 
 
 def test_plus_plus_seeding_redraws_a_uniform_row_when_no_distance_is_left():
@@ -357,6 +383,39 @@ def test_kmeans_per_parent_id_ranges():
         assert ids <= set(range(low, high + 1))
     # separable blobs: the combined clustering matches the fine truth
     assert clustering_accuracy(combined, pool.fine) >= 0.99
+
+
+def _counting_kmeans(monkeypatch):
+    """Patch ``evaluation.kmeans`` to log the row count of each call."""
+    calls = []
+    monkeypatch.setattr("acol.evaluation.kmeans", lambda x, *a, **kw: calls.append(len(x)) or kmeans(x, *a, **kw))
+    return calls
+
+
+def test_kmeans_per_parent_memo_clusters_each_subset_once(monkeypatch):
+    pool = synthetic_blobs(4, per_cluster=30, dim=3, separation=6.0, seed=37)
+    t = (pool.fine - 1) % 2 + 1
+    expected = kmeans_per_parent(pool.X, t, k=2, seed=5)
+    calls, memo = _counting_kmeans(monkeypatch), {}
+    assert np.array_equal(kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo), expected)
+    assert np.array_equal(kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo), expected)
+    assert calls == [60, 60] and len(memo) == 2
+    # parent 2 loses a row: only its subset is new
+    keep = np.arange(len(t)) != np.nonzero(t == 2)[0][0]
+    kmeans_per_parent(pool.X[keep], t[keep], k=2, seed=5, memo=memo)
+    assert calls == [60, 60, 59]
+
+
+@pytest.mark.parametrize("seed, k", [(6, 2), (5, 3)])
+def test_kmeans_per_parent_memo_misses_another_seed_or_k(monkeypatch, seed, k):
+    pool = synthetic_blobs(4, per_cluster=30, dim=3, separation=6.0, seed=37)
+    t = (pool.fine - 1) % 2 + 1
+    memo = {}
+    kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo)
+    calls = _counting_kmeans(monkeypatch)
+    combined = kmeans_per_parent(pool.X, t, k=k, seed=seed, memo=memo)
+    assert calls == [60, 60]
+    assert np.array_equal(combined, kmeans_per_parent(pool.X, t, k=k, seed=seed))
 
 
 # --- exports ----------------------------------------------------------------
