@@ -128,20 +128,18 @@ def _summary_line(command: str, entries: dict) -> str:
 def run_train(cfg: ExperimentConfig, args) -> dict:
     """Train one model and persist checkpoint, metrics, embeddings, summary."""
     train_pool, test_pool = load_pools(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     partition = default_partition(cfg)
     train_data = pool_to_dataset(train_pool, partition)
     eval_data = pool_to_dataset(test_pool, partition) if test_pool is not None else train_data
 
     model, report = fit(cfg, train_data)
-    network.save_checkpoint(model, out / "model.ckpt", epoch=report.selected_epoch)
+    network.save_checkpoint(model, args.out / "model.ckpt", epoch=report.selected_epoch)
     names = [f.name for f in fields(network.EpochRecord)]
-    evaluation.write_csv(out / "metrics.csv", names, map(astuple, report.records))
+    evaluation.write_csv(args.out / "metrics.csv", names, map(astuple, report.records))
 
     result = score(model, eval_data)
     evaluation.export_embeddings(
-        result["z"], result["annotations"], eval_data.t_star, out / "embeddings.csv"
+        result["z"], result["annotations"], eval_data.t_star, args.out / "embeddings.csv"
     )
     summary = {
         "dataset": cfg.dataset_type,
@@ -153,8 +151,10 @@ def run_train(cfg: ExperimentConfig, args) -> dict:
         "parent_acc": result["parent_acc"],
         "acc": result["acc"],
     }
-    (out / "summary.txt").write_text(format_key_values(summary))
-    (out / "config.txt").write_text(serialize_config(cfg))
+    with datasets.artifact(args.out / "summary.txt", "w") as f:
+        f.write(format_key_values(summary))
+    with datasets.artifact(args.out / "config.txt", "w") as f:
+        f.write(serialize_config(cfg))
     del summary["partition"]  # summary.txt only
     return summary
 
@@ -200,9 +200,8 @@ def run_eval(cfg: ExperimentConfig, args) -> dict:
         "parent_acc": result["parent_acc"],
         "acc": result["acc"],
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "eval_summary.txt").write_text(format_key_values(summary))
+    with datasets.artifact(args.out / "eval_summary.txt", "w") as f:
+        f.write(format_key_values(summary))
     return summary
 
 
@@ -223,8 +222,6 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         raise ValueError(f"scenario.mode '{cfg.scenario_mode}' is not a sweep mode")
     partitions = _scenario_partitions(cfg)
     train_pool, test_pool = load_pools(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     eval_pool = test_pool if test_pool is not None else train_pool
 
     rows, memo = [], {}  # the memo clusters each distinct parent subset once per sweep
@@ -261,7 +258,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
     for name, reduce in (("worst", np.min), ("median", np.median), ("best", np.max), ("mean", np.mean)):
         acc, kacc = (float(reduce(c)) if c.size else float("nan") for c in columns)
         table.append({"scenario": name, "description": "aggregate", "acc": acc, "kmeans_acc": kacc})
-    evaluation.write_csv(out / "scenarios.csv", header, ([r.get(k, "") for k in header] for r in table))
+    evaluation.write_csv(args.out / "scenarios.csv", header, ([r.get(k, "") for k in header] for r in table))
     return {"mode": cfg.scenario_mode, "count": len(rows), "acc_mean": acc, "kmeans_mean": kacc}
 
 
@@ -283,9 +280,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
     take = min(args.limit, len(data))
     z = network.forward(model, data.features(slice(0, take)))[-1]
     rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "graph.edges"
+    path = args.out / "graph.edges"
     evaluation.export_graph(rows, args.threshold, path, truth=data.t_star[:take])
     return {"rows": take, "source": args.source, "threshold": args.threshold, "path": str(path)}
 
@@ -321,8 +316,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         cfg = config if args.seed is None else replace(config, seed=args.seed)
-        if args.out is None:
-            args.out = cfg.output_dir
+        args.out = Path(cfg.output_dir if args.out is None else args.out)
         summary = args.run(cfg, args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -9,8 +9,10 @@ IDX layout (all integers big-endian):
     labels: i32 magic 0x00000801, i32 count, u8 labels
 """
 
+import contextlib
 import itertools
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +24,21 @@ LABELS_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Raised for malformed IDX files and mismatched image/label pairs."""
+
+
+@contextlib.contextmanager
+def artifact(path, mode: str):
+    """Yield ``<name>.<pid>.tmp`` beside ``path``, its directory made, opened in ``mode`` (text
+    ends lines in ``\\n``); a clean exit renames it over ``path``, an exception deletes it."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    f = open(f"{path}.{os.getpid()}.tmp", mode, newline=None if "b" in mode else "")
+    try:
+        with f:
+            yield f
+        os.replace(f.name, path)
+    except BaseException:
+        os.remove(f.name)
+        raise
 
 
 @dataclass
@@ -131,7 +148,7 @@ def _write_idx(path, magic: int, values) -> None:
     bad = np.flatnonzero(as_bytes != values)
     if bad.size:
         raise ValueError(f"{path}: IDX values must be integers in 0..255, got {values.flat[bad[0]]}")
-    with open(str(path), "wb") as f:
+    with artifact(path, "wb") as f:
         f.write(struct.pack(f">{1 + values.ndim}i", magic, *values.shape))
         f.write(as_bytes.tobytes())
 

@@ -11,6 +11,8 @@ import csv
 
 import numpy as np
 
+from .datasets import artifact
+
 
 def clustering_accuracy(assignments, truth) -> float:
     """Best one-to-one accuracy between cluster assignments and true labels.
@@ -226,11 +228,9 @@ def export_graph(rows, threshold: float, path, truth) -> None:
     """
     sim = rows @ rows.T
     i, j = np.nonzero(np.triu(sim > threshold, 1))  # row-major, as a loop over i, then j > i
-    with open(str(path), "w") as f:
-        for v in range(len(sim)):
-            f.write(f"# vertex {v + 1} {int(truth[v])}\n")
-        for a, b, w in zip(i.tolist(), j.tolist(), sim[i, j].tolist()):
-            f.write(f"{a + 1} {b + 1} {w:.6g}\n")
+    with artifact(path, "w") as f:
+        f.writelines(f"# vertex {v + 1} {int(truth[v])}\n" for v in range(len(sim)))
+        f.writelines(f"{a + 1} {b + 1} {w:.6g}\n" for a, b, w in zip(i.tolist(), j.tolist(), sim[i, j].tolist()))
 
 
 def export_embeddings(z, annotations, truth, path) -> None:
@@ -243,8 +243,7 @@ def export_embeddings(z, annotations, truth, path) -> None:
     """
     z = np.asarray(z, dtype=np.float64)
     n = z.shape[1]
-    node, parent, sub = annotations
-    labels = np.column_stack([node, parent, sub, truth]).astype(np.int64).tolist()
+    labels = np.column_stack([*annotations, truth]).astype(np.int64).tolist()
     header = [f"z{j}" for j in range(n)] + ["node", "parent", "sub", "truth"]
     write_csv(path, header, ([*(f"{v:.12g}" for v in values), *ids] for values, ids in zip(z, labels)))
 
@@ -253,7 +252,7 @@ def write_csv(path, header, rows) -> None:
     """Write the header, then each row as it comes, as CSV lines ending in
     ``\\n``; the csv module quotes only a value holding a comma, a quote or a
     line break, and writes floats by repr."""
-    with open(path, "w", newline="") as f:
+    with artifact(path, "w") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

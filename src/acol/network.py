@@ -286,7 +286,7 @@ def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     sizes, scale = ",".join(map(str, model.layer_sizes)), repr(float(model.feature_scale))
     values = (sizes, scale, model.head.n_parents, model.head.k, model.rng_seed, epoch)
     lines = "".join(f"{name}: {value}\n" for name, value in zip(HEADER_FIELDS, values, strict=True))
-    with open(str(path), "wb") as f:
+    with datasets.artifact(path, "wb") as f:
         f.write(f"{CHECKPOINT_TAG}\n{lines}\n".encode("ascii"))
         for layer in model.layers:
             f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())

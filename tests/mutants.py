@@ -180,6 +180,24 @@ MUTANTS = (
      "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed)"),
     ("scenarios-kmeans-catches-any-value-error", "src/acol/cli.py",
      "except evaluation.TooFewRowsError:", "except ValueError:"),
+    # every artifact reaches disk through datasets.artifact, whole or not at all;
+    # each mutant writes one site in place, as the writers did before
+    ("summary-written-in-place", "src/acol/cli.py",
+     'datasets.artifact(args.out / "summary.txt", "w")', 'open(args.out / "summary.txt", "w")'),
+    ("config-txt-written-in-place", "src/acol/cli.py",
+     'datasets.artifact(args.out / "config.txt", "w")', 'open(args.out / "config.txt", "w")'),
+    ("eval-summary-written-in-place", "src/acol/cli.py",
+     'datasets.artifact(args.out / "eval_summary.txt", "w")', 'open(args.out / "eval_summary.txt", "w")'),
+    ("csv-written-in-place", "src/acol/evaluation.py",
+     'with artifact(path, "w") as f:\n        writer', 'with open(path, "w", newline="") as f:\n        writer'),
+    ("graph-written-in-place", "src/acol/evaluation.py",
+     'with artifact(path, "w") as f:\n        f.writelines', 'with open(path, "w") as f:\n        f.writelines'),
+    ("checkpoint-written-in-place", "src/acol/network.py",
+     'datasets.artifact(path, "wb")', 'open(path, "wb")'),
+    ("idx-written-in-place", "src/acol/datasets.py",
+     'with artifact(path, "wb") as f:', 'with open(path, "wb") as f:'),
+    ("artifact-keeps-temporary-on-error", "src/acol/datasets.py",
+     "        os.remove(f.name)\n        raise\n", "        raise\n"),
 )
 
 
