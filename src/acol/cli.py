@@ -90,8 +90,8 @@ def fit(cfg: ExperimentConfig, data: datasets.LabeledDataset):
     settings; returns ``network.train``'s ``(model, report)``. ``cfg.seed``
     drives the initialization, the validation split and the batch order."""
     head = AcolHead(cfg.n_parents, cfg.k)
-    sizes = [data.X.shape[1], *cfg.resolved_hidden(), head.n]
-    model = replace(network.init_model(sizes, head, cfg.seed), feature_scale=cfg.resolved_feature_scale())
+    sizes = [data.X.shape[1], *cfg.resolved("hidden"), head.n]
+    model = replace(network.init_model(sizes, head, cfg.seed), feature_scale=cfg.resolved("feature_scale"))
     return network.train(model, data, cfg)
 
 

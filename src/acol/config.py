@@ -1,24 +1,27 @@
 """Experiment configuration: a flat ``key = value`` text format.
 
 Lines are ``dotted.key = value``; blank lines and ``#`` comments are
-ignored. Unknown keys are rejected. ``serialize_config`` writes every key
-in field order with full-precision floats, so parse/serialize round-trips
-are lossless.
+ignored. Unknown and repeated keys are rejected. ``serialize_config``
+writes every key in field order with full-precision floats, so
+parse/serialize round-trips are lossless.
 
-Each ``ExperimentConfig`` field declares its file key, its default and its
-range rule in one place; parsing, serializing and ``__post_init__``'s checks
-walk the fields, and a value must have its field's type. A config is frozen
-and checked when it is made: ``dataclasses.replace`` makes a checked copy.
+Each ``ExperimentConfig`` field declares its file key, its default, its rule
+(a bound or a set of choices) and its per-dataset default in one place;
+parsing, serializing and ``__post_init__``'s checks walk the fields, and a
+value must have its field's type. A config is frozen and checked when it is
+made: ``dataclasses.replace`` makes a checked copy.
 """
 
 import math
 from dataclasses import dataclass, field, fields
 
 
-def _key(name: str, default, rule=None):
-    """A config field read from file key ``name``; ``rule`` is ``(op, bound)``
-    with op ``">"`` or ``">="`` (floats must also be finite)."""
-    return field(default=default, metadata={"key": name, "rule": rule})
+def _key(name: str, default, rule=None, auto=None):
+    """A config field read from file key ``name``. ``rule`` is ``("in", choices)``
+    or ``(op, bound)`` with op ``">"`` or ``">="`` (floats must also be finite, and
+    each entry of a tuple must hold it). ``auto`` maps each ``dataset.type`` to the
+    value that 0 or empty stands for; see ``ExperimentConfig.resolved``."""
+    return field(default=default, metadata={"key": name, "rule": rule, "auto": auto})
 
 
 # what a field of each type holds (a tuple: ints), and its name in messages;
@@ -29,7 +32,7 @@ _TYPES = {int: (int, "an int"), float: ((int, float), "a float"), str: (str, "a 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset_type: str = _key("dataset.type", "synthetic")  # synthetic | idx
+    dataset_type: str = _key("dataset.type", "synthetic", ("in", ("synthetic", "idx")))
     images: str = _key("dataset.images", "")  # IDX training pair
     labels: str = _key("dataset.labels", "")
     test_images: str = _key("dataset.test_images", "")  # optional IDX test pair
@@ -41,10 +44,12 @@ class ExperimentConfig:
     test_per_cluster: int = _key("dataset.test_per_cluster", 200, (">=", 1))
     dim: int = _key("dataset.dim", 8, (">=", 1))
     separation: float = _key("dataset.separation", 10.0, (">", 0))
-    # multiply features by this before training; 0 = auto (0.32 synthetic, 1.0 idx)
-    feature_scale: float = _key("dataset.feature_scale", 0.0, (">=", 0))
-    # threshold | random (idx datasets); threshold 1..9: digits below -> parent 1
-    partition_type: str = _key("partition.type", "threshold")
+    # the model multiplies its inputs by this. Synthetic inputs are shrunk so that
+    # first-layer activations start small and GAR steers the duplicate race before the
+    # supervised margins saturate; idx pixels are already in [0, 1] and stay as they are
+    feature_scale: float = _key("dataset.feature_scale", 0.0, (">=", 0), {"synthetic": 0.32, "idx": 1.0})
+    # idx datasets; threshold 1..9: digits below -> parent 1
+    partition_type: str = _key("partition.type", "threshold", ("in", ("threshold", "random")))
     partition_threshold: int = _key("partition.threshold", 5)
     n_parents: int = _key("head.n_p", 2, (">=", 2))
     k: int = _key("head.k", 3, (">=", 1))  # softmax duplicates per parent
@@ -56,52 +61,45 @@ class ExperimentConfig:
     learning_rate: float = _key("train.lr", 0.01, (">", 0))
     momentum: float = _key("train.momentum", 0.9)
     validation_size: int = _key("train.validation_size", 1000, (">=", 0))
-    # hidden widths, comma separated; empty = auto (2048 synthetic, 256,128 idx)
-    hidden: tuple = _key("train.hidden", ())
+    # hidden widths, comma separated. One wide layer gives the low-dimensional synthetic
+    # data plenty of first-layer directions for the duplicate nodes to claim
+    hidden: tuple = _key("train.hidden", (), (">=", 1), {"synthetic": (2048,), "idx": (256, 128)})
     seed: int = _key("seed", 0, (">=", 0))
     output_dir: str = _key("output.dir", "out")
-    # single | random-partitions | inter-parent
-    scenario_mode: str = _key("scenario.mode", "single")
+    scenario_mode: str = _key("scenario.mode", "single", ("in", ("single", "random-partitions", "inter-parent")))
     scenario_count: int = _key("scenario.count", 4, (">=", 1))  # random-partitions repetitions
     # inter-parent: ;-separated groups of fine labels dropped from parent 2
     scenario_exclusions: str = _key("scenario.exclusions", "none;9;8,9")
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value, (kinds, name) = getattr(self, f.name), _TYPES[f.type]
+            key, value, (kinds, name) = f.metadata["key"], getattr(self, f.name), _TYPES[f.type]
             items = value if f.type is tuple and isinstance(value, tuple) else (value,)
             if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
-                raise ValueError(f"{f.metadata['key']} must be {name}, got {value!r}")
-        if self.dataset_type not in ("synthetic", "idx"):
-            raise ValueError(f"dataset.type must be 'synthetic' or 'idx', got '{self.dataset_type}'")
+                raise ValueError(f"{key} must be {name}, got {value!r}")
+            op, bound = f.metadata["rule"] or (None, None)
+            if op == "in" and value not in bound:
+                raise ValueError(f"{key} must be {' or '.join(map(repr, bound))}, got '{value}'")
+            if op not in (">", ">="):
+                continue
+            ok = all(v > bound if op == ">" else v >= bound for v in items)
+            if f.type is float and not (math.isfinite(value) and ok):
+                raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
+            if f.type is tuple and not ok:
+                raise ValueError(f"{key} widths must each be {op} {bound}, got {','.join(map(str, value))}")
+            if not ok:
+                raise ValueError(f"{key} must be {op} {bound}, got {value}")
         if self.dataset_type == "idx" and not (self.images and self.labels):
             raise ValueError("idx datasets need dataset.images and dataset.labels paths")
-        if self.partition_type not in ("threshold", "random"):
-            raise ValueError(f"partition.type must be 'threshold' or 'random', got '{self.partition_type}'")
         if self.dataset_type == "idx" and self.partition_type == "threshold":
             if self.n_parents != 2:
                 raise ValueError("a threshold partition produces 2 parents; set head.n_p = 2")
             if not 1 <= self.partition_threshold <= 9:
                 raise ValueError(f"partition.threshold must be in 1..9, got {self.partition_threshold}")
-        if self.scenario_mode not in ("single", "random-partitions", "inter-parent"):
-            raise ValueError(f"unknown scenario.mode '{self.scenario_mode}'")
-        for f in fields(self):
-            if f.metadata["rule"] is None:
-                continue
-            key, (op, bound), value = f.metadata["key"], f.metadata["rule"], getattr(self, f.name)
-            ok = value > bound if op == ">" else value >= bound
-            if f.type is float and not (math.isfinite(value) and ok):
-                raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
-            if not ok:
-                raise ValueError(f"{key} must be {op} {bound}, got {value}")
         if self.train_limit and self.dataset_type == "synthetic":
             raise ValueError(
                 f"dataset.train_limit applies to idx data only, got {self.train_limit} "
                 "with dataset.type = synthetic"
-            )
-        if any(width < 1 for width in self.hidden):
-            raise ValueError(
-                f"train.hidden widths must each be >= 1, got {','.join(map(str, self.hidden))}"
             )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"train.momentum must be in [0, 1), got {self.momentum}")
@@ -118,27 +116,14 @@ class ExperimentConfig:
                 text = ",".join(map(str, group))
                 raise ValueError(f"scenario.exclusions group '{text}' drops every digit of parent 2")
 
+    def resolved(self, name: str):
+        """Field ``name``'s value, or its ``auto`` entry for this ``dataset.type``
+        when the value is 0 or empty."""
+        return getattr(self, name) or self.__dataclass_fields__[name].metadata["auto"][self.dataset_type]
+
     def resolved_hidden(self) -> tuple:
-        """Hidden widths, with the empty tuple meaning the per-dataset default.
-
-        A single wide layer suits the low-dimensional synthetic protocol
-        (plenty of first-layer directions for the duplicate nodes to claim);
-        image runs use the narrower two-layer stack.
-        """
-        if self.hidden:
-            return self.hidden
-        return (2048,) if self.dataset_type == "synthetic" else (256, 128)
-
-    def resolved_feature_scale(self) -> float:
-        """Input multiplier, with 0 meaning the per-dataset default.
-
-        Synthetic features are shrunk so first-layer activations start small
-        and the regularizers steer the duplicate race before the supervised
-        margins saturate; idx features are already in [0,1] and stay as-is.
-        """
-        if self.feature_scale > 0:
-            return self.feature_scale
-        return 0.32 if self.dataset_type == "synthetic" else 1.0
+        """``resolved("hidden")``, the name ``bench/run.py`` calls."""
+        return self.resolved("hidden")
 
     def exclusion_groups(self) -> list[tuple[int, ...]]:
         """Parse scenario.exclusions: ';'-separated comma lists, 'none' = empty."""
@@ -171,9 +156,9 @@ def _format_value(kind: type, value) -> str:
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown keys and malformed lines are errors."""
+    """Parse config text; unknown or repeated keys and malformed lines are errors."""
     by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
-    values = {}
+    values, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -184,6 +169,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in by_key:
             raise ValueError(f"line {lineno}: unknown config key '{key}'")
+        if key in lines:
+            raise ValueError(f"line {lineno}: config key '{key}' repeats line {lines[key]}")
+        lines[key] = lineno
         f = by_key[key]
         try:
             values[f.name] = _parse_value(f.type, raw.strip())

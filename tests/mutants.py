@@ -153,7 +153,7 @@ MUTANTS = (
     ("checkpoint-header-seed-floor", "src/acol/network.py", '"seed": 0, "epoch"', '"seed": -1, "epoch"'),
     ("checkpoint-header-scale-unchecked", "src/acol/network.py", "if not 0 < scale < np.inf:", "if False:"),
     ("fit-scale-unrecorded", "src/acol/cli.py",
-     "feature_scale=cfg.resolved_feature_scale())", "feature_scale=1.0)"),
+     'feature_scale=cfg.resolved("feature_scale"))', "feature_scale=1.0)"),
     # the model applies its own input scale; one rule for a random partition; parent 2 keeps a digit
     ("forward-scale-dropped", "src/acol/network.py", "if model.feature_scale != 1.0:", "if False:"),
     ("exclusions-empty-parent-accepted", "src/acol/config.py",
@@ -198,6 +198,13 @@ MUTANTS = (
      'with artifact(path, "wb") as f:', 'with open(path, "wb") as f:'),
     ("artifact-keeps-temporary-on-error", "src/acol/datasets.py",
      "        os.remove(f.name)\n        raise\n", "        raise\n"),
+    # each config field declares its choices, bound and per-dataset default; a key is read once
+    ("config-choice-unchecked", "src/acol/config.py", 'if op == "in" and value not in bound:', "if False:"),
+    ("config-tuple-rule-first-entry-only", "src/acol/config.py",
+     'v >= bound for v in items)', 'v >= bound for v in items[:1])'),
+    ("idx-feature-scale-auto-shrunk", "src/acol/config.py",
+     '{"synthetic": 0.32, "idx": 1.0}', '{"synthetic": 0.32, "idx": 0.32}'),
+    ("config-repeated-key-accepted", "src/acol/config.py", "if key in lines:", "if False:"),
 )
 
 

@@ -105,21 +105,20 @@ def test_parse_ignores_comments_and_blanks():
 
 
 def test_validate_rules():
-    with pytest.raises(ValueError, match="dataset.type"):
-        parse_config("dataset.type = csv\n")
     with pytest.raises(ValueError, match="dataset.images"):
         parse_config("dataset.type = idx\n")
     with pytest.raises(ValueError, match="head.n_p = 2"):
         parse_config(
             "dataset.type = idx\ndataset.images = a\ndataset.labels = b\nhead.n_p = 3\n"
         )
-    with pytest.raises(ValueError, match="scenario.mode"):
-        parse_config("scenario.mode = sweep\n")
     # synthetic datasets may use any n_p regardless of partition.type
     cfg = parse_config("dataset.type = synthetic\nhead.n_p = 3\n")
     assert cfg.n_parents == 3
     # range rules name the key and the bound
     for line, message in [
+        ("dataset.type = csv", "dataset.type must be 'synthetic' or 'idx', got 'csv'"),
+        ("scenario.mode = sweep",
+         "scenario.mode must be 'single' or 'random-partitions' or 'inter-parent', got 'sweep'"),
         ("train.epochs = -3", "train.epochs must be >= 0, got -3"),
         ("train.hidden = 16,0", "train.hidden widths must each be >= 1, got 16,0"),
         ("dataset.per_cluster = 0", "dataset.per_cluster must be >= 1, got 0"),
@@ -220,10 +219,19 @@ def test_every_field_declares_one_key_and_its_bound_holds():
     # config.txt lists every key once, in field order
     assert [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()] == keys
     bounded = [f for f in declared if f.metadata["rule"] is not None]
-    assert {f.metadata["key"] for f in bounded} >= {"seed", "head.n_p", "gar.c_f"}
+    assert {f.metadata["key"] for f in bounded} >= {"seed", "head.n_p", "gar.c_f", "dataset.type", "train.hidden"}
+    paths = "dataset.images = a\ndataset.labels = b\n"  # what an idx choice needs besides its key
     for f in bounded:
         key, (op, bound) = f.metadata["key"], f.metadata["rule"]
-        if f.type is int:
+        if op == "in":
+            for choice in bound:
+                assert getattr(parse_config(f"{paths}{key} = {choice}\n"), f.name) == choice
+            past, message = "other", f"{key} must be {' or '.join(map(repr, bound))}, got 'other'"
+        elif f.type is tuple:
+            assert op == ">="
+            assert getattr(parse_config(f"{key} = {bound}\n"), f.name) == (bound,)
+            past, message = bound - 1, f"{key} widths must each be >= {bound}, got {bound - 1}"
+        elif f.type is int:
             assert op == ">="
             assert getattr(parse_config(f"{key} = {bound}\n"), f.name) == bound
             past, message = bound - 1, f"{key} must be >= {bound}, got {bound - 1}"
@@ -231,18 +239,44 @@ def test_every_field_declares_one_key_and_its_bound_holds():
             inside = bound if op == ">=" else math.nextafter(bound, math.inf)
             assert getattr(parse_config(f"{key} = {inside!r}\n"), f.name) == inside
             past = math.nextafter(bound, -math.inf) if op == ">=" else float(bound)
-            message = f"{key} must be finite and {op} {bound}, got {past}"
+            past, message = repr(past), f"{key} must be finite and {op} {bound}, got {past}"
         with pytest.raises(ValueError) as err:
-            parse_config(f"{key} = {past!r}\n")
+            parse_config(f"{key} = {past}\n")
         assert str(err.value) == message
+    # 0 or empty stands for the field's auto entry for each dataset.type; config.txt keeps it as written
+    dataset_types = ExperimentConfig.__dataclass_fields__["dataset_type"].metadata["rule"][1]
+    auto = {f.metadata["key"]: f for f in declared if f.metadata["auto"] is not None}
+    assert {key: f.metadata["auto"] for key, f in auto.items()} == {
+        "dataset.feature_scale": {"synthetic": 0.32, "idx": 1.0},
+        "train.hidden": {"synthetic": (2048,), "idx": (256, 128)},
+    }
+    written = {"dataset.feature_scale": ("0.0", "2.5", 2.5), "train.hidden": ("", "7,3", (7, 3))}
+    for key, f in auto.items():
+        assert set(f.metadata["auto"]) == set(dataset_types)
+        zero, raw, value = written[key]
+        for dataset_type in dataset_types:
+            cfg = parse_config(f"{paths}dataset.type = {dataset_type}\n")
+            assert cfg.resolved(f.name) == f.metadata["auto"][dataset_type]
+            assert f"\n{key} = {zero}\n" in serialize_config(cfg)
+            cfg = parse_config(f"{paths}dataset.type = {dataset_type}\n{key} = {raw}\n")
+            assert cfg.resolved(f.name) == value
+            assert f"\n{key} = {raw}\n" in serialize_config(cfg)
     for cfg in (ExperimentConfig(), parse_config(FAST_SYNTH), parse_config(IDX_THRESHOLD)):
         assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_the_first_bad_bounded_key_in_field_order_is_reported():
-    with pytest.raises(ValueError) as err:
-        parse_config("head.n_p = 1\ndataset.separation = 0\n")
-    assert str(err.value) == "dataset.separation must be finite and > 0, got 0.0"
+    for text, message in [
+        ("head.n_p = 1\ndataset.separation = 0\n", "dataset.separation must be finite and > 0, got 0.0"),
+        ("seed = -1\ntrain.hidden = 16,0\n", "train.hidden widths must each be >= 1, got 16,0"),
+        ("scenario.mode = sweep\npartition.type = foo\n",
+         "partition.type must be 'threshold' or 'random', got 'foo'"),
+        # every field's own rule comes before the rules that join fields
+        ("dataset.type = idx\nseed = -1\n", "seed must be >= 0, got -1"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            parse_config(text)
+        assert str(err.value) == message
 
 
 KEY_NAMES = [line.partition(" = ")[0] for line in serialize_config(ExperimentConfig()).splitlines()]
@@ -354,7 +388,10 @@ def test_cli_prints_its_summary_line_last_unless_quiet(tmp_path, capsys, command
     """The last stdout line is the command's summary; --quiet leaves stdout
     empty, the per-scenario lines included."""
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(FAST_SYNTH + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n")
+    cfg.write_text(
+        FAST_SYNTH.replace("train.epochs = 8", "train.epochs = 1")
+        + "scenario.mode = random-partitions\nscenario.count = 2\n"
+    )
     assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "fit"), "--quiet"]) == 0
     argv = [command, "--config", str(cfg)]
     if command in ("eval", "export-graph"):
@@ -465,8 +502,8 @@ def test_cli_baseline_on_separable_blobs(tmp_path, fast_cfg, capsys):
 def test_cli_scenarios_random_partitions(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(
-        FAST_SYNTH
-        + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 2\n"
+        FAST_SYNTH.replace("train.epochs = 8", "train.epochs = 2")
+        + "scenario.mode = random-partitions\nscenario.count = 2\n"
     )
     out = tmp_path / "sweep"
     rc = cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out)])
@@ -489,7 +526,8 @@ def test_cli_random_partitions_on_synthetic_data_split_the_cluster_ids(tmp_path,
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(
         FAST_SYNTH.replace("head.k = 2", f"head.k = {k}").replace("seed = 1", f"seed = {seed}")
-        + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n"
+        .replace("train.epochs = 8", "train.epochs = 1")
+        + "scenario.mode = random-partitions\nscenario.count = 2\n"
     )
     out = tmp_path / "sweep"
     assert cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
@@ -504,8 +542,8 @@ def test_cli_random_partitions_on_synthetic_data_split_the_cluster_ids(tmp_path,
 def test_cli_scenarios_csv_reads_back_with_csv_module(tmp_path):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(
-        FAST_SYNTH
-        + "scenario.mode = random-partitions\nscenario.count = 2\ntrain.epochs = 1\n"
+        FAST_SYNTH.replace("train.epochs = 8", "train.epochs = 1")
+        + "scenario.mode = random-partitions\nscenario.count = 2\n"
     )
     out = tmp_path / "sweep"
     assert cli.main(["scenarios", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 0
@@ -629,6 +667,7 @@ def test_cli_train_imports_no_scipy(tmp_path, fast_cfg):
         ("train.batch_size = 4096\n", [],
          "train.batch_size must be <= 200 (the rows left for training), got 4096"),
         ("seed = 1\nfoo = 2\n", [], "line 2: unknown config key 'foo'"),
+        ("seed = 1\n\nseed = 2\n", [], "line 3: config key 'seed' repeats line 1"),
     ],
 )
 def test_cli_train_names_the_key_of_a_bad_value(tmp_path, capsys, lines, extra, message):
@@ -936,7 +975,7 @@ def _too_few_nines_config(tmp_path, extra=""):
     threshold partition has fewer rows than a per-parent k-means needs."""
     train_pair = _write_square_pair(tmp_path, "train", 2, np.arange(120) % 10)
     cfg = _idx_config(tmp_path, train_pair, _write_square_pair(tmp_path, "few", 2, [0] * 40 + [9] * 3))
-    cfg.write_text(cfg.read_text() + "head.k = 5\n" + extra)
+    cfg.write_text(cfg.read_text().replace("head.k = 2", "head.k = 5") + extra)
     return cfg
 
 
@@ -977,7 +1016,10 @@ def test_cli_sweep_stops_on_any_other_k_means_error(tmp_path, capsys, monkeypatc
 
     monkeypatch.setattr("acol.evaluation.kmeans", boom)
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text(FAST_SYNTH + "scenario.mode = random-partitions\nscenario.count = 1\ntrain.epochs = 1\n")
+    cfg.write_text(
+        FAST_SYNTH.replace("train.epochs = 8", "train.epochs = 1")
+        + "scenario.mode = random-partitions\nscenario.count = 1\n"
+    )
     out = tmp_path / "run"
     assert cli.main(["scenarios", "--config", str(cfg), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", "error: boom\n")
@@ -1050,7 +1092,7 @@ def test_cli_scoring_commands_read_only_the_test_pool(tmp_path, capsys):
 
 def test_cli_train_rejects_a_diverging_run(tmp_path, fast_cfg, capsys):
     cfg = tmp_path / "diverge.txt"
-    cfg.write_text(fast_cfg.read_text() + "train.lr = 1e200\n")
+    cfg.write_text(fast_cfg.read_text().replace("train.lr = 0.05", "train.lr = 1e200"))
     out = tmp_path / "run"
     assert cli.main(["train", "--config", str(cfg), "--out", str(out)]) == 1
     captured = capsys.readouterr()

@@ -4,6 +4,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "acol"
 LIMIT = 1800
+WIDTH = 114
 
 
 def test_package_source_stays_within_its_line_budget():
@@ -18,3 +19,15 @@ def test_package_source_stays_within_its_line_budget():
     """
     sizes = {p.name: len(p.read_text().splitlines()) for p in sorted(SRC.glob("*.py"))}
     assert sum(sizes.values()) <= LIMIT, f"src/acol is {sum(sizes.values())} lines: {sizes}"
+
+
+def test_package_source_lines_stay_within_their_width():
+    """No line of ``src/acol/*.py`` is wider than 114 characters, so the line
+    budget above cannot be met by packing more code into each line."""
+    wide = [
+        f"{p.name}:{n}: {len(line)}"
+        for p in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(p.read_text().splitlines(), start=1)
+        if len(line) > WIDTH
+    ]
+    assert wide == []
