@@ -1,26 +1,26 @@
-"""Experiment configuration: a flat ``key = value`` text format.
+"""Experiment configuration and its flat ``key = value`` text format.
 
-Lines are ``dotted.key = value``; blank lines and ``#`` comments are
-ignored. Unknown and repeated keys are rejected. ``serialize_config``
-writes every key in field order with full-precision floats, so
-parse/serialize round-trips are lossless.
+Lines are ``key = value``; blank lines and ``#`` comments are ignored.
+Unknown and repeated keys are rejected, and so is a missing key of a field
+without a default. ``serialize_config`` writes every key in field order with
+full-precision floats, so parse/serialize round-trips are lossless.
 
-Each ``ExperimentConfig`` field declares its file key, its default, its rule
-(a bound or a set of choices) and its per-dataset default in one place;
-parsing, serializing and ``__post_init__``'s checks walk the fields, and a
-value must have its field's type. A config is frozen and checked when it is
-made: ``dataclasses.replace`` makes a checked copy.
+Each field of a ``_key`` dataclass (``ExperimentConfig``, and the checkpoint
+header of ``network``) declares its key, its default, its rule (a bound or a
+set of choices) and its per-dataset default in one place; parsing, serializing
+and ``check_fields`` walk the fields. A config is frozen and checked when it
+is made: ``dataclasses.replace`` makes a checked copy.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 
-def _key(name: str, default, rule=None, auto=None):
-    """A config field read from file key ``name``. ``rule`` is ``("in", choices)``
-    or ``(op, bound)`` with op ``">"`` or ``">="`` (floats must also be finite, and
-    each entry of a tuple must hold it). ``auto`` maps each ``dataset.type`` to the
-    value that 0 or empty stands for; see ``ExperimentConfig.resolved``."""
+def _key(name: str, default=MISSING, rule=None, auto=None):
+    """A field read from file key ``name``, required when it has no default. ``rule``
+    is ``("in", choices)`` or ``(op, bound)`` with op ``">"`` or ``">="`` (floats must
+    also be finite, and each entry of a tuple must hold it). ``auto`` maps each
+    ``dataset.type`` to the value that 0 or empty stands for; see ``ExperimentConfig.resolved``."""
     return field(default=default, metadata={"key": name, "rule": rule, "auto": auto})
 
 
@@ -28,6 +28,27 @@ def _key(name: str, default, rule=None, auto=None):
 # a bool is not a number here
 _TYPES = {int: (int, "an int"), float: ((int, float), "a float"), str: (str, "a str"),
           tuple: (int, "a tuple of ints")}
+
+
+def check_fields(obj) -> None:
+    """Check each field of a ``_key`` dataclass, in field order: its type, then its rule."""
+    for f in fields(obj):
+        key, value, (kinds, name) = f.metadata["key"], getattr(obj, f.name), _TYPES[f.type]
+        items = value if f.type is tuple and isinstance(value, tuple) else (value,)
+        if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
+            raise ValueError(f"{key} must be {name}, got {value!r}")
+        op, bound = f.metadata["rule"] or (None, None)
+        if op == "in" and value not in bound:
+            raise ValueError(f"{key} must be {' or '.join(map(repr, bound))}, got '{value}'")
+        if op not in (">", ">="):
+            continue
+        ok = all(v > bound if op == ">" else v >= bound for v in items)
+        if f.type is float and not (math.isfinite(value) and ok):
+            raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
+        if f.type is tuple and not ok:
+            raise ValueError(f"{key} widths must each be {op} {bound}, got {','.join(map(str, value))}")
+        if not ok:
+            raise ValueError(f"{key} must be {op} {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,23 +93,7 @@ class ExperimentConfig:
     scenario_exclusions: str = _key("scenario.exclusions", "none;9;8,9")
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            key, value, (kinds, name) = f.metadata["key"], getattr(self, f.name), _TYPES[f.type]
-            items = value if f.type is tuple and isinstance(value, tuple) else (value,)
-            if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):
-                raise ValueError(f"{key} must be {name}, got {value!r}")
-            op, bound = f.metadata["rule"] or (None, None)
-            if op == "in" and value not in bound:
-                raise ValueError(f"{key} must be {' or '.join(map(repr, bound))}, got '{value}'")
-            if op not in (">", ">="):
-                continue
-            ok = all(v > bound if op == ">" else v >= bound for v in items)
-            if f.type is float and not (math.isfinite(value) and ok):
-                raise ValueError(f"{key} must be finite and {op} {bound}, got {value}")
-            if f.type is tuple and not ok:
-                raise ValueError(f"{key} widths must each be {op} {bound}, got {','.join(map(str, value))}")
-            if not ok:
-                raise ValueError(f"{key} must be {op} {bound}, got {value}")
+        check_fields(self)
         if self.dataset_type == "idx" and not (self.images and self.labels):
             raise ValueError("idx datasets need dataset.images and dataset.labels paths")
         if self.dataset_type == "idx" and self.partition_type == "threshold":
@@ -155,11 +160,12 @@ def _format_value(kind: type, value) -> str:
     return repr(float(value)) if kind is float else str(value)
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown or repeated keys and malformed lines are errors."""
-    by_key = {f.metadata["key"]: f for f in fields(ExperimentConfig)}
+def parse_config(text: str, cls=ExperimentConfig):
+    """Parse ``key = value`` text into ``cls``, a ``_key`` dataclass; unknown, repeated
+    and missing keys and malformed lines are errors. Line numbers count ``\\n`` only."""
+    by_key = {f.metadata["key"]: f for f in fields(cls)}
     values, lines = {}, {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -168,16 +174,19 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got '{stripped}'")
         key = key.strip()
         if key not in by_key:
-            raise ValueError(f"line {lineno}: unknown config key '{key}'")
+            raise ValueError(f"line {lineno}: unknown key '{key}'")
         if key in lines:
-            raise ValueError(f"line {lineno}: config key '{key}' repeats line {lines[key]}")
+            raise ValueError(f"line {lineno}: key '{key}' repeats line {lines[key]}")
         lines[key] = lineno
         f = by_key[key]
         try:
             values[f.name] = _parse_value(f.type, raw.strip())
         except ValueError as e:
             raise ValueError(f"line {lineno}: bad value for '{key}': {e}") from e
-    return ExperimentConfig(**values)
+    for key, f in by_key.items():
+        if f.default is MISSING and key not in lines:
+            raise ValueError(f"missing key '{key}'")
+    return cls(**values)
 
 
 def format_key_values(entries: dict) -> str:
@@ -186,7 +195,7 @@ def format_key_values(entries: dict) -> str:
     return "".join(f"{key} = {value}\n" for key, value in entries.items())
 
 
-def serialize_config(cfg: ExperimentConfig) -> str:
+def serialize_config(cfg) -> str:
     values = {f.metadata["key"]: _format_value(f.type, getattr(cfg, f.name)) for f in fields(cfg)}
     return format_key_values(values)
 
@@ -194,7 +203,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 def load_config(path) -> ExperimentConfig:
     """``parse_config`` of a file; its errors name the file first."""
     try:
-        with open(str(path)) as f:
+        with open(str(path), encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
             return parse_config(f.read())
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e

@@ -11,8 +11,9 @@ affinity/balance ratios are scale-normalized batch statistics as defined,
 and the squared-Frobenius term is divided by the batch size so its
 coefficient keeps the same meaning across batch sizes.
 
-Checkpoint container: an ASCII header (the tag line, then one ``key: value``
-line per ``HEADER_FIELDS`` entry, then a blank line) followed by raw
+Checkpoint container: an ASCII header (the tag line, then one ``key = value``
+line per ``CheckpointHeader`` field, written and read by the config format's
+``serialize_config`` and ``parse_config``, then a blank line) followed by raw
 little-endian float64 blocks, one per layer in order, weights (row-major)
 then bias.
 """
@@ -25,14 +26,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import datasets, evaluation
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _key, check_fields, parse_config, serialize_config
 from .head import AcolHead, head_forward, supervised_grad
 from .regularizers import gar_value_and_grad
 
-CHECKPOINT_TAG = "acol checkpoint v2"
-# The header fields after the tag line, in the order written, each with the
-# floor of its integers; None marks feature_scale, the one float, finite and > 0.
-HEADER_FIELDS = {"layer_sizes": 1, "feature_scale": None, "n_parents": 2, "k": 1, "seed": 0, "epoch": 0}
+CHECKPOINT_TAG = "acol checkpoint v3"
+
+
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """The header lines after the tag, in the order written; checked when made."""
+
+    layer_sizes: tuple = _key("layer_sizes", rule=(">=", 1))
+    feature_scale: float = _key("feature_scale", rule=(">", 0))
+    n_parents: int = _key("n_parents", rule=(">=", 2))
+    k: int = _key("k", rule=(">=", 1))
+    seed: int = _key("seed", rule=(">=", 0))
+    epoch: int = _key("epoch", rule=(">=", 0))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if len(self.layer_sizes) < 2:
+            raise ValueError(f"layer_sizes needs at least 2 entries, got {len(self.layer_sizes)}")
+        if self.layer_sizes[-1] != (n := self.n_parents * self.k):
+            raise ValueError(f"header mismatch, last layer {self.layer_sizes[-1]} vs head n {n}")
 
 
 @dataclass
@@ -283,68 +300,35 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
 
 def save_checkpoint(model: Model, path, epoch: int = 0) -> None:
     """Write the documented header-plus-float64-blocks container."""
-    sizes, scale = ",".join(map(str, model.layer_sizes)), repr(float(model.feature_scale))
-    values = (sizes, scale, model.head.n_parents, model.head.k, model.rng_seed, epoch)
-    lines = "".join(f"{name}: {value}\n" for name, value in zip(HEADER_FIELDS, values, strict=True))
+    header = CheckpointHeader(tuple(model.layer_sizes), float(model.feature_scale), int(model.head.n_parents),
+                              int(model.head.k), int(model.rng_seed), int(epoch))
     with datasets.artifact(path, "wb") as f:
-        f.write(f"{CHECKPOINT_TAG}\n{lines}\n".encode("ascii"))
+        f.write(f"{CHECKPOINT_TAG}\n{serialize_config(header)}\n".encode("ascii"))
         for layer in model.layers:
             f.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(layer.bias, dtype="<f8").tobytes())
 
 
-def _header_int(path, name: str, text: str, minimum: int) -> int:
-    """One integer of a checkpoint header field; errors name the file and the field."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"{path}: header field '{name}' has non-integer value '{text}'") from None
-    if value < minimum:
-        raise ValueError(f"{path}: header field '{name}' must be >= {minimum}, got {value}")
-    return value
-
-
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(model, epoch)``.
 
-    Validates the tag, the header lines (each a ``HEADER_FIELDS`` entry,
-    read once), the payload length, and parameter finiteness.
+    Validates the tag, the header (``parse_config`` into a ``CheckpointHeader``),
+    the payload length, and parameter finiteness.
     """
     with open(str(path), "rb") as f:
         blob = f.read()
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValueError(f"{path}: missing checkpoint header terminator")
-    lines = blob[:sep].splitlines()
-    if not lines or lines[0] != CHECKPOINT_TAG.encode("ascii"):
+    # a non-ASCII byte reads as a backslash escape, so its value is rejected by line and key
+    tag, _, text = blob[:sep].decode("ascii", "backslashreplace").partition("\n")
+    if tag != CHECKPOINT_TAG:
         raise ValueError(f"{path}: not a checkpoint file (missing '{CHECKPOINT_TAG}')")
-    fields = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(b":")
-        name = key.strip().decode("ascii", "backslashreplace")
-        if not line.isascii():
-            raise ValueError(f"{path}: header field '{name}' is not ASCII, value {value.strip()!r}")
-        if name not in HEADER_FIELDS or name in fields:
-            raise ValueError(f"{path}: header line '{name}' is not a checkpoint field or repeats one")
-        fields[name] = value.strip().decode("ascii")
-    (sizes_name, size_floor), (scale_name, _), *scalars = HEADER_FIELDS.items()
     try:
-        sizes = [_header_int(path, sizes_name, s, size_floor) for s in fields[sizes_name].split(",")]
-        text = fields[scale_name]
-        n_parents, k, seed, epoch = [_header_int(path, name, fields[name], floor) for name, floor in scalars]
-    except KeyError as e:
-        raise ValueError(f"{path}: checkpoint header missing field {e}") from e
-    if len(sizes) < 2:
-        raise ValueError(f"{path}: header field '{sizes_name}' needs at least 2 entries, got {len(sizes)}")
-    try:
-        scale = float(text)
-    except ValueError:
-        scale = float("nan")  # not a number: rejected with the rest below
-    if not 0 < scale < np.inf:
-        raise ValueError(f"{path}: header field '{scale_name}' must be a finite float > 0, got '{text}'")
-    head = AcolHead(n_parents, k)
-    if sizes[-1] != head.n:
-        raise ValueError(f"{path}: header mismatch, last layer {sizes[-1]} vs head n {head.n}")
+        header = parse_config("\n" + text, CheckpointHeader)  # the tag is line 1
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
+    sizes, head = header.layer_sizes, AcolHead(header.n_parents, header.k)
 
     payload = blob[sep + 2 :]
     expected = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:])) * 8
@@ -360,4 +344,4 @@ def load_checkpoint(path):
             if not np.all(np.isfinite(block)):
                 raise ValueError(f"{path}: layer {i} {name} contains non-finite entries")
         layers.append(DenseLayer(weights=weights.reshape(fan_in, fan_out).copy(), bias=bias.copy()))
-    return Model(layers=layers, head=head, rng_seed=seed, feature_scale=scale), epoch
+    return Model(layers=layers, head=head, rng_seed=header.seed, feature_scale=header.feature_scale), header.epoch

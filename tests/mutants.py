@@ -78,7 +78,7 @@ MUTANTS = (
     ("forward-width-unchecked", "src/acol/network.py",
      "if a.shape[1] != model.layers[0].weights.shape[0]:", "if False:"),
     ("checkpoint-last-width-unchecked", "src/acol/network.py",
-     "if sizes[-1] != head.n:\n        raise ValueError(f\"{path}", "if False:\n        raise ValueError(f\"{path}"),
+     "if self.layer_sizes[-1] != (n := ", "if False and self.layer_sizes[-1] != (n := "),
     ("init-head-width-unchecked", "src/acol/network.py",
      "if sizes[-1] != head.n:\n        raise ValueError(f\"final", "if False:\n        raise ValueError(f\"final"),
     ("label-range-admits-0", "src/acol/network.py", "if data.t.min() < 1 or", "if data.t.min() < 0 or"),
@@ -131,27 +131,28 @@ MUTANTS = (
      '        raise ValueError(f"scenario.mode \'{cfg.scenario_mode}\' is not a sweep mode")\n'),
     ("fit-init-ignores-seed", "src/acol/cli.py",
      "network.init_model(sizes, head, cfg.seed)", "network.init_model(sizes, head, 0)"),
-    # the checkpoint header table and the type check of a config built in code
-    ("checkpoint-header-k-floor", "src/acol/network.py", '"k": 1, "seed": 0', '"k": 0, "seed": 0'),
+    # the checkpoint header's rules and the type check of a config built in code
+    ("checkpoint-header-k-floor", "src/acol/network.py", '_key("k", rule=(">=", 1))', '_key("k", rule=(">=", 0))'),
     ("config-types-unchecked", "src/acol/config.py",
      "if not all(isinstance(v, kinds) and not isinstance(v, bool) for v in items):", "if False:"),
     # eval and export-graph score under the checkpoint's seed; train_limit binds idx data only
     ("eval-seed-unchecked", "src/acol/cli.py", "if model.rng_seed != cfg.seed:", "if False:"),
     ("train-limit-synthetic-accepted", "src/acol/config.py",
      'if self.train_limit and self.dataset_type == "synthetic":', "if False:"),
-    # one model seed per sweep; header lines read once; config errors under the file's path
+    # one model seed per sweep; key-value lines read once; config errors under the file's path
     ("scenarios-seed-per-index", "src/acol/cli.py",
      "model, _ = fit(cfg, train_data)", "model, _ = fit(replace(cfg, seed=cfg.seed + index), train_data)"),
     ("scenarios-kmeans-seed-per-index", "src/acol/cli.py",
      "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed + index, memo)"),
-    ("checkpoint-header-extra-line-accepted", "src/acol/network.py",
-     "if name not in HEADER_FIELDS or name in fields:", "if False:"),
+    ("checkpoint-header-extra-line-accepted", "src/acol/config.py",
+     "raise ValueError(f\"line {lineno}: unknown key '{key}'\")", "continue"),
     ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
     # checkpoint v2: no stored layout, one size is no layer, the header's seed floor and feature scale
-    ("checkpoint-one-size-accepted", "src/acol/network.py",
-     'if len(sizes) < 2:\n        raise ValueError(f"{path}', 'if False:\n        raise ValueError(f"{path}'),
-    ("checkpoint-header-seed-floor", "src/acol/network.py", '"seed": 0, "epoch"', '"seed": -1, "epoch"'),
-    ("checkpoint-header-scale-unchecked", "src/acol/network.py", "if not 0 < scale < np.inf:", "if False:"),
+    ("checkpoint-one-size-accepted", "src/acol/network.py", "if len(self.layer_sizes) < 2:", "if False:"),
+    ("checkpoint-header-seed-floor", "src/acol/network.py",
+     '_key("seed", rule=(">=", 0))', '_key("seed", rule=(">=", -1))'),
+    ("checkpoint-header-scale-unchecked", "src/acol/network.py",
+     '_key("feature_scale", rule=(">", 0))', '_key("feature_scale")'),
     ("fit-scale-unrecorded", "src/acol/cli.py",
      'feature_scale=cfg.resolved("feature_scale"))', "feature_scale=1.0)"),
     # the model applies its own input scale; one rule for a random partition; parent 2 keeps a digit
@@ -205,6 +206,13 @@ MUTANTS = (
     ("idx-feature-scale-auto-shrunk", "src/acol/config.py",
      '{"synthetic": 0.32, "idx": 1.0}', '{"synthetic": 0.32, "idx": 0.32}'),
     ("config-repeated-key-accepted", "src/acol/config.py", "if key in lines:", "if False:"),
+    # one reader for config files and checkpoint headers: a required key, a byte-order mark,
+    # header errors under the checkpoint's path, line numbers that count only "\n"
+    ("header-missing-key-accepted", "src/acol/config.py",
+     "if f.default is MISSING and key not in lines:", "if False:"),
+    ("config-byte-order-mark-read-as-key", "src/acol/config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
+    ("checkpoint-header-error-path-dropped", "src/acol/network.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
+    ("key-value-lines-split-at-form-feed", "src/acol/config.py", 'text.split("\\n")', "text.splitlines()"),
 )
 
 

@@ -87,8 +87,16 @@ def test_save_load_round_trip(tmp_path):
     assert load_config(tmp_path / "c.txt") == cfg
 
 
+def test_a_config_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    """An editor's UTF-8 byte-order mark is not read as part of the first key."""
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"seed = 1\nhead.k = 4\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_config(marked) == load_config(plain) == replace(ExperimentConfig(), seed=1, k=4)
+
+
 def test_parse_rejects_unknown_key_with_line_number():
-    with pytest.raises(ValueError, match="line 2: unknown config key 'train.lrr'"):
+    with pytest.raises(ValueError, match="line 2: unknown key 'train.lrr'"):
         parse_config("seed = 1\ntrain.lrr = 0.1\n")
 
 
@@ -666,8 +674,8 @@ def test_cli_train_imports_no_scipy(tmp_path, fast_cfg):
          "train.validation_size must be < 120 (the rows of the data), got 1000"),
         ("train.batch_size = 4096\n", [],
          "train.batch_size must be <= 200 (the rows left for training), got 4096"),
-        ("seed = 1\nfoo = 2\n", [], "line 2: unknown config key 'foo'"),
-        ("seed = 1\n\nseed = 2\n", [], "line 3: config key 'seed' repeats line 1"),
+        ("seed = 1\nfoo = 2\n", [], "line 2: unknown key 'foo'"),
+        ("seed = 1\n\nseed = 2\n", [], "line 3: key 'seed' repeats line 1"),
     ],
 )
 def test_cli_train_names_the_key_of_a_bad_value(tmp_path, capsys, lines, extra, message):

@@ -1,6 +1,8 @@
 """Model init, forward/backward, training loop, checkpoint container."""
 
 import copy
+import dataclasses
+import math
 import os
 import platform
 import struct
@@ -14,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acol.config import ExperimentConfig
+from acol.config import ExperimentConfig, parse_config, serialize_config
 from acol.datasets import LabeledDataset, images_to_features, pool_to_dataset, split_validation, synthetic_blobs
 from acol import cli, network
 from acol.head import AcolHead, head_forward, supervised_grad
 from acol.network import (
     CHECKPOINT_TAG,
+    CheckpointHeader,
     DenseLayer,
     EpochRecord,
     Model,
@@ -538,7 +541,7 @@ def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
 _HEAP_PROBE = """
 import os
 from acol import cli, network
-from acol.config import ExperimentConfig
+from acol.config import ExperimentConfig, parse_config, serialize_config
 from acol.datasets import pool_to_dataset
 
 def resident():
@@ -712,6 +715,10 @@ def test_checkpoint_round_trip_exact(tmp_path):
     for la, lb in zip(loaded.layers, model.layers):
         assert np.array_equal(la.weights, lb.weights)
         assert np.array_equal(la.bias, lb.bias)
+    # numpy integers are written as the integers they hold
+    save_checkpoint(small_model(seed=np.int64(5)), path, epoch=np.int64(2))
+    loaded, epoch = load_checkpoint(path)
+    assert (loaded.rng_seed, epoch) == (5, 2) and type(loaded.rng_seed) is int
 
 
 def test_checkpoint_header_is_readable_ascii(tmp_path):
@@ -722,7 +729,7 @@ def test_checkpoint_header_is_readable_ascii(tmp_path):
     header = blob[: blob.find(b"\n\n")].decode("ascii")
     assert header.splitlines()[0] == CHECKPOINT_TAG
     assert header.splitlines()[1:] == [
-        "layer_sizes: 3,5,4", "feature_scale: 1.0", "n_parents: 2", "k: 2", "seed: 0", "epoch: 3"
+        "layer_sizes = 3,5,4", "feature_scale = 1.0", "n_parents = 2", "k = 2", "seed = 0", "epoch = 3"
     ]
 
 
@@ -757,8 +764,8 @@ def test_checkpoint_last_layer_must_be_the_head_width(tmp_path):
     """The reader's one check that Z is as wide as the head: nothing downstream repeats it."""
     path = tmp_path / "m.ckpt"
     save_checkpoint(small_model(seed=0), path)
-    blob = path.read_bytes().replace(b"layer_sizes: 3,5,4\n", b"layer_sizes: 3,4,5\n", 1)
-    path.write_bytes(blob.replace(b"k: 2\n", b"k: 3\n", 1))
+    blob = path.read_bytes().replace(b"layer_sizes = 3,5,4\n", b"layer_sizes = 3,4,5\n", 1)
+    path.write_bytes(blob.replace(b"k = 2\n", b"k = 3\n", 1))
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
     assert str(err.value) == f"{path}: header mismatch, last layer 5 vs head n 6"
@@ -802,26 +809,25 @@ def test_checkpoint_non_finite_error_names_the_file_and_the_layer(tmp_path):
 @pytest.mark.parametrize(
     "line, bad, message",
     [
-        (b"k: 2\n", b"k: x\n", "header field 'k' has non-integer value 'x'"),
-        (b"k: 2\n", b"k: 0\n", "header field 'k' must be >= 1, got 0"),
-        (b"n_parents: 2\n", b"n_parents: 1\n", "header field 'n_parents' must be >= 2, got 1"),
-        (b"layer_sizes: 3,5,4\n", b"layer_sizes: \n",
-         "header field 'layer_sizes' has non-integer value ''"),
-        (b"layer_sizes: 3,5,4\n", b"layer_sizes: 3,0,4\n",
-         "header field 'layer_sizes' must be >= 1, got 0"),
-        (b"layer_sizes: 3,5,4\n", b"layer_sizes: 4\n",
-         "header field 'layer_sizes' needs at least 2 entries, got 1"),
-        (b"seed: 0\n", b"seed: -1\n", "header field 'seed' must be >= 0, got -1"),
+        (b"k = 2\n", b"k = x\n", "line 5: bad value for 'k': invalid literal for int() with base 10: 'x'"),
+        (b"k = 2\n", b"k = 0\n", "k must be >= 1, got 0"),
+        (b"n_parents = 2\n", b"n_parents = 1\n", "n_parents must be >= 2, got 1"),
+        (b"layer_sizes = 3,5,4\n", b"layer_sizes = \n", "layer_sizes needs at least 2 entries, got 0"),
+        (b"layer_sizes = 3,5,4\n", b"layer_sizes = 3,0,4\n", "layer_sizes widths must each be >= 1, got 3,0,4"),
+        (b"layer_sizes = 3,5,4\n", b"layer_sizes = 4\n", "layer_sizes needs at least 2 entries, got 1"),
+        (b"seed = 0\n", b"seed = -1\n", "seed must be >= 0, got -1"),
+        (b"feature_scale = 1.0\n", b"feature_scale = abc\n",
+         "line 3: bad value for 'feature_scale': could not convert string to float: 'abc'"),
         *[
-            (b"feature_scale: 1.0\n", b"feature_scale: " + text + b"\n",
-             f"header field 'feature_scale' must be a finite float > 0, got '{text.decode()}'")
-            for text in (b"abc", b"nan", b"inf", b"0.0", b"-1.0")
+            (b"feature_scale = 1.0\n", b"feature_scale = " + text + b"\n",
+             f"feature_scale must be finite and > 0, got {text.decode()}")
+            for text in (b"nan", b"inf", b"0.0", b"-1.0")
         ],
-        (b"seed: 0\n", b"seed: 0\xe9\n", "header field 'seed' is not ASCII, value b'0\\xe9'"),
-        (b"epoch: 0\n", b"epoch: -1\n", "header field 'epoch' must be >= 0, got -1"),
-        (b"epoch: 0\n", b"epoch: 0\nseed: 9\n", "header line 'seed' is not a checkpoint field or repeats one"),
-        (b"epoch: 0\n", b"epoch: 0\nfoo: 1\n", "header line 'foo' is not a checkpoint field or repeats one"),
-        (b"epoch: 0\n", b"epoch: 0\ngarbage\n", "header line 'garbage' is not a checkpoint field or repeats one"),
+        (b"seed = 0\n", b"seed = 0\xe9\n", "line 6: bad value for 'seed': invalid literal for int() with base 10: '0\\\\xe9'"),
+        (b"epoch = 0\n", b"epoch = -1\n", "epoch must be >= 0, got -1"),
+        (b"epoch = 0\n", b"epoch = 0\nseed = 9\n", "line 8: key 'seed' repeats line 6"),
+        (b"epoch = 0\n", b"epoch = 0\nfoo = 1\n", "line 8: unknown key 'foo'"),
+        (b"epoch = 0\n", b"epoch = 0\ngarbage\n", "line 8: expected 'key = value', got 'garbage'"),
     ],
 )
 def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, bad, message):
@@ -835,31 +841,119 @@ def test_checkpoint_header_errors_name_the_file_and_the_field(tmp_path, line, ba
     assert str(err.value) == f"{path}: {message}"
 
 
+_HEADER_KEYS = [f.metadata["key"] for f in fields(CheckpointHeader)]
+
+
+@pytest.mark.parametrize("key", _HEADER_KEYS)
+def test_checkpoint_header_without_a_line_names_its_key(tmp_path, key):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    blob = path.read_bytes()
+    (line,) = [l for l in blob[: blob.find(b"\n\n")].split(b"\n") if l.startswith(f"{key} = ".encode())]
+    path.write_bytes(blob.replace(line + b"\n", b"", 1))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: missing key '{key}'"
+
+
+def test_checkpoint_header_errors_count_the_lines_of_the_file(tmp_path):
+    """The tag is line 1, a ``#`` line is skipped but counted, as in a config file,
+    and only ``\\n`` ends a line (a form feed does not)."""
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(small_model(seed=0), path)
+    blob = path.read_bytes()
+    sep = blob.find(b"\n\n")
+    tag, *lines = blob[:sep].split(b"\n")
+    for comments in ([], [b"# a note"], [b"# one", b"  # two"], [b"# form\x0cfeed"]):
+        for lineno, key in enumerate(_HEADER_KEYS, start=2 + len(comments)):
+            bad = [f"{key} = x".encode() if l.startswith(f"{key} = ".encode()) else l for l in lines]
+            path.write_bytes(b"\n".join([tag, *comments, *bad]) + blob[sep:])
+            with pytest.raises(ValueError) as err:
+                load_checkpoint(path)
+            assert str(err.value).startswith(f"{path}: line {lineno}: bad value for '{key}': ")
+
+
+def test_checkpoint_header_comment_lines_load_the_same_model(tmp_path):
+    model = small_model(seed=4)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path, epoch=2)
+    blob = path.read_bytes()
+    path.write_bytes(blob.replace(b"\nk = ", b"\n# k: duplicates per parent\n  #\nk = ", 1))
+    loaded, epoch = load_checkpoint(path)
+    assert (epoch, loaded.head, loaded.rng_seed, loaded.layer_sizes) == (2, model.head, 4, model.layer_sizes)
+    for la, lb in zip(loaded.layers, model.layers):
+        assert np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+
+
+def test_every_header_field_declares_its_key_and_its_bound_holds():
+    """Each header field is required and bounded; the bound is accepted and a
+    value just past it is rejected with the config reader's message."""
+    base = {"layer_sizes": (3, 5, 6), "feature_scale": 0.5, "n_parents": 3, "k": 2, "seed": 4, "epoch": 5}
+    declared = fields(CheckpointHeader)
+    assert [f.name for f in declared] == _HEADER_KEYS == list(base)
+    for f in declared:
+        key, (op, bound) = f.metadata["key"], f.metadata["rule"]
+        assert f.default is dataclasses.MISSING
+        if f.type is tuple:
+            assert op == ">="
+            inside, past = (bound, 6), f"{bound - 1},6"
+            message = f"{key} widths must each be >= {bound}, got {past}"
+        elif f.type is int:
+            assert op == ">="
+            inside, past, message = bound, str(bound - 1), f"{key} must be >= {bound}, got {bound - 1}"
+        else:
+            assert op == ">"
+            inside, past = math.nextafter(bound, math.inf), repr(float(bound))
+            message = f"{key} must be finite and > {bound}, got {past}"
+        values = {**base, f.name: inside}
+        if f.type is int:
+            values["layer_sizes"] = (3, 5, values["n_parents"] * values["k"])
+        header = CheckpointHeader(**values)
+        text = serialize_config(header)
+        assert parse_config(text, CheckpointHeader) == header
+        lines = [f"{key} = {past}" if l.startswith(f"{key} = ") else l for l in text.splitlines()]
+        with pytest.raises(ValueError) as err:
+            parse_config("\n".join(lines), CheckpointHeader)
+        assert str(err.value) == message
+    # the rules that join fields, and the type of a header built in code
+    for change, message in [
+        ({"layer_sizes": (6,)}, "layer_sizes needs at least 2 entries, got 1"),
+        ({"k": 3}, "header mismatch, last layer 6 vs head n 9"),
+        ({"seed": 4.0}, "seed must be an int, got 4.0"),
+        ({"layer_sizes": [3, 5, 6]}, "layer_sizes must be a tuple of ints, got [3, 5, 6]"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            CheckpointHeader(**{**base, **change})
+        assert str(err.value) == message
+
+
 def test_checkpoint_of_one_layer_size_and_no_payload_is_rejected(tmp_path):
     """One size is no layer: with an empty payload such a header would
     otherwise load as a model without layers."""
     path = tmp_path / "m.ckpt"
-    header = f"{CHECKPOINT_TAG}\nlayer_sizes: 6\nfeature_scale: 1.0\nn_parents: 2\nk: 3\nseed: 0\nepoch: 0\n\n"
+    header = f"{CHECKPOINT_TAG}\nlayer_sizes = 6\nfeature_scale = 1.0\nn_parents = 2\nk = 3\nseed = 0\nepoch = 0\n\n"
     path.write_bytes(header.encode("ascii"))
     with pytest.raises(ValueError) as err:
         load_checkpoint(path)
-    assert str(err.value) == f"{path}: header field 'layer_sizes' needs at least 2 entries, got 1"
+    assert str(err.value) == f"{path}: layer_sizes needs at least 2 entries, got 1"
 
 
-def test_checkpoint_of_format_v1_is_rejected_at_its_tag(tmp_path):
-    """A v1 file (with its 'activations' line and no feature scale) is not read."""
-    path = tmp_path / "v1.ckpt"
-    header = (
+def test_checkpoint_of_format_v1_or_v2_is_rejected_at_its_tag(tmp_path):
+    """A v1 file (with its 'activations' line and no feature scale) and a v2
+    file (``key: value`` lines) are not read."""
+    path = tmp_path / "old.ckpt"
+    for header in (
         b"acol checkpoint v1\nlayer_sizes: 3,5,4\nactivations: relu,linear\n"
-        b"n_parents: 2\nk: 2\nseed: 0\nepoch: 0\n\n"
-    )
-    path.write_bytes(header + bytes(8 * (4 * 5 + 6 * 4)))
-    with pytest.raises(ValueError) as err:
-        load_checkpoint(path)
-    assert str(err.value) == f"{path}: not a checkpoint file (missing 'acol checkpoint v2')"
+        b"n_parents: 2\nk: 2\nseed: 0\nepoch: 0\n\n",
+        b"acol checkpoint v2\nlayer_sizes: 3,5,4\nfeature_scale: 1.0\n"
+        b"n_parents: 2\nk: 2\nseed: 0\nepoch: 0\n\n",
+    ):
+        path.write_bytes(header + bytes(8 * (4 * 5 + 6 * 4)))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: not a checkpoint file (missing 'acol checkpoint v3')"
 
 
-_HEADER_FIELDS = tuple(network.HEADER_FIELDS)
 _HEADER_VALUES = st.one_of(
     st.integers(min_value=-(10**25), max_value=10**25).map(str),
     st.lists(st.integers(min_value=-3, max_value=10**12), min_size=1, max_size=4).map(
@@ -868,9 +962,9 @@ _HEADER_VALUES = st.one_of(
     st.sampled_from(["3,5,4", "0.32", "nan", "1e400", "-0.0", "", "99999999999999999999"]),
     st.text(max_size=8),
 )
-# (field, new value); None drops the field's line
+# (key, new value); None drops the key's line
 _HEADER_EDITS = st.lists(
-    st.tuples(st.sampled_from(_HEADER_FIELDS), st.none() | _HEADER_VALUES), min_size=1, max_size=3
+    st.tuples(st.sampled_from(_HEADER_KEYS), st.none() | _HEADER_VALUES), min_size=1, max_size=3
 )
 
 
@@ -882,11 +976,11 @@ def test_checkpoint_reader_loads_or_names_the_file(tmp_path_factory, edits):
     blob = path.read_bytes()
     sep = blob.find(b"\n\n")
     lines = blob[:sep].split(b"\n")
-    for name, value in edits:
-        prefix = name.encode() + b":"
+    for key, value in edits:
+        prefix = key.encode() + b" = "
         lines = [l for l in lines if not l.startswith(prefix)]
         if value is not None:
-            lines.append(prefix + b" " + value.encode())
+            lines.append(prefix + value.encode())
     path.write_bytes(b"\n".join(lines) + blob[sep:])
     try:
         model, epoch = load_checkpoint(path)
