@@ -46,10 +46,16 @@ class CheckpointHeader:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if len(self.layer_sizes) < 2:
-            raise ValueError(f"layer_sizes needs at least 2 entries, got {len(self.layer_sizes)}")
-        if self.layer_sizes[-1] != (n := self.n_parents * self.k):
-            raise ValueError(f"header mismatch, last layer {self.layer_sizes[-1]} vs head n {n}")
+        check_layer_sizes(self.layer_sizes, self.n_parents * self.k)
+
+
+def check_layer_sizes(sizes, n: int) -> None:
+    """The layer-size rules of a model and of its checkpoint: an input and an
+    output size at least, and a last layer as wide as the head's n nodes."""
+    if len(sizes) < 2:
+        raise ValueError(f"layer_sizes needs at least 2 entries, got {len(sizes)}")
+    if sizes[-1] != n:
+        raise ValueError(f"header mismatch, last layer {sizes[-1]} vs head n {n}")
 
 
 @dataclass
@@ -101,10 +107,7 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     between a parent's k nodes.
     """
     sizes = [int(s) for s in layer_sizes]
-    if len(sizes) < 2:
-        raise ValueError("layer_sizes needs at least an input and an output size")
-    if sizes[-1] != head.n:
-        raise ValueError(f"final layer size {sizes[-1]} must equal head.n = {head.n}")
+    check_layer_sizes(sizes, head.n)
     rng = np.random.default_rng(seed)
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -115,12 +118,20 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     return Model(layers=layers, head=head, rng_seed=seed)
 
 
-def forward(model: Model, x) -> list[np.ndarray]:
+def layer_buffers(model: Model, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Scratch for one run, ``rows`` deep: a buffer per layer output, for
+    forward(), and a buffer per hidden layer's gradient, for backward()."""
+    widths = model.layer_sizes[1:]
+    return [np.empty((rows, w)) for w in widths], [np.empty((rows, w)) for w in widths[:-1]]
+
+
+def forward(model: Model, x, out=None) -> list[np.ndarray]:
     """Outputs of the layer chain, ``[X, a_1, ..., Z]``: everything backward() needs.
 
     ``X`` is the input times ``model.feature_scale``, the one place the
     scale is applied. Each layer's output is computed in one buffer: ``a @ W``,
-    then the bias added and relu applied in place.
+    then the bias added and relu applied in place. That buffer is a new array,
+    or the leading rows of ``out[i]`` (the first list of ``layer_buffers``).
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -134,7 +145,7 @@ def forward(model: Model, x) -> list[np.ndarray]:
     outputs = [a]
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        a = a @ layer.weights
+        a = np.matmul(a, layer.weights, out=None if out is None else out[i][: len(a)])
         a += layer.bias
         if i < last:
             np.maximum(0.0, a, out=a)
@@ -142,13 +153,16 @@ def forward(model: Model, x) -> list[np.ndarray]:
     return outputs
 
 
-def backward(model: Model, outputs, d_z) -> list[DenseLayer]:
+def backward(model: Model, outputs, d_z, out=None) -> list[DenseLayer]:
     """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
 
     The caller passes the outputs of one forward() of this model and a d_z
-    shaped like Z. A relu output is > 0 exactly where its pre-activation is,
-    so it serves as the mask. Gradients are unnormalized: any 1/batch factors
-    must already be inside d_z. The gradient at the model input is not formed.
+    shaped like Z, which is left as it is. A relu output is > 0 exactly where
+    its pre-activation is, so it serves as the mask, applied in place to the
+    gradient at that output: a new array, or the leading rows of ``out[i]``
+    (the second list of ``layer_buffers``). Gradients are unnormalized: any
+    1/batch factors must already be inside d_z. The gradient at the model
+    input is not formed.
     """
     d_out = d_z
     last = len(model.layers) - 1
@@ -156,16 +170,18 @@ def backward(model: Model, outputs, d_z) -> list[DenseLayer]:
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         a_in, a_out = outputs[i], outputs[i + 1]
-        d_pre = d_out * (a_out > 0) if i < last else d_out
-        grads[i] = DenseLayer(weights=a_in.T @ d_pre, bias=d_pre.sum(axis=0))
+        if i < last:
+            np.multiply(d_out, a_out > 0, out=d_out)
+        grads[i] = DenseLayer(weights=a_in.T @ d_out, bias=d_out.sum(axis=0))
         if i > 0:
-            d_out = d_pre @ layer.weights.T
+            d_out = np.matmul(d_out, layer.weights.T, out=None if out is None else out[i - 1][: len(d_out)])
     return grads
 
 
-def combined_step(model: Model, x, t, cfg: ExperimentConfig):
+def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
     """One forward/backward evaluation of the combined objective, weighted by
-    ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows.
+    ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows;
+    ``buffers`` is None or the pair of ``layer_buffers`` to compute in.
 
     Returns ``(loss, grads, sums)`` where grads mirror the layer parameters
     and ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain
@@ -173,12 +189,13 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig):
     argmax parent under the current parameters equals t. The regularization
     gradient reaches Z only through the relu mask.
     """
-    outputs = forward(model, x)
+    outs, grad_outs = buffers or (None, None)
+    outputs = forward(model, x, outs)
     z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
     terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))
     d_z = d_z + gar_d_z * (z > 0)
-    grads = backward(model, outputs, d_z)
+    grads = backward(model, outputs, d_z, grad_outs)
     return sup_loss + terms.loss, grads, {
         "sup_loss": sup_loss * len(x),
         "affinity": terms.affinity * len(x),
@@ -188,10 +205,23 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig):
     }
 
 
-def parent_accuracy_of(model: Model, data: datasets.LabeledDataset) -> float:
-    """Fraction of examples whose pooled argmax parent matches t."""
-    _, parent_probs = head_forward(forward(model, data.features())[-1], model.head)
-    return evaluation.parent_accuracy(parent_probs, data.t)
+def validation_block(model: Model) -> int:
+    """Rows per block of ``parent_accuracy_of``: 64 Ki floats at the widest
+    layer output, 512 KB, so that a block's activations stay in a core's cache."""
+    return max(1, 65536 // max(model.layer_sizes[1:]))
+
+
+def parent_accuracy_of(model: Model, data: datasets.LabeledDataset, out=None) -> float:
+    """Fraction of examples whose pooled argmax parent matches t, counted
+    block by block of ``validation_block`` rows; ``out`` is None or forward()'s
+    buffers, at least a block deep. Z may differ from a whole pass in the last
+    bit, so ``cli.score``, whose Z is an artifact, keeps its one pass."""
+    block, hits = validation_block(model), 0
+    for start in range(0, len(data), block):
+        rows = slice(start, start + block)
+        _, parent_probs = head_forward(forward(model, data.features(rows), out)[-1], model.head)
+        hits += evaluation.parent_hits(parent_probs, data.t[rows])
+    return hits / len(data)
 
 
 def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
@@ -247,6 +277,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no training rows")
 
     rng = np.random.default_rng(cfg.seed)
+    buffers = layer_buffers(model, max(cfg.batch_size, min(validation_block(model), cfg.validation_size)))
     velocity = [
         DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
     ]
@@ -262,7 +293,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
-                loss, grads, sums = combined_step(model, data.features(idx), data.t[idx], cfg)
+                loss, grads, sums = combined_step(model, data.features(idx), data.t[idx], cfg, buffers)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
@@ -283,16 +314,17 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
             if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise ValueError(f"training diverged: layer {i} is not finite after epoch {epoch}")
 
-        val_acc = parent_accuracy_of(model, val_data) if val_data is not None else float("nan")
+        val_acc = parent_accuracy_of(model, val_data, buffers[0]) if val_data is not None else float("nan")
         means = {name: total / m for name, total in totals.items()}
         records.append(EpochRecord(epoch=epoch, **means, val_parent_acc=val_acc))
         if val_data is None or val_acc >= best_acc:
             best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
 
     model.layers = best_layers
-    # glibc keeps the pages of freed validation buffers in its heap; whether the
-    # caller's next, larger array reuses them depends on the heap's layout, so
-    # the peak memory would move by one such buffer from run to run.
+    # glibc keeps the pages of the freed validation features (6.3 MB on idx) in
+    # its heap; whether the caller's next, larger array reuses them depends on
+    # the heap's layout, so the peak memory would move by that much from run to run.
+    del val_data, buffers, velocity
     if sys.platform == "linux":
         getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
     return model, TrainReport(records=records, selected_epoch=best_epoch)

@@ -54,7 +54,8 @@ MUTANTS = (
      "(d_off * s_diag - s_off * d_diag)", "(d_off * s_diag + s_off * d_diag)"),
     ("pooling-blocked", "src/acol/head.py",
      "np.eye(self.n_parents)[parents - 1]", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
-    ("relu-mask-dropped", "src/acol/network.py", "d_out * (a_out > 0)", "d_out * (a_out >= 0)"),
+    ("relu-mask-dropped", "src/acol/network.py",
+     "np.multiply(d_out, a_out > 0, out=d_out)", "np.multiply(d_out, a_out >= 0, out=d_out)"),
     ("momentum-step-before-velocity", "src/acol/network.py",
      "vel.weights -= g.weights\n                    layer.weights += vel.weights",
      "layer.weights += vel.weights\n                    vel.weights -= g.weights"),
@@ -78,9 +79,10 @@ MUTANTS = (
     ("forward-width-unchecked", "src/acol/network.py",
      "if a.shape[1] != model.layers[0].weights.shape[0]:", "if False:"),
     ("checkpoint-last-width-unchecked", "src/acol/network.py",
-     "if self.layer_sizes[-1] != (n := ", "if False and self.layer_sizes[-1] != (n := "),
+     "check_layer_sizes(self.layer_sizes, self.n_parents * self.k)",
+     "check_layer_sizes(self.layer_sizes, self.layer_sizes[-1])"),
     ("init-head-width-unchecked", "src/acol/network.py",
-     "if sizes[-1] != head.n:\n        raise ValueError(f\"final", "if False:\n        raise ValueError(f\"final"),
+     "check_layer_sizes(sizes, head.n)", "check_layer_sizes(sizes, sizes[-1])"),
     ("label-range-admits-0", "src/acol/network.py", "if data.t.min() < 1 or", "if data.t.min() < 0 or"),
     ("score-without-fine-labels", "src/acol/cli.py", "if data.t_star is None:", "if False:"),
     # the numpy calls that replaced one-caller wrappers, and the plain values returned
@@ -148,7 +150,7 @@ MUTANTS = (
      "raise ValueError(f\"line {lineno}: unknown key '{key}'\")", "continue"),
     ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
     # checkpoint v2: no stored layout, one size is no layer, the header's seed floor and feature scale
-    ("checkpoint-one-size-accepted", "src/acol/network.py", "if len(self.layer_sizes) < 2:", "if False:"),
+    ("checkpoint-one-size-accepted", "src/acol/network.py", "if len(sizes) < 2:", "if False:"),
     ("checkpoint-header-seed-floor", "src/acol/network.py",
      '_key("seed", rule=(">=", 0))', '_key("seed", rule=(">=", -1))'),
     ("checkpoint-header-scale-unchecked", "src/acol/network.py",
@@ -213,6 +215,15 @@ MUTANTS = (
     ("config-byte-order-mark-read-as-key", "src/acol/config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
     ("checkpoint-header-error-path-dropped", "src/acol/network.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
     ("key-value-lines-split-at-form-feed", "src/acol/config.py", 'text.split("\\n")', "text.splitlines()"),
+    # the run's layer buffers and the validation pass that walks blocks through them
+    ("validation-block-drops-short-tail", "src/acol/network.py",
+     "for start in range(0, len(data), block):", "for start in range(0, len(data) - block + 1, block):"),
+    ("forward-writes-previous-layer-buffer", "src/acol/network.py",
+     "out=None if out is None else out[i][: len(a)])", "out=None if out is None else out[i - 1][: len(a)])"),
+    ("backward-gradient-over-forward-output", "src/acol/network.py",
+     "backward(model, outputs, d_z, grad_outs)", "backward(model, outputs, d_z, outs)"),
+    ("train-trims-before-freeing-validation", "src/acol/network.py",
+     "    del val_data, buffers, velocity\n", ""),
 )
 
 

@@ -8,6 +8,7 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 
@@ -17,8 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acol.config import ExperimentConfig, parse_config, serialize_config
-from acol.datasets import LabeledDataset, images_to_features, pool_to_dataset, split_validation, synthetic_blobs
-from acol import cli, network
+from acol.datasets import (
+    LabeledDataset,
+    images_to_features,
+    pool_to_dataset,
+    split_validation,
+    synthetic_blobs,
+    write_idx_images,
+    write_idx_labels,
+)
+from acol import cli, evaluation, network
 from acol.head import AcolHead, head_forward, supervised_grad
 from acol.network import (
     CHECKPOINT_TAG,
@@ -153,6 +162,28 @@ def test_forward_equals_out_of_place_reference_bit_for_bit():
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("rows, depth", [(32, 32), (13, 32), (32, 80)])
+def test_forward_and_backward_in_layer_buffers_equal_them_without(rows, depth):
+    """A full batch, a short one, and a buffer deeper than the batch: the run's
+    buffers change where outputs and gradients live, not one bit of them, and
+    leave the caller's d_z as it was."""
+    rng = np.random.default_rng(rows + depth)
+    model = init_model([6, 40, 24, 8], AcolHead(2, 4), seed=3)
+    for layer in model.layers:
+        layer.bias = rng.normal(size=layer.bias.shape)
+    x, d_z = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 8))
+    outs, grad_outs = network.layer_buffers(model, depth)
+    got, want = forward(model, x, outs), forward(model, x)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert all(np.shares_memory(a, buf) for a, buf in zip(got[1:], outs))
+    d_z_before = d_z.copy()
+    got_grads, want_grads = backward(model, got, d_z, grad_outs), backward(model, want, d_z)
+    assert d_z.tobytes() == d_z_before.tobytes()
+    assert [(g.weights.tobytes(), g.bias.tobytes()) for g in got_grads] == [
+        (g.weights.tobytes(), g.bias.tobytes()) for g in want_grads
+    ]
 
 
 # --- backward ---------------------------------------------------------------
@@ -522,13 +553,55 @@ def test_train_of_a_scaled_model_equals_train_at_scale_1_on_scaled_features(kind
     _assert_same_training(*runs, cfg.epochs)
 
 
+@pytest.mark.parametrize("rows", [37, 9])
+def test_blocked_parent_accuracy_equals_the_whole_pass(monkeypatch, rows):
+    """Widest layer 4,096: blocks of 16 rows. 37 rows end in a short block and
+    9 fit in one; with the run's buffers or without, every row is counted once
+    and the hit share is the one pass's."""
+    rng = np.random.default_rng(rows)
+    model = init_model([3, 4096, 4], AcolHead(2, 2), seed=1)
+    data = LabeledDataset(X=rng.normal(size=(rows, 3)), t=rng.integers(1, 3, size=rows))
+    assert network.validation_block(model) == 16
+    _, parent_probs = head_forward(forward(model, data.X)[-1], model.head)
+    whole = evaluation.parent_accuracy(parent_probs, data.t)
+    assert 0 < whole < 1
+    evaluated = []
+
+    def counting(model, x, out=None):
+        evaluated.append(len(x))
+        return forward(model, x, out)
+
+    monkeypatch.setattr(network, "forward", counting)
+    for out in (None, network.layer_buffers(model, 16)[0]):
+        evaluated.clear()
+        assert parent_accuracy_of(model, data, out) == whole
+        assert sum(evaluated) == rows and max(evaluated) <= 16
+
+
+def test_train_holds_no_whole_validation_activation():
+    """The default synthetic config: the validation pass walks 32-row blocks
+    through the run's buffers, so ``train`` never holds the 1,000 x 2,048
+    float64 activation (16.4 MB) of one whole pass."""
+    cfg = ExperimentConfig(epochs=3)
+    data = pool_to_dataset(cli.load_pools(cfg)[0], cli.default_partition(cfg))
+    head = AcolHead(cfg.n_parents, cfg.k)
+    model = init_model([data.X.shape[1], *cfg.resolved("hidden"), head.n], head, cfg.seed)
+    tracemalloc.start()
+    try:
+        train(model, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.validation_size * 2048 * 8
+
+
 @pytest.mark.parametrize("validation_size", [0, 20])
 def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
     evaluated = []
 
-    def counting(model, data):
+    def counting(model, data, out=None):
         evaluated.append(len(data))
-        return parent_accuracy_of(model, data)
+        return parent_accuracy_of(model, data, out)
 
     monkeypatch.setattr(network, "parent_accuracy_of", counting)
     head = AcolHead(2, 2)
@@ -539,47 +612,45 @@ def test_train_evaluates_only_the_validation_rows(monkeypatch, validation_size):
 
 
 _HEAP_PROBE = """
-import os
-from acol import cli, network
-from acol.config import ExperimentConfig, parse_config, serialize_config
+import ctypes, os, sys
+from acol import cli
+from acol.config import ExperimentConfig
 from acol.datasets import pool_to_dataset
 
 def resident():
     with open("/proc/self/statm") as f:
         return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
-cfg = ExperimentConfig(epochs=3)
+cfg = ExperimentConfig(dataset_type="idx", images=sys.argv[1], labels=sys.argv[2], epochs=2)
 data = pool_to_dataset(cli.load_pools(cfg)[0], cli.default_partition(cfg))
-during = []
-forward = network.forward
-
-def recording(model, x):
-    outputs = forward(model, x)
-    if len(x) == cfg.validation_size:
-        during.append(resident())
-    return outputs
-
-network.forward = recording
-cli.fit(cfg, data)
-print(during[-1] - resident())
+model, report = cli.fit(cfg, data)
+before = resident()
+ctypes.CDLL(None).malloc_trim(0)
+print(before - resident())
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
-def test_train_hands_the_freed_validation_pages_back():
-    """Default synthetic config: a validation pass holds 1,000 x 2,048 float64
-    (16.4 MB). After the first one glibc serves them from its heap and keeps
-    the pages when they are freed; whether the caller's next, larger array
-    could reuse them depended on the heap's layout, so the peak memory of
-    ``acol train`` moved by one buffer from run to run. ``train`` hands the
-    pages back, so the resident size drops by the buffer when it returns."""
+def test_train_hands_the_freed_validation_pages_back(tmp_path):
+    """An idx run of 10,000 images converts its 1,000 validation rows once,
+    1,000 x 784 float64 (6.3 MB), and ``train`` frees them before it returns.
+    The IDX read has freed a larger block first, so glibc serves them from its
+    heap and would keep their pages; whether the caller's next, larger array
+    could reuse them depends on the heap's layout, so the peak memory would
+    move by that much from run to run. ``train`` hands the pages back: a
+    second ``malloc_trim`` after it returns finds less than half of them."""
+    rng = np.random.default_rng(0)
+    images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx_images(rng.integers(0, 256, size=(10_000, 28, 28), dtype=np.uint8), images)
+    write_idx_labels(np.tile(np.arange(10, dtype=np.uint8), 1_000), labels)
     src = str(Path(network.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
-        [sys.executable, "-c", _HEAP_PROBE], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _HEAP_PROBE, str(images), str(labels)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) > 1000 * 2048 * 8 // 2
+    assert int(done.stdout) < 1000 * 784 * 8 // 2
 
 
 @pytest.mark.parametrize(
