@@ -100,7 +100,7 @@ def score(model: network.Model, data: datasets.LabeledDataset) -> dict:
     carry its fine labels ``t_star``."""
     if data.t_star is None:
         raise ValueError("score needs the fine labels t_star of the dataset")
-    z = network.forward(model, data.features())[-1]
+    z = network.forward_rows(model, data)
     annotations = assign_annotations(z, model.head)
     nodes = annotations[0]
     _, parent_probs = head_forward(z, model.head)
@@ -278,7 +278,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
     model, _, data = _eval_inputs(cfg, args.checkpoint)
     take = min(args.limit, len(data))
-    z = network.forward(model, data.features(slice(0, take)))[-1]
+    z = network.forward_rows(model, datasets.LabeledDataset(X=data.X[:take], t=data.t[:take]))
     rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
     path = args.out / "graph.edges"
     evaluation.export_graph(rows, args.threshold, path, truth=data.t_star[:take])

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import _key, check_fields
+
 # Floor applied to parent probabilities before the log; avoids -inf loss on
 # saturated wrong predictions.
 PROB_FLOOR = 1e-12
@@ -20,21 +22,19 @@ PROB_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class AcolHead:
-    """Parent count and duplicates per parent.
+    """Parent count and duplicates per parent, checked when made by the
+    config's ``check_fields``, with the rules of the checkpoint header.
 
     ``pooling`` is the fixed n x n_parents matrix whose row j - 1 is the
     one-hot of node j's parent: k stacked identity blocks, every column
     summing to k. It is built on first use and never updated by training.
     """
 
-    n_parents: int
-    k: int
+    n_parents: int = _key("n_parents", rule=(">=", 2))
+    k: int = _key("k", rule=(">=", 1))
 
     def __post_init__(self):
-        if self.n_parents < 2:
-            raise ValueError(f"need at least 2 parent classes, got {self.n_parents}")
-        if self.k < 1:
-            raise ValueError(f"clustering coefficient k must be >= 1, got {self.k}")
+        check_fields(self)
 
     @property
     def n(self) -> int:

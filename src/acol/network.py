@@ -206,22 +206,34 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
 
 
 def validation_block(model: Model) -> int:
-    """Rows per block of ``parent_accuracy_of``: 64 Ki floats at the widest
-    layer output, 512 KB, so that a block's activations stay in a core's cache."""
+    """Rows per block of ``forward_rows``: 64 Ki floats at the widest layer
+    output, 512 KB, so that a block's activations stay in a core's cache."""
     return max(1, 65536 // max(model.layer_sizes[1:]))
 
 
-def parent_accuracy_of(model: Model, data: datasets.LabeledDataset, out=None) -> float:
-    """Fraction of examples whose pooled argmax parent matches t, counted
-    block by block of ``validation_block`` rows; ``out`` is None or forward()'s
-    buffers, at least a block deep. Z may differ from a whole pass in the last
-    bit, so ``cli.score``, whose Z is an artifact, keeps its one pass."""
-    block, hits = validation_block(model), 0
+def forward_rows(model: Model, data: datasets.LabeledDataset, out=None) -> np.ndarray:
+    """Z of every row of ``data``, the one evaluation pass: ``validation_block``
+    rows at a time, converted by ``data.features(rows)`` and forwarded through
+    ``out`` (forward()'s buffers, at least a block deep) or a block-deep set.
+    The short last block is padded with zero rows, so every product has one
+    shape and a row's Z does not depend on the rows scored with it."""
+    block = validation_block(model)
+    out = layer_buffers(model, block)[0] if out is None else out
+    z = np.empty((len(data), model.layer_sizes[-1]))
     for start in range(0, len(data), block):
-        rows = slice(start, start + block)
-        _, parent_probs = head_forward(forward(model, data.features(rows), out)[-1], model.head)
-        hits += evaluation.parent_hits(parent_probs, data.t[rows])
-    return hits / len(data)
+        x = data.features(slice(start, start + block))
+        rows = len(x)
+        if rows < block:
+            x = np.pad(x, ((0, block - rows), (0, 0)))
+        z[start : start + rows] = forward(model, x, out)[-1][:rows]
+    return z
+
+
+def parent_accuracy_of(model: Model, data: datasets.LabeledDataset, out=None) -> float:
+    """Share of the rows whose pooled argmax parent of ``forward_rows``' Z is t:
+    the per-epoch validation pass, which ``bench/spans.py`` times by this name."""
+    _, parent_probs = head_forward(forward_rows(model, data, out), model.head)
+    return evaluation.parent_accuracy(parent_probs, data.t)
 
 
 def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
@@ -277,7 +289,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         raise ValueError(f"head.n_p = {n_p}, but parent {empty[0] + 1} has no training rows")
 
     rng = np.random.default_rng(cfg.seed)
-    buffers = layer_buffers(model, max(cfg.batch_size, min(validation_block(model), cfg.validation_size)))
+    buffers = layer_buffers(model, max(cfg.batch_size, validation_block(model)))
     velocity = [
         DenseLayer(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers
     ]
@@ -285,6 +297,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     best_acc = -np.inf
     best_epoch = 0
     best_layers = copy.deepcopy(model.layers)
+    grads = None  # the last step's, freed before the trim
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(m)]
@@ -321,10 +334,10 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
             best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
 
     model.layers = best_layers
-    # glibc keeps the pages of the freed validation features (6.3 MB on idx) in
-    # its heap; whether the caller's next, larger array reuses them depends on
-    # the heap's layout, so the peak memory would move by that much from run to run.
-    del val_data, buffers, velocity
+    # glibc keeps the pages of the freed validation features (6.3 MB on idx) and
+    # gradients in its heap; whether the caller's next, larger array reuses them
+    # depends on the heap's layout, so the peak memory would move from run to run.
+    del grads, val_data, buffers, velocity
     if sys.platform == "linux":
         getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
     return model, TrainReport(records=records, selected_epoch=best_epoch)

@@ -223,7 +223,12 @@ MUTANTS = (
     ("backward-gradient-over-forward-output", "src/acol/network.py",
      "backward(model, outputs, d_z, grad_outs)", "backward(model, outputs, d_z, outs)"),
     ("train-trims-before-freeing-validation", "src/acol/network.py",
-     "    del val_data, buffers, velocity\n", ""),
+     "    del grads, val_data, buffers, velocity\n", ""),
+    ("train-trims-before-freeing-gradients", "src/acol/network.py",
+     "del grads, val_data, buffers, velocity", "del val_data, buffers, velocity"),
+    # the one evaluation pass and the head's rules
+    ("evaluation-last-block-unpadded", "src/acol/network.py", "if rows < block:", "if False:"),
+    ("head-k-floor-0", "src/acol/head.py", '_key("k", rule=(">=", 1))', '_key("k", rule=(">=", 0))'),
 )
 
 

@@ -39,10 +39,12 @@ def test_pooling_matrix_structure():
 
 
 def test_pooling_validation():
-    with pytest.raises(ValueError, match="at least 2 parent"):
+    with pytest.raises(ValueError, match="^n_parents must be >= 2, got 1$"):
         AcolHead(1, 3)
-    with pytest.raises(ValueError, match="k must be >= 1"):
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
         AcolHead(2, 0)
+    with pytest.raises(ValueError, match="^k must be an int, got 1.5$"):
+        AcolHead(2, 1.5)
     with pytest.raises(ValueError):
         AcolHead(1, 2)
 

@@ -553,11 +553,11 @@ def test_train_of_a_scaled_model_equals_train_at_scale_1_on_scaled_features(kind
     _assert_same_training(*runs, cfg.epochs)
 
 
-@pytest.mark.parametrize("rows", [37, 9])
-def test_blocked_parent_accuracy_equals_the_whole_pass(monkeypatch, rows):
+@pytest.mark.parametrize("rows, padded", [(37, 48), (9, 16)])
+def test_blocked_parent_accuracy_equals_the_whole_pass(monkeypatch, rows, padded):
     """Widest layer 4,096: blocks of 16 rows. 37 rows end in a short block and
-    9 fit in one; with the run's buffers or without, every row is counted once
-    and the hit share is the one pass's."""
+    9 fit in one, each padded to a full block; with the run's buffers or
+    without, every row is counted once and the hit share is the one pass's."""
     rng = np.random.default_rng(rows)
     model = init_model([3, 4096, 4], AcolHead(2, 2), seed=1)
     data = LabeledDataset(X=rng.normal(size=(rows, 3)), t=rng.integers(1, 3, size=rows))
@@ -575,7 +575,7 @@ def test_blocked_parent_accuracy_equals_the_whole_pass(monkeypatch, rows):
     for out in (None, network.layer_buffers(model, 16)[0]):
         evaluated.clear()
         assert parent_accuracy_of(model, data, out) == whole
-        assert sum(evaluated) == rows and max(evaluated) <= 16
+        assert sum(evaluated) == padded and set(evaluated) == {16}
 
 
 def test_train_holds_no_whole_validation_activation():
@@ -593,6 +593,57 @@ def test_train_holds_no_whole_validation_activation():
     finally:
         tracemalloc.stop()
     assert peak < cfg.validation_size * 2048 * 8
+
+
+def test_score_holds_no_whole_pool_activation():
+    """The default synthetic eval pool, 1,200 rows: ``cli.score`` walks
+    32-row blocks, so it never holds the 1,200 x 2,048 float64 activation
+    (19.7 MB) of one whole pass."""
+    cfg = ExperimentConfig()
+    data = pool_to_dataset(cli.load_pool(cfg, test=True), cli.default_partition(cfg))
+    head = AcolHead(cfg.n_parents, cfg.k)
+    model = init_model([data.X.shape[1], *cfg.resolved("hidden"), head.n], head, cfg.seed)
+    tracemalloc.start()
+    try:
+        cli.score(model, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 1200 and peak < len(data) * 2048 * 8
+
+
+_POOLS = {}
+
+
+def _scored_pool(layout: str):
+    """A model with random biases and a 1,000-row pool: float64 rows for
+    8->2048->6, uint8 rows for 784->256->128->10."""
+    if layout not in _POOLS:
+        rng = np.random.default_rng(5)
+        if layout == "synthetic":
+            sizes, head, x = [8, 2048, 6], AcolHead(2, 3), rng.normal(size=(1000, 8))
+        else:
+            sizes, head = [784, 256, 128, 10], AcolHead(2, 5)
+            x = rng.integers(0, 256, size=(1000, 784), dtype=np.uint8)
+        model = init_model(sizes, head, seed=3)
+        for layer in model.layers:
+            layer.bias = rng.normal(scale=0.5, size=layer.bias.shape)
+        pool = LabeledDataset(X=x, t=rng.integers(1, 3, size=1000), t_star=rng.integers(0, 10, size=1000))
+        _POOLS[layout] = model, pool, cli.score(model, pool)["z"]
+    return _POOLS[layout]
+
+
+@pytest.mark.parametrize("layout", ["synthetic", "digits"])
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(size=st.integers(1, 999), seed=st.integers(0, 2**32 - 1))
+def test_a_rows_z_does_not_depend_on_the_rows_scored_with_it(layout, size, seed):
+    """Any subset of the pool's rows, in any order, scores each row's Z with
+    the bits of the whole pool's pass: ``forward_rows`` and ``cli.score``."""
+    model, pool, whole = _scored_pool(layout)
+    rows = np.random.default_rng(seed).choice(len(pool), size, replace=False)
+    subset = LabeledDataset(X=pool.X[rows], t=pool.t[rows], t_star=pool.t_star[rows])
+    assert cli.score(model, subset)["z"].tobytes() == whole[rows].tobytes()
+    assert network.forward_rows(model, subset).tobytes() == whole[rows].tobytes()
 
 
 @pytest.mark.parametrize("validation_size", [0, 20])
@@ -637,8 +688,9 @@ def test_train_hands_the_freed_validation_pages_back(tmp_path):
     The IDX read has freed a larger block first, so glibc serves them from its
     heap and would keep their pages; whether the caller's next, larger array
     could reuse them depends on the heap's layout, so the peak memory would
-    move by that much from run to run. ``train`` hands the pages back: a
-    second ``malloc_trim`` after it returns finds less than half of them."""
+    move by that much from run to run. ``train`` frees them, the last step's
+    gradients too, and hands the pages back: a second ``malloc_trim`` after it
+    returns finds under 1 MB of them."""
     rng = np.random.default_rng(0)
     images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
     write_idx_images(rng.integers(0, 256, size=(10_000, 28, 28), dtype=np.uint8), images)
@@ -650,7 +702,7 @@ def test_train_hands_the_freed_validation_pages_back(tmp_path):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert int(done.stdout) < 1000 * 784 * 8 // 2
+    assert int(done.stdout) < 1_000_000
 
 
 @pytest.mark.parametrize(
