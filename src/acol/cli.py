@@ -231,7 +231,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         model, _ = fit(cfg, train_data)
         result = score(model, eval_data)
         try:
-            nodes = evaluation.kmeans_per_parent(eval_data.features(), eval_data.t, cfg.k, cfg.seed, memo)
+            nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, cfg.seed, memo)
         except evaluation.TooFewRowsError:  # no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
@@ -265,7 +265,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
 def run_baseline(cfg: ExperimentConfig, args) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
     _, _, data = _eval_inputs(cfg, None)
-    nodes = evaluation.kmeans_per_parent(data.features(), data.t, cfg.k, seed=cfg.seed)
+    nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star)
     return {"m": len(data), "k": cfg.k, "acc": acc}
 

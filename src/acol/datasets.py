@@ -63,12 +63,18 @@ class LabeledDataset:
     def __len__(self) -> int:
         return self.X.shape[0]
 
-    def features(self, rows=slice(None)) -> np.ndarray:
-        """float64 features of ``X[rows]``: ``images_to_features`` of uint8
-        pixels; elementwise, so the bits do not depend on which rows are
-        converted together."""
+    def features(self, rows=slice(None), out=None) -> np.ndarray:
+        """float64 features of ``X[rows]``, a new array or the leading rows of
+        ``out``: ``images_to_features`` of uint8 pixels; elementwise, so the
+        bits do not depend on which rows are converted together."""
         x = self.X[rows]
-        return images_to_features(x) if x.dtype == np.uint8 else x
+        out = None if out is None else out[: len(x)]
+        if x.dtype == np.uint8:
+            return images_to_features(x, out)
+        if out is None:
+            return x
+        np.copyto(out, x)
+        return out
 
 
 @dataclass
@@ -174,9 +180,11 @@ def load_idx(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
-def images_to_features(pixels: np.ndarray) -> np.ndarray:
-    """Flatten images row-major and divide by 255 into [0, 1]; 0 images give (0, d)."""
-    return pixels.reshape(len(pixels), math.prod(pixels.shape[1:])).astype(np.float64) / 255.0
+def images_to_features(pixels: np.ndarray, out=None) -> np.ndarray:
+    """Flatten images row-major and divide by 255 into [0, 1], in a new array or
+    ``out``; 0 images give (0, d). Each pixel is cast to float64 and divided,
+    the arithmetic of ``astype(np.float64) / 255.0``."""
+    return np.divide(pixels.reshape(len(pixels), math.prod(pixels.shape[1:])), 255.0, out=out)
 
 
 def threshold_partition(threshold: int = 5) -> ParentPartition:

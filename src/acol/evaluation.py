@@ -11,7 +11,7 @@ import csv
 
 import numpy as np
 
-from .datasets import artifact
+from .datasets import LabeledDataset, artifact
 
 
 def clustering_accuracy(assignments, truth) -> float:
@@ -133,8 +133,8 @@ def kmeans(x, n_clusters: int, seed: int = 0, restarts: int = 10):
     rng = np.random.default_rng(seed)
     # the row norms and one m x d scratch buffer serve every restart and
     # iteration; each in-place step rounds exactly as the expression it replaces
-    x_sq = np.sum(x * x, axis=1)[:, None]
     buf = np.empty_like(x)
+    x_sq = np.sum(np.multiply(x, x, out=buf), axis=1)[:, None]
     # Lloyd draws nothing, so seeding every restart first draws what seeding
     # each one before its own loop would
     centers = [_plus_plus_centers(x, n_clusters, rng, buf) for _ in range(restarts)]
@@ -186,15 +186,17 @@ class TooFewRowsError(ValueError):
 def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     """Baseline matching the comparison protocol: cluster within each parent.
 
-    The data is pre-divided by the provided parent labels, each subset is
-    clustered into k clusters, and the clusterings are combined with
-    disjoint ids ``(parent-1)*k + local``. A parent with fewer than k rows
-    raises ``TooFewRowsError`` before any clustering. ``memo``, a dict the
-    caller keeps across calls, holds each parent's clustering under its seed,
-    k and rows, so that a subset met again is not clustered again.
+    The data is pre-divided by the provided parent labels. Each subset is
+    converted by ``LabeledDataset.features`` when it is clustered, so ``x``
+    may hold stored uint8 pixels, and clustered into k clusters; the
+    clusterings are combined with disjoint ids ``(parent-1)*k + local``. A
+    parent with fewer than k rows raises ``TooFewRowsError`` before any
+    clustering. ``memo``, a dict the caller keeps across calls, holds each
+    parent's clustering under its seed, k and rows, so that a subset met
+    again is not clustered again.
     """
-    x = np.asarray(x, dtype=np.float64)
-    t = np.asarray(t)
+    data = LabeledDataset(X=np.asarray(x), t=np.asarray(t))
+    t = data.t
     parents, counts = np.unique(t, return_counts=True)
     for parent, count in zip(parents, counts):
         if count < k:
@@ -204,7 +206,7 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     combined = np.zeros(len(t), dtype=np.int64)
     for i, parent in enumerate(parents):
         idx = np.nonzero(t == parent)[0]
-        rows = np.ascontiguousarray(x[idx])
+        rows = data.features(idx)
         if memo is None:
             local = kmeans(rows, k, seed=seed + i)
         else:

@@ -18,10 +18,10 @@ little-endian float64 blocks, one per layer in order, weights (row-major)
 then bias.
 """
 
-import copy
 import ctypes
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,14 +39,19 @@ class CheckpointHeader:
 
     layer_sizes: tuple = _key("layer_sizes", rule=(">=", 1))
     feature_scale: float = _key("feature_scale", rule=(">", 0))
-    n_parents: int = _key("n_parents", rule=(">=", 2))
-    k: int = _key("k", rule=(">=", 1))
+    n_parents: int = _key("n_parents")  # with k, checked by the rules of ``head``
+    k: int = _key("k")
     seed: int = _key("seed", rule=(">=", 0))
     epoch: int = _key("epoch", rule=(">=", 0))
 
     def __post_init__(self) -> None:
         check_fields(self)
-        check_layer_sizes(self.layer_sizes, self.n_parents * self.k)
+        check_layer_sizes(self.layer_sizes, self.head.n)
+
+    @cached_property
+    def head(self) -> AcolHead:
+        """The model's head, made once; ``AcolHead`` holds the rules of n_parents and k."""
+        return AcolHead(self.n_parents, self.k)
 
 
 def check_layer_sizes(sizes, n: int) -> None:
@@ -118,20 +123,36 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
     return Model(layers=layers, head=head, rng_seed=seed)
 
 
-def layer_buffers(model: Model, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Scratch for one run, ``rows`` deep: a buffer per layer output, for
-    forward(), and a buffer per hidden layer's gradient, for backward()."""
-    widths = model.layer_sizes[1:]
-    return [np.empty((rows, w)) for w in widths], [np.empty((rows, w)) for w in widths[:-1]]
+@dataclass
+class LayerBuffers:
+    """Scratch that lives for a run, made by ``layer_buffers``."""
+
+    x: np.ndarray                  # (rows, d): the converted input rows
+    outputs: list[np.ndarray]      # (rows, width) per layer output, for forward()
+    d_outputs: list[np.ndarray]    # (rows, width) per hidden layer's gradient, for backward()
+    grads: list[DenseLayer]        # per layer, its weight and bias gradient, for backward()
 
 
-def forward(model: Model, x, out=None) -> list[np.ndarray]:
+def layer_buffers(model: Model, rows: int, gradients: bool = True) -> LayerBuffers:
+    """Buffers ``rows`` deep for ``model``; without ``gradients``, only the input
+    and output buffers of a forward pass are made."""
+    sizes = model.layer_sizes
+    hidden, layers = (sizes[1:-1], model.layers) if gradients else ([], [])
+    return LayerBuffers(
+        x=np.empty((rows, sizes[0])),
+        outputs=[np.empty((rows, w)) for w in sizes[1:]],
+        d_outputs=[np.empty((rows, w)) for w in hidden],
+        grads=[DenseLayer(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers],
+    )
+
+
+def forward(model: Model, x, buffers=None) -> list[np.ndarray]:
     """Outputs of the layer chain, ``[X, a_1, ..., Z]``: everything backward() needs.
 
     ``X`` is the input times ``model.feature_scale``, the one place the
     scale is applied. Each layer's output is computed in one buffer: ``a @ W``,
     then the bias added and relu applied in place. That buffer is a new array,
-    or the leading rows of ``out[i]`` (the first list of ``layer_buffers``).
+    or the leading rows of ``buffers.outputs[i]``.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
@@ -145,7 +166,7 @@ def forward(model: Model, x, out=None) -> list[np.ndarray]:
     outputs = [a]
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        a = np.matmul(a, layer.weights, out=None if out is None else out[i][: len(a)])
+        a = np.matmul(a, layer.weights, out=None if buffers is None else buffers.outputs[i][: len(a)])
         a += layer.bias
         if i < last:
             np.maximum(0.0, a, out=a)
@@ -153,35 +174,38 @@ def forward(model: Model, x, out=None) -> list[np.ndarray]:
     return outputs
 
 
-def backward(model: Model, outputs, d_z, out=None) -> list[DenseLayer]:
+def backward(model: Model, outputs, d_z, buffers=None) -> list[DenseLayer]:
     """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
 
     The caller passes the outputs of one forward() of this model and a d_z
     shaped like Z, which is left as it is. A relu output is > 0 exactly where
     its pre-activation is, so it serves as the mask, applied in place to the
-    gradient at that output: a new array, or the leading rows of ``out[i]``
-    (the second list of ``layer_buffers``). Gradients are unnormalized: any
+    gradient at that output: a new array, or the leading rows of
+    ``buffers.d_outputs[i]``. The parameter gradients are new ``DenseLayer``s,
+    or ``buffers.grads`` written in place. Gradients are unnormalized: any
     1/batch factors must already be inside d_z. The gradient at the model
     input is not formed.
     """
     d_out = d_z
     last = len(model.layers) - 1
-    grads: list[DenseLayer | None] = [None] * len(model.layers)
+    grads = [DenseLayer(None, None) for _ in model.layers] if buffers is None else buffers.grads
     for i in reversed(range(len(model.layers))):
-        layer = model.layers[i]
+        layer, g = model.layers[i], grads[i]
         a_in, a_out = outputs[i], outputs[i + 1]
         if i < last:
             np.multiply(d_out, a_out > 0, out=d_out)
-        grads[i] = DenseLayer(weights=a_in.T @ d_out, bias=d_out.sum(axis=0))
+        g.weights = np.matmul(a_in.T, d_out, out=g.weights)
+        g.bias = np.sum(d_out, axis=0, out=g.bias)
         if i > 0:
-            d_out = np.matmul(d_out, layer.weights.T, out=None if out is None else out[i - 1][: len(d_out)])
+            d_out = np.matmul(d_out, layer.weights.T,
+                              out=None if buffers is None else buffers.d_outputs[i - 1][: len(d_out)])
     return grads
 
 
 def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
     """One forward/backward evaluation of the combined objective, weighted by
     ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows;
-    ``buffers`` is None or the pair of ``layer_buffers`` to compute in.
+    ``buffers`` is None or the ``layer_buffers`` to compute in.
 
     Returns ``(loss, grads, sums)`` where grads mirror the layer parameters
     and ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain
@@ -189,13 +213,12 @@ def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
     argmax parent under the current parameters equals t. The regularization
     gradient reaches Z only through the relu mask.
     """
-    outs, grad_outs = buffers or (None, None)
-    outputs = forward(model, x, outs)
+    outputs = forward(model, x, buffers)
     z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
     terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))
     d_z = d_z + gar_d_z * (z > 0)
-    grads = backward(model, outputs, d_z, grad_outs)
+    grads = backward(model, outputs, d_z, buffers)
     return sup_loss + terms.loss, grads, {
         "sup_loss": sup_loss * len(x),
         "affinity": terms.affinity * len(x),
@@ -211,28 +234,28 @@ def validation_block(model: Model) -> int:
     return max(1, 65536 // max(model.layer_sizes[1:]))
 
 
-def forward_rows(model: Model, data: datasets.LabeledDataset, out=None) -> np.ndarray:
+def forward_rows(model: Model, data: datasets.LabeledDataset, buffers=None) -> np.ndarray:
     """Z of every row of ``data``, the one evaluation pass: ``validation_block``
-    rows at a time, converted by ``data.features(rows)`` and forwarded through
-    ``out`` (forward()'s buffers, at least a block deep) or a block-deep set.
-    The short last block is padded with zero rows, so every product has one
-    shape and a row's Z does not depend on the rows scored with it."""
+    rows at a time, converted by ``data.features(rows)`` into ``buffers.x`` and
+    forwarded through ``buffers`` (at least a block deep; a block-deep set when
+    None), so stored uint8 pixels are never converted all at once. The short
+    last block's tail is zeroed, so every product has one shape and a row's Z
+    does not depend on the rows scored with it."""
     block = validation_block(model)
-    out = layer_buffers(model, block)[0] if out is None else out
+    buffers = layer_buffers(model, block, gradients=False) if buffers is None else buffers
+    x = buffers.x[:block]
     z = np.empty((len(data), model.layer_sizes[-1]))
     for start in range(0, len(data), block):
-        x = data.features(slice(start, start + block))
-        rows = len(x)
-        if rows < block:
-            x = np.pad(x, ((0, block - rows), (0, 0)))
-        z[start : start + rows] = forward(model, x, out)[-1][:rows]
+        rows = len(data.features(slice(start, start + block), x))
+        x[rows:] = 0.0
+        z[start : start + rows] = forward(model, x, buffers)[-1][:rows]
     return z
 
 
-def parent_accuracy_of(model: Model, data: datasets.LabeledDataset, out=None) -> float:
+def parent_accuracy_of(model: Model, data: datasets.LabeledDataset, buffers=None) -> float:
     """Share of the rows whose pooled argmax parent of ``forward_rows``' Z is t:
     the per-epoch validation pass, which ``bench/spans.py`` times by this name."""
-    _, parent_probs = head_forward(forward_rows(model, data, out), model.head)
+    _, parent_probs = head_forward(forward_rows(model, data, buffers), model.head)
     return evaluation.parent_accuracy(parent_probs, data.t)
 
 
@@ -242,13 +265,15 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     ``cfg``'s ``train.*`` and ``gar.*`` values and its seed drive the run.
     Each epoch shuffles the training rows with the seeded stream, walks
     batches of ``cfg.batch_size`` (final short batch included), converts
-    each by ``data.features(idx)``, and takes one gradient step per batch.
-    When ``cfg.validation_size`` > 0 that many examples are split off
-    (seeded) and converted once before training, and the returned model is
-    the parameter snapshot from the epoch with the highest validation parent
-    accuracy (latest on ties, so the regularizers keep refining the latent
-    structure after the supervised task saturates); otherwise the final
-    epoch is kept.
+    each by ``data.features(idx)`` into the run's input buffer, and takes one
+    gradient step per batch. When ``cfg.validation_size`` > 0 that many
+    examples are split off (seeded) and kept as stored, and each epoch's
+    ``parent_accuracy_of`` converts them a block at a time; the returned
+    model's layers are then a copy of the parameters from the epoch with the
+    highest validation parent accuracy (latest on ties, so the regularizers
+    keep refining the latent structure after the supervised task saturates);
+    otherwise of the final epoch. The batch features, layer outputs,
+    gradients, velocity and snapshot live in arrays made once per run.
 
     Like the loss columns, an epoch's ``train_parent_acc`` is a running
     value over its batches: the share of training rows whose argmax parent,
@@ -281,7 +306,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         )
     if cfg.validation_size > 0:
         train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
-        val_data = datasets.LabeledDataset(X=data.features(val_idx), t=data.t[val_idx])
+        val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
     else:
         train_idx, val_data = np.arange(len(data)), None
     empty = np.flatnonzero(np.bincount(data.t[train_idx], minlength=n_p + 1)[1:] == 0)
@@ -296,8 +321,8 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     records: list[EpochRecord] = []
     best_acc = -np.inf
     best_epoch = 0
-    best_layers = copy.deepcopy(model.layers)
-    grads = None  # the last step's, freed before the trim
+    best_layers = [DenseLayer(l.weights.copy(), l.bias.copy()) for l in model.layers]
+    x = grads = None  # the last step's batch and gradients, in the buffers; freed before the trim
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(m)]
@@ -306,7 +331,8 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
-                loss, grads, sums = combined_step(model, data.features(idx), data.t[idx], cfg, buffers)
+                x = data.features(idx, buffers.x)
+                loss, grads, sums = combined_step(model, x, data.t[idx], cfg, buffers)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
@@ -327,17 +353,20 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
             if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise ValueError(f"training diverged: layer {i} is not finite after epoch {epoch}")
 
-        val_acc = parent_accuracy_of(model, val_data, buffers[0]) if val_data is not None else float("nan")
+        val_acc = parent_accuracy_of(model, val_data, buffers) if val_data is not None else float("nan")
         means = {name: total / m for name, total in totals.items()}
         records.append(EpochRecord(epoch=epoch, **means, val_parent_acc=val_acc))
         if val_data is None or val_acc >= best_acc:
-            best_acc, best_epoch, best_layers = val_acc, epoch, copy.deepcopy(model.layers)
+            best_acc, best_epoch = val_acc, epoch
+            for best, layer in zip(best_layers, model.layers):
+                np.copyto(best.weights, layer.weights)
+                np.copyto(best.bias, layer.bias)
 
     model.layers = best_layers
-    # glibc keeps the pages of the freed validation features (6.3 MB on idx) and
-    # gradients in its heap; whether the caller's next, larger array reuses them
-    # depends on the heap's layout, so the peak memory would move from run to run.
-    del grads, val_data, buffers, velocity
+    # glibc keeps the pages of freed arrays in its heap; whether the caller's
+    # next, larger array reuses them depends on the heap's layout, so the peak
+    # memory would move from run to run.
+    del val_data, buffers, grads, x, velocity
     if sys.platform == "linux":
         getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
     return model, TrainReport(records=records, selected_epoch=best_epoch)
@@ -373,7 +402,7 @@ def load_checkpoint(path):
         header = parse_config("\n" + text, CheckpointHeader)  # the tag is line 1
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
-    sizes, head = header.layer_sizes, AcolHead(header.n_parents, header.k)
+    sizes, head = header.layer_sizes, header.head
 
     payload = blob[sep + 2 :]
     expected = sum((fi + 1) * fo for fi, fo in zip(sizes[:-1], sizes[1:])) * 8

@@ -266,6 +266,24 @@ def test_synthetic_features_are_the_blobs_of_the_pool():
         assert _same_bits(data.features(rows), blobs.X[rows])
 
 
+def test_features_into_a_buffer_equal_a_new_conversion():
+    """``features(rows, out)`` writes into the leading rows of ``out`` the bits
+    that a new conversion gives: the float64 cast then ``/ 255`` of every
+    uint8 value, or the stored float64 rows, and leaves the rest of ``out``."""
+    pixels = np.random.default_rng(3).permutation(np.arange(600) % 256).astype(np.uint8).reshape(30, 4, 5)
+    blobs = np.random.default_rng(4).normal(size=(30, 20))
+    reference = pixels.reshape(30, 20).astype(np.float64) / 255.0
+    assert _same_bits(images_to_features(pixels), reference)
+    for stored, want in ((pixels.reshape(30, 20), reference), (blobs, blobs)):
+        data = LabeledDataset(X=stored, t=np.ones(30, dtype=np.int64))
+        for rows in FEATURE_ROWS:
+            out = np.full((40, 20), np.nan)
+            got = data.features(rows, out)
+            assert _same_bits(got, want[rows]) and np.shares_memory(got, out)
+            assert _same_bits(got, data.features(rows))
+            assert np.isnan(out[len(got):]).all()
+
+
 def test_an_idx_pool_holds_its_pixels_and_no_float64_matrix(tmp_path):
     m, d = 2000, 64
     pixels = np.random.default_rng(2).integers(0, 256, size=(m, 8, 8), dtype=np.uint8)

@@ -1,11 +1,12 @@
 """Clustering accuracy vs exhaustive search, k-means baseline, exports."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from acol.datasets import synthetic_blobs
+from acol.datasets import images_to_features, synthetic_blobs
 from acol.evaluation import (
     _max_weight_matching,
     _plus_plus_centers,
@@ -383,6 +384,38 @@ def test_kmeans_per_parent_id_ranges():
         assert ids <= set(range(low, high + 1))
     # separable blobs: the combined clustering matches the fine truth
     assert clustering_accuracy(combined, pool.fine) >= 0.99
+
+
+def test_kmeans_per_parent_converts_one_parent_of_stored_pixels_at_a_time():
+    """On a uint8 pool of four parents, each parent's rows are converted as
+    they are clustered: the labels are those of the pool converted first, and
+    the peak stays under the whole pool's float64 features."""
+    rng = np.random.default_rng(8)
+    pixels = rng.integers(0, 256, size=(2000, 784), dtype=np.uint8)
+    t = 1 + np.arange(2000) % 4
+    want = kmeans_per_parent(images_to_features(pixels), t, k=3, seed=2)
+    tracemalloc.start()
+    try:
+        got = kmeans_per_parent(pixels, t, k=3, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < pixels.size * 8
+
+
+def test_kmeans_forms_its_row_norms_in_its_scratch_buffer():
+    """Besides the caller's rows, kmeans holds one scratch buffer shaped like
+    them and one cluster's gathered rows at a time: its traced peak stays
+    under twice the rows' bytes, which a separate ``x * x`` product reaches."""
+    x = images_to_features(np.random.default_rng(8).integers(0, 256, size=(1000, 784), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        kmeans(x, 5, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * x.nbytes
 
 
 def _counting_kmeans(monkeypatch):
