@@ -192,8 +192,8 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     clusterings are combined with disjoint ids ``(parent-1)*k + local``. A
     parent with fewer than k rows raises ``TooFewRowsError`` before any
     clustering. ``memo``, a dict the caller keeps across calls, holds each
-    parent's clustering under its seed, k and rows, so that a subset met
-    again is not clustered again.
+    parent's clustering under its seed, k and stored rows (shape, dtype and
+    sha256), so that a subset met again is neither converted nor clustered.
     """
     data = LabeledDataset(X=np.asarray(x), t=np.asarray(t))
     t = data.t
@@ -206,13 +206,13 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     combined = np.zeros(len(t), dtype=np.int64)
     for i, parent in enumerate(parents):
         idx = np.nonzero(t == parent)[0]
-        rows = data.features(idx)
         if memo is None:
-            local = kmeans(rows, k, seed=seed + i)
+            local = kmeans(data.features(idx), k, seed=seed + i)
         else:
-            key = (seed + i, k, rows.shape, hashlib.sha256(rows).hexdigest())
+            stored = data.X[idx]
+            key = (seed + i, k, stored.shape, stored.dtype.str, hashlib.sha256(stored).hexdigest())
             if key not in memo:
-                memo[key] = kmeans(rows, k, seed=seed + i)
+                memo[key] = kmeans(data.features(idx), k, seed=seed + i)
             local = memo[key]
         combined[idx] = (int(parent) - 1) * k + local
     return combined

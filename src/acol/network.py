@@ -128,20 +128,18 @@ class LayerBuffers:
     """Scratch that lives for a run, made by ``layer_buffers``."""
 
     x: np.ndarray                  # (rows, d): the converted input rows
-    outputs: list[np.ndarray]      # (rows, width) per layer output, for forward()
-    d_outputs: list[np.ndarray]    # (rows, width) per hidden layer's gradient, for backward()
+    outputs: list[np.ndarray]      # (rows, width) per layer output, and per hidden layer's gradient
     grads: list[DenseLayer]        # per layer, its weight and bias gradient, for backward()
 
 
 def layer_buffers(model: Model, rows: int, gradients: bool = True) -> LayerBuffers:
-    """Buffers ``rows`` deep for ``model``; without ``gradients``, only the input
-    and output buffers of a forward pass are made."""
-    sizes = model.layer_sizes
-    hidden, layers = (sizes[1:-1], model.layers) if gradients else ([], [])
+    """Buffers ``rows`` deep for ``model``: one per layer output, which backward
+    reuses for that layer's gradient; without ``gradients``, no weight and bias
+    gradients are made."""
+    sizes, layers = model.layer_sizes, (model.layers if gradients else [])
     return LayerBuffers(
         x=np.empty((rows, sizes[0])),
         outputs=[np.empty((rows, w)) for w in sizes[1:]],
-        d_outputs=[np.empty((rows, w)) for w in hidden],
         grads=[DenseLayer(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers],
     )
 
@@ -179,33 +177,33 @@ def backward(model: Model, outputs, d_z, buffers=None) -> list[DenseLayer]:
 
     The caller passes the outputs of one forward() of this model and a d_z
     shaped like Z, which is left as it is. A relu output is > 0 exactly where
-    its pre-activation is, so it serves as the mask, applied in place to the
-    gradient at that output: a new array, or the leading rows of
-    ``buffers.d_outputs[i]``. The parameter gradients are new ``DenseLayer``s,
-    or ``buffers.grads`` written in place. Gradients are unnormalized: any
-    1/batch factors must already be inside d_z. The gradient at the model
-    input is not formed.
+    its pre-activation is, so its mask, taken once its weight gradient is
+    formed, is applied in place to the gradient at that output: a new array,
+    or with ``buffers`` the output's own buffer, so the hidden outputs are
+    consumed and the input rows and Z are left as they were. The parameter
+    gradients are new ``DenseLayer``s, or ``buffers.grads`` written in place.
+    Gradients are unnormalized: any 1/batch factors must already be inside
+    d_z. The gradient at the model input is not formed.
     """
     d_out = d_z
-    last = len(model.layers) - 1
     grads = [DenseLayer(None, None) for _ in model.layers] if buffers is None else buffers.grads
     for i in reversed(range(len(model.layers))):
-        layer, g = model.layers[i], grads[i]
-        a_in, a_out = outputs[i], outputs[i + 1]
-        if i < last:
-            np.multiply(d_out, a_out > 0, out=d_out)
+        a_in, g = outputs[i], grads[i]
         g.weights = np.matmul(a_in.T, d_out, out=g.weights)
         g.bias = np.sum(d_out, axis=0, out=g.bias)
         if i > 0:
-            d_out = np.matmul(d_out, layer.weights.T,
-                              out=None if buffers is None else buffers.d_outputs[i - 1][: len(d_out)])
+            mask = a_in > 0
+            d_out = np.matmul(d_out, model.layers[i].weights.T,
+                              out=None if buffers is None else buffers.outputs[i - 1][: len(d_out)])
+            np.multiply(d_out, mask, out=d_out)
     return grads
 
 
 def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
     """One forward/backward evaluation of the combined objective, weighted by
     ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows;
-    ``buffers`` is None or the ``layer_buffers`` to compute in.
+    ``buffers`` is None or the ``layer_buffers`` to compute in, whose hidden
+    outputs backward() then consumes (``x`` and Z are left as they were).
 
     Returns ``(loss, grads, sums)`` where grads mirror the layer parameters
     and ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain

@@ -54,8 +54,7 @@ MUTANTS = (
      "(d_off * s_diag - s_off * d_diag)", "(d_off * s_diag + s_off * d_diag)"),
     ("pooling-blocked", "src/acol/head.py",
      "np.eye(self.n_parents)[parents - 1]", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
-    ("relu-mask-dropped", "src/acol/network.py",
-     "np.multiply(d_out, a_out > 0, out=d_out)", "np.multiply(d_out, a_out >= 0, out=d_out)"),
+    ("relu-mask-dropped", "src/acol/network.py", "mask = a_in > 0", "mask = a_in >= 0"),
     ("momentum-step-before-velocity", "src/acol/network.py",
      "vel.weights -= g.weights\n                    layer.weights += vel.weights",
      "layer.weights += vel.weights\n                    vel.weights -= g.weights"),
@@ -222,8 +221,10 @@ MUTANTS = (
      "for start in range(0, len(data), block):", "for start in range(0, len(data) - block + 1, block):"),
     ("forward-writes-previous-layer-buffer", "src/acol/network.py",
      "else buffers.outputs[i][: len(a)])", "else buffers.outputs[i - 1][: len(a)])"),
-    ("backward-gradient-over-forward-output", "src/acol/network.py",
-     "else buffers.d_outputs[i - 1][: len(d_out)])", "else buffers.outputs[i - 1][: len(d_out)])"),
+    ("backward-mask-taken-after-the-gradient-overwrote-it", "src/acol/network.py",
+     "np.multiply(d_out, mask, out=d_out)", "np.multiply(d_out, a_in > 0, out=d_out)"),
+    ("backward-hidden-gradient-in-a-new-array", "src/acol/network.py",
+     "out=None if buffers is None else buffers.outputs[i - 1][: len(d_out)])", "out=None)"),
     ("train-trims-before-freeing-validation", "src/acol/network.py",
      "    del val_data, buffers, grads, x, velocity\n", ""),
     ("train-trims-before-freeing-gradients", "src/acol/network.py",
@@ -259,6 +260,14 @@ MUTANTS = (
      "LabeledDataset(X=np.asarray(x, dtype=np.float64), t=np.asarray(t))"),
     ("kmeans-row-norms-outside-scratch", "src/acol/evaluation.py",
      "np.sum(np.multiply(x, x, out=buf), axis=1)", "np.sum(x * x, axis=1)"),
+    # the k-means memo keyed on a parent's stored rows, converted only on a miss.
+    # Equivalent, so not listed: dropping the key's dtype (`stored.dtype.str, `),
+    # since a pool is uint8 or float64, whose same-shape rows differ in byte
+    # length and so in sha256.
+    ("kmeans-memo-keyed-on-converted-rows", "src/acol/evaluation.py",
+     "stored = data.X[idx]", "stored = data.features(idx)"),
+    ("kmeans-memo-miss-clusters-stored-rows", "src/acol/evaluation.py",
+     "memo[key] = kmeans(data.features(idx), k, seed=seed + i)", "memo[key] = kmeans(stored, k, seed=seed + i)"),
 )
 
 

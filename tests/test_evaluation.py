@@ -439,6 +439,24 @@ def test_kmeans_per_parent_memo_clusters_each_subset_once(monkeypatch):
     assert calls == [60, 60, 59]
 
 
+def test_kmeans_per_parent_memo_hit_converts_nothing(monkeypatch):
+    """The memo is keyed on the stored rows: a parent's uint8 pixels are
+    converted only when its clustering is missing, so a second call over the
+    same parents converts no row, and its labels are the first call's."""
+    rng = np.random.default_rng(9)
+    pixels = rng.integers(0, 256, size=(300, 64), dtype=np.uint8)
+    t = 1 + np.arange(300) % 3
+    converted = []
+    monkeypatch.setattr("acol.datasets.images_to_features",
+                        lambda x, out=None: converted.append(len(x)) or images_to_features(x, out))
+    memo = {}
+    first = kmeans_per_parent(pixels, t, k=2, seed=4, memo=memo)
+    assert converted == [100, 100, 100] and len(memo) == 3
+    converted.clear()
+    assert np.array_equal(kmeans_per_parent(pixels, t, k=2, seed=4, memo=memo), first)
+    assert converted == [] and len(memo) == 3
+
+
 @pytest.mark.parametrize("seed, k", [(6, 2), (5, 3)])
 def test_kmeans_per_parent_memo_misses_another_seed_or_k(monkeypatch, seed, k):
     pool = synthetic_blobs(4, per_cluster=30, dim=3, separation=6.0, seed=37)
