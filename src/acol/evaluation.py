@@ -191,30 +191,26 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     may hold stored uint8 pixels, and clustered into k clusters; the
     clusterings are combined with disjoint ids ``(parent-1)*k + local``. A
     parent with fewer than k rows raises ``TooFewRowsError`` before any
-    clustering. ``memo``, a dict the caller keeps across calls, holds each
-    parent's clustering under its seed, k and stored rows (shape, dtype and
-    sha256), so that a subset met again is neither converted nor clustered.
+    clustering. Each clustering is kept in ``memo``, the caller's dict or a new
+    one, under its seed, k and stored rows (shape, dtype and sha256), so that
+    a subset met again is neither converted nor clustered.
     """
+    import hashlib  # here: at module top it adds ~5 ms to every command's start
     data = LabeledDataset(X=np.asarray(x), t=np.asarray(t))
     t = data.t
     parents, counts = np.unique(t, return_counts=True)
     for parent, count in zip(parents, counts):
         if count < k:
             raise TooFewRowsError(f"parent {parent} has {count} rows, fewer than head.k = {k}")
-    if memo is not None:
-        import hashlib  # here: at module top it adds ~5 ms to every command's start
+    memo = {} if memo is None else memo
     combined = np.zeros(len(t), dtype=np.int64)
     for i, parent in enumerate(parents):
         idx = np.nonzero(t == parent)[0]
-        if memo is None:
-            local = kmeans(data.features(idx), k, seed=seed + i)
-        else:
-            stored = data.X[idx]
-            key = (seed + i, k, stored.shape, stored.dtype.str, hashlib.sha256(stored).hexdigest())
-            if key not in memo:
-                memo[key] = kmeans(data.features(idx), k, seed=seed + i)
-            local = memo[key]
-        combined[idx] = (int(parent) - 1) * k + local
+        stored = data.X[idx]
+        key = (seed + i, k, stored.shape, stored.dtype.str, hashlib.sha256(stored).hexdigest())
+        if key not in memo:
+            memo[key] = kmeans(data.features(idx), k, seed=seed + i)
+        combined[idx] = (int(parent) - 1) * k + memo[key]
     return combined
 
 

@@ -125,46 +125,50 @@ def init_model(layer_sizes, head: AcolHead, seed: int) -> Model:
 
 @dataclass
 class LayerBuffers:
-    """Scratch that lives for a run, made by ``layer_buffers``."""
+    """The arrays forward, backward and combined_step compute in, made by ``layer_buffers``."""
 
     x: np.ndarray                  # (rows, d): the converted input rows
     outputs: list[np.ndarray]      # (rows, width) per layer output, and per hidden layer's gradient
     grads: list[DenseLayer]        # per layer, its weight and bias gradient, for backward()
 
 
-def layer_buffers(model: Model, rows: int, gradients: bool = True) -> LayerBuffers:
-    """Buffers ``rows`` deep for ``model``: one per layer output, which backward
-    reuses for that layer's gradient; without ``gradients``, no weight and bias
-    gradients are made."""
-    sizes, layers = model.layer_sizes, (model.layers if gradients else [])
+def layer_buffers(model: Model, rows: int) -> LayerBuffers:
+    """Buffers ``rows`` deep for ``model``: the input rows, one per layer
+    output, which backward reuses for that layer's gradient, and one weight
+    and bias gradient per layer (pages never written hold no memory)."""
     return LayerBuffers(
-        x=np.empty((rows, sizes[0])),
-        outputs=[np.empty((rows, w)) for w in sizes[1:]],
-        grads=[DenseLayer(np.empty_like(l.weights), np.empty_like(l.bias)) for l in layers],
+        x=np.empty((rows, model.layer_sizes[0])),
+        outputs=[np.empty((rows, w)) for w in model.layer_sizes[1:]],
+        grads=[DenseLayer(np.empty_like(l.weights), np.empty_like(l.bias)) for l in model.layers],
     )
+
+
+def check_features(model: Model, d: int) -> None:
+    """The one feature-count check, where data first meets a model: the ``d``
+    columns of forward()'s rows, or of the dataset of train and forward_rows."""
+    if d != model.layer_sizes[0]:
+        raise ValueError(f"input has {d} features, first layer expects {model.layer_sizes[0]}")
 
 
 def forward(model: Model, x, buffers=None) -> list[np.ndarray]:
     """Outputs of the layer chain, ``[X, a_1, ..., Z]``: everything backward() needs.
 
     ``X`` is the input times ``model.feature_scale``, the one place the
-    scale is applied. Each layer's output is computed in one buffer: ``a @ W``,
-    then the bias added and relu applied in place. That buffer is a new array,
-    or the leading rows of ``buffers.outputs[i]``.
+    scale is applied. Layer i's output is computed in the leading rows of
+    ``buffers.outputs[i]`` (a new ``layer_buffers`` set when None): ``a @ W``,
+    then the bias added and relu applied in place.
     """
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise ValueError(f"X must be 2-D, got shape {a.shape}")
-    if a.shape[1] != model.layers[0].weights.shape[0]:
-        raise ValueError(
-            f"input has {a.shape[1]} features, first layer expects {model.layers[0].weights.shape[0]}"
-        )
+    check_features(model, a.shape[1])
+    buffers = layer_buffers(model, len(a)) if buffers is None else buffers
     if model.feature_scale != 1.0:
         a = a * model.feature_scale
     outputs = [a]
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        a = np.matmul(a, layer.weights, out=None if buffers is None else buffers.outputs[i][: len(a)])
+        a = np.matmul(a, layer.weights, out=buffers.outputs[i][: len(a)])
         a += layer.bias
         if i < last:
             np.maximum(0.0, a, out=a)
@@ -172,51 +176,49 @@ def forward(model: Model, x, buffers=None) -> list[np.ndarray]:
     return outputs
 
 
-def backward(model: Model, outputs, d_z, buffers=None) -> list[DenseLayer]:
-    """Backpropagate d_z (gradient at Z) through the layer outputs of forward().
+def backward(model: Model, outputs, d_z, grads) -> list[DenseLayer]:
+    """Backpropagate d_z (gradient at Z) through the layer outputs of forward()
+    into ``grads``, one ``DenseLayer`` per layer, written in place and returned.
 
     The caller passes the outputs of one forward() of this model and a d_z
     shaped like Z, which is left as it is. A relu output is > 0 exactly where
-    its pre-activation is, so its mask, taken once its weight gradient is
-    formed, is applied in place to the gradient at that output: a new array,
-    or with ``buffers`` the output's own buffer, so the hidden outputs are
-    consumed and the input rows and Z are left as they were. The parameter
-    gradients are new ``DenseLayer``s, or ``buffers.grads`` written in place.
-    Gradients are unnormalized: any 1/batch factors must already be inside
-    d_z. The gradient at the model input is not formed.
+    its pre-activation is, so its mask is taken once its weight gradient is
+    formed, and the gradient at that output is written over the output and
+    masked there: the hidden outputs are consumed, the input rows and Z are
+    not written. Gradients are unnormalized: any 1/batch factors must already
+    be inside d_z. The gradient at the model input is not formed.
     """
     d_out = d_z
-    grads = [DenseLayer(None, None) for _ in model.layers] if buffers is None else buffers.grads
     for i in reversed(range(len(model.layers))):
         a_in, g = outputs[i], grads[i]
         g.weights = np.matmul(a_in.T, d_out, out=g.weights)
         g.bias = np.sum(d_out, axis=0, out=g.bias)
         if i > 0:
             mask = a_in > 0
-            d_out = np.matmul(d_out, model.layers[i].weights.T,
-                              out=None if buffers is None else buffers.outputs[i - 1][: len(d_out)])
+            d_out = np.matmul(d_out, model.layers[i].weights.T, out=a_in)
             np.multiply(d_out, mask, out=d_out)
     return grads
 
 
 def combined_step(model: Model, x, t, cfg: ExperimentConfig, buffers=None):
     """One forward/backward evaluation of the combined objective, weighted by
-    ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows;
-    ``buffers`` is None or the ``layer_buffers`` to compute in, whose hidden
-    outputs backward() then consumes (``x`` and Z are left as they were).
+    ``cfg``'s ``gar.*`` values, with ``gar.c_f`` divided by the batch rows, in
+    ``buffers`` (a new ``layer_buffers`` set when None), whose hidden outputs
+    backward() then consumes (``x`` and Z are left as they were).
 
-    Returns ``(loss, grads, sums)`` where grads mirror the layer parameters
-    and ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain
+    Returns ``(loss, grads, sums)`` where grads are ``buffers.grads`` and
+    ``sums`` maps each ``EpochRecord`` field a batch feeds to its plain
     Python sum over the batch rows; ``train_parent_acc`` counts the rows whose
     argmax parent under the current parameters equals t. The regularization
     gradient reaches Z only through the relu mask.
     """
+    buffers = layer_buffers(model, len(x)) if buffers is None else buffers
     outputs = forward(model, x, buffers)
     z = outputs[-1]
     sup_loss, d_z, parent_probs = supervised_grad(z, t, model.head)
     terms, gar_d_z = gar_value_and_grad(np.maximum(0.0, z), cfg.c_alpha, cfg.c_beta, cfg.c_f / len(x))
     d_z = d_z + gar_d_z * (z > 0)
-    grads = backward(model, outputs, d_z, buffers)
+    grads = backward(model, outputs, d_z, buffers.grads)
     return sup_loss + terms.loss, grads, {
         "sup_loss": sup_loss * len(x),
         "affinity": terms.affinity * len(x),
@@ -239,8 +241,9 @@ def forward_rows(model: Model, data: datasets.LabeledDataset, buffers=None) -> n
     None), so stored uint8 pixels are never converted all at once. The short
     last block's tail is zeroed, so every product has one shape and a row's Z
     does not depend on the rows scored with it."""
+    check_features(model, data.X.shape[1])
     block = validation_block(model)
-    buffers = layer_buffers(model, block, gradients=False) if buffers is None else buffers
+    buffers = layer_buffers(model, block) if buffers is None else buffers
     x = buffers.x[:block]
     z = np.empty((len(data), model.layer_sizes[-1]))
     for start in range(0, len(data), block):
@@ -291,6 +294,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         raise ValueError("empty dataset")
     if data.t.min() < 1 or data.t.max() > n_p:
         raise ValueError(f"parent labels must lie in 1..{n_p}")
+    check_features(model, data.X.shape[1])
 
     if cfg.validation_size >= len(data):
         raise ValueError(
@@ -320,7 +324,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     best_acc = -np.inf
     best_epoch = 0
     best_layers = [DenseLayer(l.weights.copy(), l.bias.copy()) for l in model.layers]
-    x = grads = None  # the last step's batch and gradients, in the buffers; freed before the trim
+    grads = None  # the last step's gradients, in the buffers; freed before the trim
 
     for epoch in range(1, cfg.epochs + 1):
         order = train_idx[rng.permutation(m)]
@@ -329,8 +333,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         with np.errstate(over="ignore", invalid="ignore"):
             for batch, start in enumerate(range(0, m, cfg.batch_size), start=1):
                 idx = order[start : start + cfg.batch_size]
-                x = data.features(idx, buffers.x)
-                loss, grads, sums = combined_step(model, x, data.t[idx], cfg, buffers)
+                loss, grads, sums = combined_step(model, data.features(idx, buffers.x), data.t[idx], cfg, buffers)
                 if not np.isfinite(loss):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
@@ -364,7 +367,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     # glibc keeps the pages of freed arrays in its heap; whether the caller's
     # next, larger array reuses them depends on the heap's layout, so the peak
     # memory would move from run to run.
-    del val_data, buffers, grads, x, velocity
+    del val_data, buffers, grads, velocity
     if sys.platform == "linux":
         getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(0)
     return model, TrainReport(records=records, selected_epoch=best_epoch)

@@ -76,7 +76,7 @@ MUTANTS = (
     ("dataset-row-count-unchecked", "src/acol/datasets.py",
      "if labels is not None and np.shape(labels)", "if False and np.shape(labels)"),
     ("forward-width-unchecked", "src/acol/network.py",
-     "if a.shape[1] != model.layers[0].weights.shape[0]:", "if False:"),
+     "    check_features(model, a.shape[1])\n", ""),
     ("checkpoint-last-width-unchecked", "src/acol/network.py",
      "check_layer_sizes(self.layer_sizes, self.head.n)",
      "check_layer_sizes(self.layer_sizes, self.layer_sizes[-1])"),
@@ -220,15 +220,15 @@ MUTANTS = (
     ("validation-block-drops-short-tail", "src/acol/network.py",
      "for start in range(0, len(data), block):", "for start in range(0, len(data) - block + 1, block):"),
     ("forward-writes-previous-layer-buffer", "src/acol/network.py",
-     "else buffers.outputs[i][: len(a)])", "else buffers.outputs[i - 1][: len(a)])"),
+     "out=buffers.outputs[i][: len(a)])", "out=buffers.outputs[i - 1][: len(a)])"),
     ("backward-mask-taken-after-the-gradient-overwrote-it", "src/acol/network.py",
      "np.multiply(d_out, mask, out=d_out)", "np.multiply(d_out, a_in > 0, out=d_out)"),
     ("backward-hidden-gradient-in-a-new-array", "src/acol/network.py",
-     "out=None if buffers is None else buffers.outputs[i - 1][: len(d_out)])", "out=None)"),
+     "model.layers[i].weights.T, out=a_in)", "model.layers[i].weights.T)"),
     ("train-trims-before-freeing-validation", "src/acol/network.py",
-     "    del val_data, buffers, grads, x, velocity\n", ""),
+     "    del val_data, buffers, grads, velocity\n", ""),
     ("train-trims-before-freeing-gradients", "src/acol/network.py",
-     "del val_data, buffers, grads, x, velocity", "del val_data, buffers, x, velocity"),
+     "del val_data, buffers, grads, velocity", "del val_data, buffers, velocity"),
     # the one evaluation pass and the head's rules
     ("evaluation-last-block-unpadded", "src/acol/network.py",
      "forward(model, x, buffers)[-1][:rows]", "forward(model, x[:rows], buffers)[-1]"),
@@ -244,9 +244,17 @@ MUTANTS = (
     ("features-out-float-unwritten", "src/acol/datasets.py", "        np.copyto(out, x)\n", ""),
     ("evaluation-tail-not-zeroed", "src/acol/network.py", "        x[rows:] = 0.0\n", ""),
     ("train-batch-outside-input-buffer", "src/acol/network.py",
-     "x = data.features(idx, buffers.x)", "x = data.features(idx)"),
+     "data.features(idx, buffers.x), data.t[idx]", "data.features(idx), data.t[idx]"),
     ("backward-gradients-unbuffered", "src/acol/network.py",
-     "if buffers is None else buffers.grads", "if True else buffers.grads"),
+     "backward(model, outputs, d_z, buffers.grads)",
+     "backward(model, outputs, d_z, layer_buffers(model, len(x)).grads)"),
+    # the one feature-count check where a dataset meets a model, and the k-means memo always used
+    ("train-dataset-features-unchecked", "src/acol/network.py",
+     "    check_features(model, data.X.shape[1])\n\n", "\n"),
+    ("forward-rows-dataset-features-unchecked", "src/acol/network.py",
+     "    check_features(model, data.X.shape[1])\n    block", "    block"),
+    ("kmeans-memo-ignores-the-callers-dict", "src/acol/evaluation.py",
+     "memo = {} if memo is None else memo", "memo = {}"),
     ("snapshot-aliases-stepped-layers", "src/acol/network.py",
      "best_layers = [DenseLayer(l.weights.copy(), l.bias.copy()) for l in model.layers]",
      "best_layers = model.layers"),

@@ -118,11 +118,19 @@ def test_forward_hand_computation():
 
 
 def test_forward_rejects_wrong_feature_count():
-    """Where data first meets a model: the one check of the feature count."""
+    """Where data first meets a model, the one check of the feature count:
+    forward()'s rows, and a dataset of stored floats or pixels that ``train``
+    and ``forward_rows`` check before any row is converted."""
     model = small_model(sizes=(4, 5, 4))
-    with pytest.raises(ValueError) as err:
-        forward(model, np.zeros((2, 9)))
-    assert str(err.value) == "input has 9 features, first layer expects 4"
+    calls = [lambda: forward(model, np.zeros((2, 9)))]
+    for dtype in (np.float64, np.uint8):
+        data = LabeledDataset(X=np.zeros((40, 9), dtype=dtype), t=1 + np.arange(40) % 2)
+        calls += [lambda data=data: train(model, data, ExperimentConfig(batch_size=16, validation_size=0)),
+                  lambda data=data: network.forward_rows(model, data)]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "input has 9 features, first layer expects 4"
 
 
 def test_forward_rejects_other_ranks_and_coerces_to_float64():
@@ -165,15 +173,13 @@ def test_forward_equals_out_of_place_reference_bit_for_bit():
 
 
 @pytest.mark.parametrize("rows, depth", [(32, 32), (13, 32), (32, 80)])
-def test_forward_and_backward_in_layer_buffers_equal_them_without(rows, depth):
-    """A full batch, a short one, and a buffer deeper than the batch: the run's
-    buffers change where outputs and gradients live, not one bit of them.
-    Backward through them writes each hidden gradient over its layer's
-    output and leaves the input rows, Z and the caller's d_z as they were;
-    without them it writes into none of the caller's arrays. The weight and
-    bias gradients are written into the run's ``DenseLayer`` buffers, byte
-    for byte the new arrays of an unbuffered pass, however often they are
-    written."""
+def test_forward_and_backward_in_layer_buffers_equal_the_references(rows, depth):
+    """A full batch, a short one, and a buffer deeper than the batch, twice
+    through one buffer set: the outputs live in ``buffers.outputs`` and the
+    weight and bias gradients in ``buffers.grads``, with the bits of the
+    out-of-place references. Backward writes each hidden gradient over its
+    layer's output and leaves the input rows, Z and the caller's d_z as they
+    were."""
     rng = np.random.default_rng(rows + depth)
     model = init_model([6, 40, 24, 8], AcolHead(2, 4), seed=3)
     for layer in model.layers:
@@ -181,17 +187,18 @@ def test_forward_and_backward_in_layer_buffers_equal_them_without(rows, depth):
     buffers = network.layer_buffers(model, depth)
     for _ in range(2):
         x, d_z = rng.normal(size=(rows, 6)), rng.normal(size=(rows, 8))
-        got, want = forward(model, x, buffers), forward(model, x)
+        got, want = forward(model, x, buffers), _reference_outputs(model, x)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
         assert all(np.shares_memory(a, buf) for a, buf in zip(got[1:], buffers.outputs))
-        kept = [a.copy() for a in (x, got[-1], d_z, *want)]
-        got_grads, want_grads = backward(model, got, d_z, buffers), backward(model, want, d_z)
-        assert got[0] is x
-        assert [a.tobytes() for a in (x, got[-1], d_z, *want)] == [a.tobytes() for a in kept]
-        assert [(g.weights.tobytes(), g.bias.tobytes()) for g in got_grads] == [
-            (g.weights.tobytes(), g.bias.tobytes()) for g in want_grads
+        pres = [a @ l.weights + l.bias for a, l in zip(want, model.layers)]
+        expected = _frozen_pre_activation_backward(model, list(zip(want, pres)), d_z)
+        kept = [a.copy() for a in (x, got[-1], d_z)]
+        grads = backward(model, got, d_z, buffers.grads)
+        assert got[0] is x and grads is buffers.grads
+        assert [a.tobytes() for a in (x, got[-1], d_z)] == [a.tobytes() for a in kept]
+        assert [(g.weights.tobytes(), g.bias.tobytes()) for g in grads] == [
+            (w.tobytes(), b.tobytes()) for w, b in expected
         ]
-        assert all(g is buf for g, buf in zip(got_grads, buffers.grads))
 
 
 # --- backward ---------------------------------------------------------------
@@ -203,7 +210,7 @@ def test_backward_single_linear_layer_closed_form():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 3))
     d_z = rng.normal(size=(6, 2))
-    grads = backward(model, forward(model, x), d_z)
+    grads = backward(model, forward(model, x), d_z, network.layer_buffers(model, 6).grads)
     assert np.allclose(grads[0].weights, x.T @ d_z, atol=1e-12)
     assert np.allclose(grads[0].bias, d_z.sum(axis=0), atol=1e-12)
 
@@ -241,7 +248,7 @@ def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
             pres.append(pre)
             outputs.append(np.maximum(0.0, pre) if i < len(model.layers) - 1 else pre)
         expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
-        got = backward(model, outputs, d_z)
+        got = backward(model, outputs, d_z, network.layer_buffers(model, 40).grads)
         for g, (w, b) in zip(got, expected):
             assert np.array_equal(g.weights, w) and np.array_equal(np.signbit(g.weights), np.signbit(w))
             assert np.array_equal(g.bias, b) and np.array_equal(np.signbit(g.bias), np.signbit(b))
@@ -249,7 +256,7 @@ def test_backward_on_outputs_equals_pre_activation_backward_bit_for_bit():
         outputs = forward(model, x)
         pres = [a @ l.weights + l.bias for a, l in zip(outputs, model.layers)]
         expected = _frozen_pre_activation_backward(model, list(zip(outputs, pres)), d_z)
-        for g, (w, b) in zip(backward(model, outputs, d_z), expected):
+        for g, (w, b) in zip(backward(model, outputs, d_z, network.layer_buffers(model, 40).grads), expected):
             assert np.array_equal(g.weights, w) and np.array_equal(g.bias, b)
 
 
@@ -744,7 +751,7 @@ def test_evaluation_pads_a_short_block_with_zero_rows_whatever_its_buffer_held()
     rng = np.random.default_rng(2)
     model = init_model([3, 4096, 4], AcolHead(2, 2), seed=1)
     data = LabeledDataset(X=rng.normal(size=(37, 3)), t=rng.integers(1, 3, size=37))
-    buffers = network.layer_buffers(model, 16, gradients=False)
+    buffers = network.layer_buffers(model, 16)
     buffers.x.fill(np.inf)
     with np.errstate(invalid="raise", over="raise"):
         z = network.forward_rows(model, data, buffers)
