@@ -226,12 +226,16 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
 
     rows, memo = [], {}  # the memo clusters each distinct parent subset once per sweep
     for index, partition in enumerate(partitions):
+        # one scenario at a time: each set, model and score is released before
+        # the next scenario's are made
         train_data = pool_to_dataset(train_pool, partition)
+        m_train = len(train_data)
+        model = fit(cfg, train_data)[0]
+        del train_data
         eval_data = pool_to_dataset(eval_pool, partition)
-        model, _ = fit(cfg, train_data)
         result = score(model, eval_data)
         try:
-            nodes = evaluation.kmeans_per_parent(eval_data.X, eval_data.t, cfg.k, cfg.seed, memo)
+            nodes = evaluation.kmeans_per_parent(eval_data, cfg.k, cfg.seed, memo)
         except evaluation.TooFewRowsError:  # no baseline, as with no rows
             kmeans_acc = float("nan")
         else:
@@ -239,13 +243,14 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
         row = {
             "scenario": index,
             "description": partition.describe(),
-            "m_train": len(train_data),
+            "m_train": m_train,
             "m_eval": len(eval_data),
             "parent_acc": result["parent_acc"],
             "acc": result["acc"],
             "first_parent_acc": result["first_parent_acc"],
             "kmeans_acc": kmeans_acc,
         }
+        del model, result, eval_data
         rows.append(row)
         if not args.quiet:
             print(_summary_line("scenario", row))
@@ -265,7 +270,7 @@ def run_scenarios(cfg: ExperimentConfig, args) -> dict:
 def run_baseline(cfg: ExperimentConfig, args) -> dict:
     """Per-parent k-means on the configured dataset, no model involved."""
     _, _, data = _eval_inputs(cfg, None)
-    nodes = evaluation.kmeans_per_parent(data.X, data.t, cfg.k, seed=cfg.seed)
+    nodes = evaluation.kmeans_per_parent(data, cfg.k, seed=cfg.seed)
     acc = evaluation.clustering_accuracy(nodes, data.t_star)
     return {"m": len(data), "k": cfg.k, "acc": acc}
 
@@ -277,12 +282,12 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
     if not np.isfinite(args.threshold):
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
     model, _, data = _eval_inputs(cfg, args.checkpoint)
-    take = min(args.limit, len(data))
-    z = network.forward_rows(model, datasets.LabeledDataset(X=data.X[:take], t=data.t[:take]))
+    shown = data.subset(slice(0, args.limit))
+    z = network.forward_rows(model, shown)
     rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
     path = args.out / "graph.edges"
-    evaluation.export_graph(rows, args.threshold, path, truth=data.t_star[:take])
-    return {"rows": take, "source": args.source, "threshold": args.threshold, "path": str(path)}
+    evaluation.export_graph(rows, args.threshold, path, truth=shown.t_star)
+    return {"rows": len(shown), "source": args.source, "threshold": args.threshold, "path": str(path)}
 
 
 def _build_parser() -> argparse.ArgumentParser:

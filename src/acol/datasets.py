@@ -47,27 +47,41 @@ class LabeledDataset:
 
     ``t`` holds 1-based parent classes and is the only label ever seen by
     training. ``t_star``, when present, is the fine ground truth kept for
-    evaluation only. Each has one entry per row of ``X``, checked here.
+    evaluation only. ``rows`` selects the rows of ``X`` that the set holds,
+    in order, or is None for all of them, so a set over some of a pool's rows
+    shares the pool's ``X``; ``stored`` reads them. ``t`` and ``t_star`` have
+    one entry per row of the set, checked here.
     """
 
     X: np.ndarray                 # (m, d): uint8 pixels, or float64 features
-    t: np.ndarray                 # int64, (m,)
+    t: np.ndarray                 # int64, (len(self),)
     t_star: np.ndarray | None = None
+    rows: np.ndarray | None = None  # int, (len(self),): rows of X, or None for every row
 
     def __post_init__(self):
         for name, labels in (("t", self.t), ("t_star", self.t_star)):
-            if labels is not None and np.shape(labels) != (len(self.X),):
+            if labels is not None and np.shape(labels) != (len(self),):
                 found = f"{len(labels)} entries" if np.ndim(labels) == 1 else f"shape {np.shape(labels)}"
-                raise ValueError(f"{len(self.X)} rows of X, but {found} in {name}")
+                raise ValueError(f"{len(self)} rows of X, but {found} in {name}")
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[0] if self.rows is None else len(self.rows)
 
-    def features(self, rows=slice(None), out=None) -> np.ndarray:
-        """float64 features of ``X[rows]``, a new array or the leading rows of
-        ``out``: ``images_to_features`` of uint8 pixels; elementwise, so the
+    def stored(self, idx=slice(None)) -> np.ndarray:
+        """The set's stored rows ``idx`` (an index array or a slice): rows of ``X``."""
+        return self.X[idx] if self.rows is None else self.X[self.rows[idx]]
+
+    def subset(self, idx) -> "LabeledDataset":
+        """The set's rows ``idx`` (an index array or a slice) as a set over the
+        same ``X``, its labels indexed and its ``rows`` composed: no row is copied."""
+        rows = np.arange(len(self.X))[idx] if self.rows is None else self.rows[idx]
+        return LabeledDataset(self.X, self.t[idx], None if self.t_star is None else self.t_star[idx], rows)
+
+    def features(self, idx=slice(None), out=None) -> np.ndarray:
+        """float64 features of ``stored(idx)``, a new array or the leading rows
+        of ``out``: ``images_to_features`` of uint8 pixels; elementwise, so the
         bits do not depend on which rows are converted together."""
-        x = self.X[rows]
+        x = self.stored(idx)
         out = None if out is None else out[: len(x)]
         if x.dtype == np.uint8:
             return images_to_features(x, out)
@@ -214,20 +228,18 @@ def pool_to_dataset(pool: FinePool, partition: ParentPartition) -> LabeledDatase
 
     Excluded fine labels are dropped; any other unmapped fine label is an
     error. The fine labels are kept as ``t_star`` for evaluation only, in a
-    copy that never aliases the pool. When no row is dropped, ``X`` is the
-    pool's own matrix, not a copy.
+    copy that never aliases the pool. ``X`` is the pool's own matrix, never a
+    copy: when a row is dropped, ``rows`` lists the rows kept.
     """
     keep = ~np.isin(pool.fine, list(partition.exclude))
-    if keep.all():
-        X, fine = pool.X, pool.fine.copy()
-    else:
-        X, fine = pool.X[keep], pool.fine[keep]  # boolean indexing copies
+    rows = None if keep.all() else np.flatnonzero(keep)
+    fine = pool.fine.copy() if rows is None else pool.fine[rows]
     values, inverse = np.unique(fine, return_inverse=True)
     for value in values:
         if int(value) not in partition.mapping:
             raise ValueError(f"fine label {int(value)} has no parent in the partition")
     parents = np.array([partition.mapping[int(v)] for v in values], dtype=np.int64)
-    return LabeledDataset(X=X, t=parents[inverse], t_star=fine)
+    return LabeledDataset(X=pool.X, t=parents[inverse], t_star=fine, rows=rows)
 
 
 def _simplex_centers(count: int, dim: int, separation: float) -> np.ndarray:

@@ -183,12 +183,12 @@ class TooFewRowsError(ValueError):
     """Raised when a parent has fewer rows than the clusters asked of it."""
 
 
-def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
+def kmeans_per_parent(data: LabeledDataset, k: int, seed: int = 0, memo=None):
     """Baseline matching the comparison protocol: cluster within each parent.
 
-    The data is pre-divided by the provided parent labels. Each subset is
-    converted by ``LabeledDataset.features`` when it is clustered, so ``x``
-    may hold stored uint8 pixels, and clustered into k clusters; the
+    The set is pre-divided by its parent labels ``data.t``. Each subset is
+    converted by ``data.features`` when it is clustered, so the set may hold
+    stored uint8 pixels, and clustered into k clusters; the
     clusterings are combined with disjoint ids ``(parent-1)*k + local``. A
     parent with fewer than k rows raises ``TooFewRowsError`` before any
     clustering. Each clustering is kept in ``memo``, the caller's dict or a new
@@ -196,17 +196,15 @@ def kmeans_per_parent(x, t, k: int, seed: int = 0, memo=None):
     a subset met again is neither converted nor clustered.
     """
     import hashlib  # here: at module top it adds ~5 ms to every command's start
-    data = LabeledDataset(X=np.asarray(x), t=np.asarray(t))
-    t = data.t
-    parents, counts = np.unique(t, return_counts=True)
+    parents, counts = np.unique(data.t, return_counts=True)
     for parent, count in zip(parents, counts):
         if count < k:
             raise TooFewRowsError(f"parent {parent} has {count} rows, fewer than head.k = {k}")
     memo = {} if memo is None else memo
-    combined = np.zeros(len(t), dtype=np.int64)
+    combined = np.zeros(len(data), dtype=np.int64)
     for i, parent in enumerate(parents):
-        idx = np.nonzero(t == parent)[0]
-        stored = data.X[idx]
+        idx = np.flatnonzero(data.t == parent)
+        stored = data.stored(idx)
         key = (seed + i, k, stored.shape, stored.dtype.str, hashlib.sha256(stored).hexdigest())
         if key not in memo:
             memo[key] = kmeans(data.features(idx), k, seed=seed + i)

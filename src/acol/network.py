@@ -268,12 +268,12 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
     batches of ``cfg.batch_size`` (final short batch included), converts
     each by ``data.features(idx)`` into the run's input buffer, and takes one
     gradient step per batch. When ``cfg.validation_size`` > 0 that many
-    examples are split off (seeded) and kept as stored, and each epoch's
-    ``parent_accuracy_of`` converts them a block at a time; the returned
-    model's layers are then a copy of the parameters from the epoch with the
-    highest validation parent accuracy (latest on ties, so the regularizers
-    keep refining the latent structure after the supervised task saturates);
-    otherwise of the final epoch. The batch features, layer outputs,
+    examples are split off (seeded) as ``data.subset``, which copies no
+    stored row, and each epoch's ``parent_accuracy_of`` converts them a block
+    at a time; the returned model's layers are then a copy of the parameters
+    from the epoch with the highest validation parent accuracy (latest on
+    ties, so the regularizers keep refining the latent structure after the
+    supervised task saturates); otherwise of the final epoch. The batch features, layer outputs,
     gradients, velocity and snapshot live in arrays made once per run.
 
     Like the loss columns, an epoch's ``train_parent_acc`` is a running
@@ -308,7 +308,7 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
         )
     if cfg.validation_size > 0:
         train_idx, val_idx = datasets.split_validation(len(data), cfg.validation_size, cfg.seed)
-        val_data = datasets.LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])
+        val_data = data.subset(val_idx)
     else:
         train_idx, val_data = np.arange(len(data)), None
     empty = np.flatnonzero(np.bincount(data.t[train_idx], minlength=n_p + 1)[1:] == 0)

@@ -144,9 +144,9 @@ MUTANTS = (
      'if self.train_limit and self.dataset_type == "synthetic":', "if False:"),
     # one model seed per sweep; key-value lines read once; config errors under the file's path
     ("scenarios-seed-per-index", "src/acol/cli.py",
-     "model, _ = fit(cfg, train_data)", "model, _ = fit(replace(cfg, seed=cfg.seed + index), train_data)"),
+     "model = fit(cfg, train_data)[0]", "model = fit(replace(cfg, seed=cfg.seed + index), train_data)[0]"),
     ("scenarios-kmeans-seed-per-index", "src/acol/cli.py",
-     "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed + index, memo)"),
+     "(eval_data, cfg.k, cfg.seed, memo)", "(eval_data, cfg.k, cfg.seed + index, memo)"),
     ("checkpoint-header-extra-line-accepted", "src/acol/config.py",
      "raise ValueError(f\"line {lineno}: unknown key '{key}'\")", "continue"),
     ("config-error-path-dropped", "src/acol/config.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
@@ -181,7 +181,7 @@ MUTANTS = (
      "products[:, col * n_clusters:(col + 1) * n_clusters]", "products[:, :n_clusters]"),
     ("kmeans-memo-key-drops-seed", "src/acol/evaluation.py", "key = (seed + i, k, ", "key = (k, "),
     ("scenarios-kmeans-memo-dropped", "src/acol/cli.py",
-     "eval_data.t, cfg.k, cfg.seed, memo)", "eval_data.t, cfg.k, cfg.seed)"),
+     "(eval_data, cfg.k, cfg.seed, memo)", "(eval_data, cfg.k, cfg.seed)"),
     ("scenarios-kmeans-catches-any-value-error", "src/acol/cli.py",
      "except evaluation.TooFewRowsError:", "except ValueError:"),
     # every artifact reaches disk through datasets.artifact, whole or not at all;
@@ -236,7 +236,7 @@ MUTANTS = (
     # a run that allocates once: the input, gradient and snapshot buffers, stored
     # validation rows, and k-means on one parent's converted rows at a time.
     # Equivalent, so not listed: k-means on a parent's unscaled pixels
-    # (`data.features(idx)` -> `data.X[idx]`) gives the same labels, since
+    # (`data.features(idx)` -> `data.stored(idx)`) gives the same labels, since
     # scaling every feature by 255 moves only rounding in k-means.
     ("features-out-unscaled", "src/acol/datasets.py",
      "            return images_to_features(x, out)\n",
@@ -261,11 +261,12 @@ MUTANTS = (
     ("snapshot-weights-not-refreshed", "src/acol/network.py",
      "                np.copyto(best.weights, layer.weights)\n", ""),
     ("train-validation-rows-converted-up-front", "src/acol/network.py",
-     "LabeledDataset(X=data.X[val_idx], t=data.t[val_idx])",
-     "LabeledDataset(X=data.features(val_idx), t=data.t[val_idx])"),
+     "val_data = data.subset(val_idx)",
+     "val_data = datasets.LabeledDataset(X=data.features(val_idx), t=data.t[val_idx])"),
     ("kmeans-converts-the-whole-pool", "src/acol/evaluation.py",
-     "LabeledDataset(X=np.asarray(x), t=np.asarray(t))",
-     "LabeledDataset(X=np.asarray(x, dtype=np.float64), t=np.asarray(t))"),
+     "    parents, counts = np.unique(data.t, return_counts=True)\n",
+     "    data = LabeledDataset(X=data.features(), t=data.t)\n"
+     "    parents, counts = np.unique(data.t, return_counts=True)\n"),
     ("kmeans-row-norms-outside-scratch", "src/acol/evaluation.py",
      "np.sum(np.multiply(x, x, out=buf), axis=1)", "np.sum(x * x, axis=1)"),
     # the k-means memo keyed on a parent's stored rows, converted only on a miss.
@@ -273,9 +274,16 @@ MUTANTS = (
     # since a pool is uint8 or float64, whose same-shape rows differ in byte
     # length and so in sha256.
     ("kmeans-memo-keyed-on-converted-rows", "src/acol/evaluation.py",
-     "stored = data.X[idx]", "stored = data.features(idx)"),
+     "stored = data.stored(idx)", "stored = data.features(idx)"),
     ("kmeans-memo-miss-clusters-stored-rows", "src/acol/evaluation.py",
      "memo[key] = kmeans(data.features(idx), k, seed=seed + i)", "memo[key] = kmeans(stored, k, seed=seed + i)"),
+    # every dataset selects its rows of the pool's X instead of copying them, and
+    # a sweep holds one scenario's sets, model and scores at a time
+    ("subset-ignores-its-rows", "src/acol/datasets.py",
+     "if self.rows is None else self.rows[idx]", "if self.rows is None else idx"),
+    ("pool-to-dataset-keeps-every-row", "src/acol/datasets.py",
+     "rows = None if keep.all() else np.flatnonzero(keep)", "rows = None"),
+    ("scenarios-keeps-the-previous-scenario", "src/acol/cli.py", "        del model, result, eval_data\n", ""),
 )
 
 

@@ -240,7 +240,7 @@ def test_acceptance_digit_subclasses_beat_kmeans():
     start = time.time()
     cfg = _mnist_config(n_parents=2, k=5)
     result, test_data = _fit_and_score(cfg, cli.default_partition(cfg))
-    baseline_nodes = kmeans_per_parent(test_data.features(), test_data.t, cfg.k, seed=cfg.seed)
+    baseline_nodes = kmeans_per_parent(test_data, cfg.k, seed=cfg.seed)
     kmeans_acc = clustering_accuracy(baseline_nodes, test_data.t_star)
     error = 1.0 - result["acc"]
     elapsed = time.time() - start
@@ -393,7 +393,7 @@ def test_acceptance_generated_digit_subclasses_need_gar(generated_digits):
         for seed in range(3)
     ]
     gap = min(gar - off for gar, off in scores)
-    nodes = kmeans_per_parent(test_data.features(), test_data.t, base.k, seed=base.seed)
+    nodes = kmeans_per_parent(test_data, base.k, seed=base.seed)
     kmeans_acc = clustering_accuracy(nodes, test_data.t_star)
     elapsed = time.time() - start
     _report(

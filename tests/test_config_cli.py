@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -1054,6 +1055,39 @@ def test_cli_sweep_clusters_each_distinct_parent_subset_once(tmp_path, monkeypat
     monkeypatch.setattr("acol.evaluation.kmeans", lambda x, *a, **kw: rows.append(len(x)) or kmeans(x, *a, **kw))
     assert cli.main(["scenarios", "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
     assert len(rows) == calls
+
+
+def test_cli_sweep_holds_one_scenario_at_a_time(tmp_path, monkeypatch):
+    """The traced memory at each scenario's ``fit`` entry grows by less than
+    one parameter set of the model from the first scenario to the next two:
+    the sweep releases a scenario's model, scores and sets before it builds
+    the next, and a set that drops a digit selects its pool's rows instead
+    of copying them."""
+    digits, rng, paths = bench_digits(), np.random.default_rng(8), {}
+    for stem, count, keys in (("train", 300, ("images", "labels")),
+                              ("t10k", 150, ("test_images", "test_labels"))):
+        paths.update(zip(keys, digits.write_pair(count, rng, str(tmp_path / stem))))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(serialize_config(ExperimentConfig(
+        dataset_type="idx", **paths, k=5, epochs=1, validation_size=50, seed=2,
+        scenario_mode="inter-parent", scenario_exclusions="none;9;8,9",
+    )))
+    fit, at_fit, params = cli.fit, [], []
+
+    def traced_fit(cfg, data):
+        at_fit.append(tracemalloc.get_traced_memory()[0])
+        model, report = fit(cfg, data)
+        params.append(sum(layer.weights.nbytes + layer.bias.nbytes for layer in model.layers))
+        return model, report
+
+    monkeypatch.setattr("acol.cli.fit", traced_fit)
+    tracemalloc.start()
+    try:
+        assert cli.main(["scenarios", "--config", str(cfg), "--out", str(tmp_path / "run"), "--quiet"]) == 0
+    finally:
+        tracemalloc.stop()
+    assert len(at_fit) == 3 and params[0] > 0
+    assert max(at_fit[1:]) - at_fit[0] < params[0], (at_fit, params[0])
 
 
 def test_cli_baseline_stops_before_clustering_a_parent_with_fewer_rows_than_k(tmp_path, capsys, monkeypatch):

@@ -31,6 +31,7 @@ from acol.datasets import (
     write_idx_images,
     write_idx_labels,
 )
+from acol.evaluation import TooFewRowsError, kmeans_per_parent
 from acol.head import AcolHead
 
 
@@ -284,6 +285,54 @@ def test_features_into_a_buffer_equal_a_new_conversion():
             assert np.isnan(out[len(got):]).all()
 
 
+def _draw_index(draw, n: int):
+    """An index over ``n`` rows: an int array (repeats and negative entries
+    allowed) or a slice with a positive step."""
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-n, n - 1), max_size=12)) if n else []
+        return np.array(entries, dtype=np.int64)
+    return slice(draw(st.integers(0, n)), draw(st.integers(0, n)), draw(st.integers(1, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    dtype=st.sampled_from([np.uint8, np.float64]),
+    seed=st.integers(0, 2**16),
+    dropped=st.sets(st.integers(5, 9), max_size=4),
+    data=st.data(),
+)
+def test_subsets_of_a_partitioned_pool_equal_copies_of_its_rows(dtype, seed, dropped, data):
+    """A set from ``pool_to_dataset``, then ``subset`` twice, holds the rows
+    ``pool.X[keep][a][b]`` without copying them: its stored rows, features and
+    labels are those of the copy byte for byte, and per-parent k-means on it
+    gives the copy's labels under the same memo keys."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(8, 40))
+    fine = rng.integers(0, 10, size=m)
+    X = rng.integers(0, 256, size=(m, 3)).astype(dtype) if dtype == np.uint8 else rng.normal(size=(m, 3))
+    pool = FinePool(X=X, fine=fine)
+    whole = pool_to_dataset(pool, interparent_partition(dropped))
+    a = _draw_index(data.draw, len(whole))
+    part = whole.subset(a)
+    b = _draw_index(data.draw, len(part))
+    view = part.subset(b)
+    keep = ~np.isin(fine, list(dropped))
+    copy = LabeledDataset(X=pool.X[keep][a][b], t=whole.t[a][b], t_star=fine[keep][a][b])
+    assert view.X is pool.X and len(view) == len(copy)
+    for got, want in ((view.stored(), copy.X), (view.features(), copy.features()), (view.t, copy.t),
+                      (view.t_star, copy.t_star)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    memos = {}, {}
+    try:
+        want = kmeans_per_parent(copy, 2, seed=seed, memo=memos[0])
+    except TooFewRowsError:
+        with pytest.raises(TooFewRowsError):
+            kmeans_per_parent(view, 2, seed=seed, memo=memos[1])
+    else:
+        assert np.array_equal(kmeans_per_parent(view, 2, seed=seed, memo=memos[1]), want)
+        assert memos[0].keys() == memos[1].keys()
+
+
 def test_an_idx_pool_holds_its_pixels_and_no_float64_matrix(tmp_path):
     m, d = 2000, 64
     pixels = np.random.default_rng(2).integers(0, 256, size=(m, 8, 8), dtype=np.uint8)
@@ -352,7 +401,8 @@ def test_pool_to_dataset_maps_and_excludes():
     assert len(data) == 4
     assert np.array_equal(data.t, np.array([1, 2, 1, 2]))
     assert np.array_equal(data.t_star, np.array([0, 5, 3, 7]))
-    assert np.array_equal(data.X, pool.X[[0, 1, 3, 5]])
+    assert data.X is pool.X
+    assert np.array_equal(data.stored(), pool.X[[0, 1, 3, 5]])
     with pytest.raises(ValueError, match="no parent"):
         pool_to_dataset(pool, ParentPartition(mapping={0: 1, 5: 2}))
 
@@ -367,7 +417,8 @@ def test_pool_to_dataset_equals_per_row_mapping():
         assert data.t.dtype == np.int64
         assert np.array_equal(data.t, [partition.mapping[int(f)] for f in fine[keep]])
         assert np.array_equal(data.t_star, fine[keep])
-        assert np.array_equal(data.X, pool.X[keep])
+        assert data.X is pool.X
+        assert np.array_equal(data.stored(), pool.X[keep])
 
 
 def test_pool_to_dataset_empty_exclude_keeps_every_row():
@@ -397,14 +448,17 @@ def test_pool_to_dataset_t_star_does_not_alias_the_pool():
         pool.fine[1] = 5
 
 
-def test_pool_to_dataset_shares_the_pool_features_only_when_no_row_is_dropped():
+def test_pool_to_dataset_shares_the_pool_features_whether_or_not_a_row_is_dropped():
+    """Every dataset's ``X`` is its pool's: a set with a dropped label selects
+    the rows it keeps by ``rows``, and only its labels are its own."""
     fine = np.array([0, 5, 9, 3, 9, 7])
     pool = FinePool(X=np.arange(12.0).reshape(6, 2), fine=fine)
     whole = pool_to_dataset(pool, threshold_partition())
-    assert whole.X is pool.X and np.shares_memory(whole.X, pool.X)
+    assert whole.X is pool.X and whole.rows is None
     assert not np.shares_memory(whole.t_star, pool.fine)
     part = pool_to_dataset(pool, interparent_partition({9}))
-    assert not np.shares_memory(part.X, pool.X)
+    assert part.X is pool.X and np.array_equal(part.rows, [0, 1, 3, 5])
+    assert np.array_equal(part.stored(), pool.X[[0, 1, 3, 5]])
     assert not np.shares_memory(part.t_star, pool.fine)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from acol.datasets import images_to_features, synthetic_blobs
+from acol.datasets import LabeledDataset, images_to_features, synthetic_blobs
 from acol.evaluation import (
     _max_weight_matching,
     _plus_plus_centers,
@@ -377,7 +377,7 @@ def test_kmeans_restarts_never_hurt():
 def test_kmeans_per_parent_id_ranges():
     pool = synthetic_blobs(4, per_cluster=40, dim=4, separation=9.0, seed=36)
     t = (pool.fine - 1) % 2 + 1
-    combined = kmeans_per_parent(pool.X, t, k=2, seed=0)
+    combined = kmeans_per_parent(LabeledDataset(pool.X, t), k=2, seed=0)
     for parent in (1, 2):
         ids = set(int(v) for v in combined[t == parent])
         low, high = (parent - 1) * 2 + 1, parent * 2
@@ -393,10 +393,10 @@ def test_kmeans_per_parent_converts_one_parent_of_stored_pixels_at_a_time():
     rng = np.random.default_rng(8)
     pixels = rng.integers(0, 256, size=(2000, 784), dtype=np.uint8)
     t = 1 + np.arange(2000) % 4
-    want = kmeans_per_parent(images_to_features(pixels), t, k=3, seed=2)
+    want = kmeans_per_parent(LabeledDataset(images_to_features(pixels), t), k=3, seed=2)
     tracemalloc.start()
     try:
-        got = kmeans_per_parent(pixels, t, k=3, seed=2)
+        got = kmeans_per_parent(LabeledDataset(pixels, t), k=3, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -428,14 +428,14 @@ def _counting_kmeans(monkeypatch):
 def test_kmeans_per_parent_memo_clusters_each_subset_once(monkeypatch):
     pool = synthetic_blobs(4, per_cluster=30, dim=3, separation=6.0, seed=37)
     t = (pool.fine - 1) % 2 + 1
-    expected = kmeans_per_parent(pool.X, t, k=2, seed=5)
+    expected = kmeans_per_parent(LabeledDataset(pool.X, t), k=2, seed=5)
     calls, memo = _counting_kmeans(monkeypatch), {}
-    assert np.array_equal(kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo), expected)
-    assert np.array_equal(kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo), expected)
+    assert np.array_equal(kmeans_per_parent(LabeledDataset(pool.X, t), k=2, seed=5, memo=memo), expected)
+    assert np.array_equal(kmeans_per_parent(LabeledDataset(pool.X, t), k=2, seed=5, memo=memo), expected)
     assert calls == [60, 60] and len(memo) == 2
     # parent 2 loses a row: only its subset is new
     keep = np.arange(len(t)) != np.nonzero(t == 2)[0][0]
-    kmeans_per_parent(pool.X[keep], t[keep], k=2, seed=5, memo=memo)
+    kmeans_per_parent(LabeledDataset(pool.X[keep], t[keep]), k=2, seed=5, memo=memo)
     assert calls == [60, 60, 59]
 
 
@@ -450,10 +450,10 @@ def test_kmeans_per_parent_memo_hit_converts_nothing(monkeypatch):
     monkeypatch.setattr("acol.datasets.images_to_features",
                         lambda x, out=None: converted.append(len(x)) or images_to_features(x, out))
     memo = {}
-    first = kmeans_per_parent(pixels, t, k=2, seed=4, memo=memo)
+    first = kmeans_per_parent(LabeledDataset(pixels, t), k=2, seed=4, memo=memo)
     assert converted == [100, 100, 100] and len(memo) == 3
     converted.clear()
-    assert np.array_equal(kmeans_per_parent(pixels, t, k=2, seed=4, memo=memo), first)
+    assert np.array_equal(kmeans_per_parent(LabeledDataset(pixels, t), k=2, seed=4, memo=memo), first)
     assert converted == [] and len(memo) == 3
 
 
@@ -462,11 +462,11 @@ def test_kmeans_per_parent_memo_misses_another_seed_or_k(monkeypatch, seed, k):
     pool = synthetic_blobs(4, per_cluster=30, dim=3, separation=6.0, seed=37)
     t = (pool.fine - 1) % 2 + 1
     memo = {}
-    kmeans_per_parent(pool.X, t, k=2, seed=5, memo=memo)
+    kmeans_per_parent(LabeledDataset(pool.X, t), k=2, seed=5, memo=memo)
     calls = _counting_kmeans(monkeypatch)
-    combined = kmeans_per_parent(pool.X, t, k=k, seed=seed, memo=memo)
+    combined = kmeans_per_parent(LabeledDataset(pool.X, t), k=k, seed=seed, memo=memo)
     assert calls == [60, 60]
-    assert np.array_equal(combined, kmeans_per_parent(pool.X, t, k=k, seed=seed))
+    assert np.array_equal(combined, kmeans_per_parent(LabeledDataset(pool.X, t), k=k, seed=seed))
 
 
 # --- exports ----------------------------------------------------------------
