@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, evaluation, network
-from .config import ExperimentConfig, format_key_values, load_config, serialize_config
+from .config import ExperimentConfig, format_key_values, load_config, serialize_config, with_path
 from .datasets import FinePool, pool_to_dataset
 from .head import AcolHead, assign_annotations, head_forward, node_to_parent_sub
 
@@ -163,8 +163,8 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
     """Shared setup of eval, baseline and export-graph: ``(model, epoch, data)``.
 
     The checkpoint is loaded when a path is given (model and epoch are None
-    otherwise) and must match the configured head, seed and data width; the
-    model applies its own feature scale.
+    otherwise) and must match the configured head and seed (the scoring pass
+    checks the data width); the model applies its own feature scale.
     ``data`` is the test pool, or the train pool when no test pool is
     configured, under ``default_partition``; the other pool is never read.
     """
@@ -182,18 +182,13 @@ def _eval_inputs(cfg: ExperimentConfig, checkpoint_path):
                 f"{cfg.seed}; pass --seed {model.rng_seed}"
             )
     pool = load_pool(cfg, test=True) or load_pool(cfg, test=False)
-    if model is not None and model.layer_sizes[0] != pool.X.shape[1]:
-        raise ValueError(
-            f"{checkpoint_path}: first layer expects {model.layer_sizes[0]} features, "
-            f"the data has {pool.X.shape[1]}"
-        )
     return model, epoch, pool_to_dataset(pool, default_partition(cfg))
 
 
 def run_eval(cfg: ExperimentConfig, args) -> dict:
     """Score a saved checkpoint on the configured dataset."""
     model, epoch, data = _eval_inputs(cfg, args.checkpoint)
-    result = score(model, data)
+    result = with_path(args.checkpoint, score, model, data)
     summary = {
         "checkpoint_epoch": epoch,
         "m": len(data),
@@ -283,7 +278,7 @@ def run_export_graph(cfg: ExperimentConfig, args) -> dict:
         raise ValueError(f"--threshold must be finite, got {args.threshold}")
     model, _, data = _eval_inputs(cfg, args.checkpoint)
     shown = data.subset(slice(0, args.limit))
-    z = network.forward_rows(model, shown)
+    z = with_path(args.checkpoint, network.forward_rows, model, shown)
     rows = np.maximum(0.0, z) if args.source == "activities" else head_forward(z, model.head)[1]
     path = args.out / "graph.edges"
     evaluation.export_graph(rows, args.threshold, path, truth=shown.t_star)

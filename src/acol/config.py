@@ -200,11 +200,17 @@ def serialize_config(cfg) -> str:
     return format_key_values(values)
 
 
-def load_config(path) -> ExperimentConfig:
-    """``parse_config`` of a file; its errors name the file first."""
+def with_path(path, call, *args):
+    """``call(*args)``, a ``ValueError`` it raises put under ``path``: the one
+    ``<path>: <message>`` rule of config files, checkpoints and their scoring."""
     try:
-        with open(str(path), encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
-            return parse_config(f.read())
+        return call(*args)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
+
+
+def load_config(path) -> ExperimentConfig:
+    """``parse_config`` of a file; its errors name the file first."""
+    with open(str(path), encoding="utf-8-sig") as f:  # a byte-order mark is not part of a key
+        return with_path(path, lambda: parse_config(f.read()))
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from . import datasets, evaluation
-from .config import ExperimentConfig, _key, check_fields, parse_config, serialize_config
+from .config import ExperimentConfig, _key, check_fields, parse_config, serialize_config, with_path
 from .head import AcolHead, head_forward, supervised_grad
 from .regularizers import gar_value_and_grad
 
@@ -240,16 +240,20 @@ def forward_rows(model: Model, data: datasets.LabeledDataset, buffers=None) -> n
     forwarded through ``buffers`` (at least a block deep; a block-deep set when
     None), so stored uint8 pixels are never converted all at once. The short
     last block's tail is zeroed, so every product has one shape and a row's Z
-    does not depend on the rows scored with it."""
+    does not depend on the rows scored with it. A Z that overflows raises
+    ``ValueError`` naming its first row (0-based) instead of being scored."""
     check_features(model, data.X.shape[1])
     block = validation_block(model)
     buffers = layer_buffers(model, block) if buffers is None else buffers
     x = buffers.x[:block]
     z = np.empty((len(data), model.layer_sizes[-1]))
-    for start in range(0, len(data), block):
-        rows = len(data.features(slice(start, start + block), x))
-        x[rows:] = 0.0
-        z[start : start + rows] = forward(model, x, buffers)[-1][:rows]
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row
+        for start in range(0, len(data), block):
+            rows = len(data.features(slice(start, start + block), x))
+            x[rows:] = 0.0
+            z[start : start + rows] = forward(model, x, buffers)[-1][:rows]
+    if not np.isfinite(z).all():
+        raise ValueError(f"Z of row {np.flatnonzero(~np.isfinite(z).all(axis=1))[0]} is not finite")
     return z
 
 
@@ -338,16 +342,13 @@ def train(model: Model, data: datasets.LabeledDataset, cfg: ExperimentConfig):
                     raise ValueError(
                         f"training diverged: epoch {epoch}, batch {batch} has loss {loss}"
                     )
-                # in place, with the rounding of v = momentum * v - lr * g
+                # in place, with the rounding of v = momentum * v - lr * g; p += v
                 for layer, vel, g in zip(model.layers, velocity, grads):
-                    vel.weights *= cfg.momentum
-                    g.weights *= cfg.learning_rate
-                    vel.weights -= g.weights
-                    layer.weights += vel.weights
-                    vel.bias *= cfg.momentum
-                    g.bias *= cfg.learning_rate
-                    vel.bias -= g.bias
-                    layer.bias += vel.bias
+                    for p, v, dp in ((layer.weights, vel.weights, g.weights), (layer.bias, vel.bias, g.bias)):
+                        v *= cfg.momentum
+                        dp *= cfg.learning_rate
+                        v -= dp
+                        p += v
                 for name, value in sums.items():
                     totals[name] = totals.get(name, 0.0) + value
         for i, layer in enumerate(model.layers, start=1):
@@ -399,10 +400,7 @@ def load_checkpoint(path):
     tag, _, text = blob[:sep].decode("ascii", "backslashreplace").partition("\n")
     if tag != CHECKPOINT_TAG:
         raise ValueError(f"{path}: not a checkpoint file (missing '{CHECKPOINT_TAG}')")
-    try:
-        header = parse_config("\n" + text, CheckpointHeader)  # the tag is line 1
-    except ValueError as e:
-        raise ValueError(f"{path}: {e}") from e
+    header = with_path(path, parse_config, "\n" + text, CheckpointHeader)  # the tag is line 1
     sizes, head = header.layer_sizes, header.head
 
     payload = blob[sep + 2 :]

@@ -56,8 +56,7 @@ MUTANTS = (
      "np.eye(self.n_parents)[parents - 1]", "np.repeat(np.eye(self.n_parents), self.k, axis=0)"),
     ("relu-mask-dropped", "src/acol/network.py", "mask = a_in > 0", "mask = a_in >= 0"),
     ("momentum-step-before-velocity", "src/acol/network.py",
-     "vel.weights -= g.weights\n                    layer.weights += vel.weights",
-     "layer.weights += vel.weights\n                    vel.weights -= g.weights"),
+     "v -= dp\n                        p += v", "p += v\n                        v -= dp"),
     ("snapshot-earliest-on-ties", "src/acol/network.py", "or val_acc >= best_acc:", "or val_acc > best_acc:"),
     # scoring, k-means and readers
     ("hungarian-row-potential-sign", "src/acol/evaluation.py",
@@ -214,7 +213,8 @@ MUTANTS = (
     ("header-missing-key-accepted", "src/acol/config.py",
      "if f.default is MISSING and key not in lines:", "if False:"),
     ("config-byte-order-mark-read-as-key", "src/acol/config.py", 'encoding="utf-8-sig"', 'encoding="utf-8"'),
-    ("checkpoint-header-error-path-dropped", "src/acol/network.py", 'raise ValueError(f"{path}: {e}") from e', "raise"),
+    ("checkpoint-header-error-path-dropped", "src/acol/network.py",
+     'with_path(path, parse_config, "\\n" + text, CheckpointHeader)', 'parse_config("\\n" + text, CheckpointHeader)'),
     ("key-value-lines-split-at-form-feed", "src/acol/config.py", 'text.split("\\n")', "text.splitlines()"),
     # the run's layer buffers and the validation pass that walks blocks through them
     ("validation-block-drops-short-tail", "src/acol/network.py",
@@ -242,7 +242,7 @@ MUTANTS = (
      "            return images_to_features(x, out)\n",
      "            return images_to_features(x) if out is None else np.add(x, 0.0, out=out)\n"),
     ("features-out-float-unwritten", "src/acol/datasets.py", "        np.copyto(out, x)\n", ""),
-    ("evaluation-tail-not-zeroed", "src/acol/network.py", "        x[rows:] = 0.0\n", ""),
+    ("evaluation-tail-not-zeroed", "src/acol/network.py", "            x[rows:] = 0.0\n", ""),
     ("train-batch-outside-input-buffer", "src/acol/network.py",
      "data.features(idx, buffers.x), data.t[idx]", "data.features(idx), data.t[idx]"),
     ("backward-gradients-unbuffered", "src/acol/network.py",
@@ -284,6 +284,19 @@ MUTANTS = (
     ("pool-to-dataset-keeps-every-row", "src/acol/datasets.py",
      "rows = None if keep.all() else np.flatnonzero(keep)", "rows = None"),
     ("scenarios-keeps-the-previous-scenario", "src/acol/cli.py", "        del model, result, eval_data\n", ""),
+    # one width rule, whose error eval and export-graph put under the checkpoint's path,
+    # and a Z that is not finite stops the scoring pass at its first row
+    ("eval-scoring-path-dropped", "src/acol/cli.py",
+     "with_path(args.checkpoint, score, model, data)", "score(model, data)"),
+    ("export-graph-scoring-path-dropped", "src/acol/cli.py",
+     "with_path(args.checkpoint, network.forward_rows, model, shown)", "network.forward_rows(model, shown)"),
+    ("config-file-path-dropped", "src/acol/config.py",
+     "with_path(path, lambda: parse_config(f.read()))", "parse_config(f.read())"),
+    ("forward-rows-z-unchecked", "src/acol/network.py", "if not np.isfinite(z).all():", "if False:"),
+    ("forward-rows-overflow-warns", "src/acol/network.py",
+     'with np.errstate(over="ignore", invalid="ignore"):  # reported below, by row', "if True:"),
+    ("forward-rows-names-the-last-row", "src/acol/network.py",
+     "(z).all(axis=1))[0]} is not finite", "(z).all(axis=1))[-1]} is not finite"),
 )
 
 

@@ -935,8 +935,31 @@ def test_cli_rejects_a_checkpoint_of_another_width(tmp_path, capsys, command):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {ckpt}: first layer expects 4 features, the data has 9\n"
+    assert captured.err == f"error: {ckpt}: input has 9 features, first layer expects 4\n"
     assert not (out / command).exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "export-graph"])
+def test_cli_rejects_a_checkpoint_whose_z_overflows(tmp_path, capsys, command):
+    """Last-layer weights of 1e308 overflow Z: the scoring pass names the
+    checkpoint and the first row, numpy's warnings stay off stderr, and
+    nothing is written."""
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(
+        "dataset.per_cluster = 20\ndataset.test_per_cluster = 10\ntrain.epochs = 1\n"
+        "train.validation_size = 0\ntrain.hidden = 8\ntrain.batch_size = 32\n"
+    )
+    ckpt = tmp_path / "train" / "model.ckpt"
+    assert cli.main(["train", "--config", str(cfg), "--out", str(ckpt.parent), "--quiet"]) == 0
+    model, epoch = network.load_checkpoint(ckpt)
+    model.layers[1].weights[:] = 1e308
+    network.save_checkpoint(model, ckpt, epoch)
+    out = tmp_path / command
+    assert cli.main([command, "--config", str(cfg), "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ckpt}: Z of row 0 is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -744,6 +744,21 @@ def test_a_rows_z_does_not_depend_on_the_rows_scored_with_it(layout, size, seed)
     assert network.forward_rows(model, subset).tobytes() == whole[rows].tobytes()
 
 
+def test_forward_rows_names_the_first_row_whose_z_is_not_finite():
+    """Rows of zeros score Z = 0; a row of ones under first-layer weights of
+    1e308 overflows. The first such row is named, counted over every block
+    (32 rows at width 2,048), and numpy's overflow warnings stay silent."""
+    model = init_model([4, 2048, 4], AcolHead(2, 2), seed=1)
+    model.layers[0].weights[:] = 1e308
+    x = np.zeros((80, 4))
+    x[[45, 70]] = 1.0
+    data = LabeledDataset(X=x, t=1 + np.arange(80) % 2)
+    with pytest.raises(ValueError) as err:
+        network.forward_rows(model, data)
+    assert str(err.value) == "Z of row 45 is not finite"
+    assert np.isfinite(network.forward_rows(model, data.subset(slice(0, 45)))).all()
+
+
 def test_evaluation_pads_a_short_block_with_zero_rows_whatever_its_buffer_held():
     """A buffer left full of inf by earlier work: the short last block's tail
     is zeroed, so no product meets inf * 0 or inf - inf, and the Z of the

@@ -1,6 +1,9 @@
-"""Only ``datasets.py`` reads rows of a dataset's ``X``."""
+"""Source checks: only ``datasets.py`` reads rows of a dataset's ``X``, and
+a rule written once stays written once."""
 
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "acol"
 
@@ -18,3 +21,11 @@ def test_no_module_but_datasets_indexes_x():
         if ".X[" in line
     ]
     assert found == []
+
+
+@pytest.mark.parametrize("text", [
+    "first layer expects",  # the width rule, network.check_features; eval and export-graph reach it
+    "*= cfg.momentum",      # the momentum step, one loop over each layer's weights and bias
+])
+def test_a_rule_has_one_home_in_src(text):
+    assert sum(p.read_text().count(text) for p in SRC.glob("*.py")) == 1
